@@ -110,7 +110,8 @@ def _scenario_from_args(args) -> Scenario:
     return Scenario(
         system=system, q0=q0, qdot0=qdot0, horizon=args.horizon, dt=args.dt,
         mu=mu, controller=controller,
-        events=tuple(system.default_events),
+        # catalog defaults beyond the horizon were not asked for; drop them
+        events=tuple(e for e in system.default_events if e[0] <= args.horizon),
         initial_active=system.default_initial_active,
         rank_tol=args.rank_tol,
     )

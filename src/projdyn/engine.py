@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import forces
-from .control import RegulationGains, SetpointRegulator, lyapunov_value
+from .control import RegulationGains, control_force, lyapunov_value
 from .errors import DivergenceError, InconsistentStateError
-from .kernel import build_projectors, pseudo_inverse
+from .kernel import build_projectors, default_rank_tol, pseudo_inverse, with_adot
 from .model import assemble, optimal_mu
 from .systems import MechanicalSystem
 
@@ -71,6 +72,12 @@ class Scenario:
         times = [t for t, _ in self.events]
         if times != sorted(times):
             raise ValueError("events must be time-ordered")
+        # the run ends on the last grid time, which rounding may put a hair off
+        end = min(self.horizon, round(self.horizon / self.dt) * self.dt * (1 + 1e-12))
+        if times and not 0.0 < times[0] <= times[-1] <= end:
+            raise ValueError(f"event times {times} lie outside the run (0, {end:g}]")
+        if len({(t, tuple(active)) for t, active in self.events}) > len(set(times)):
+            raise ValueError("conflicting active sets for events at one time")
 
 
 TRACE_SCHEMA_VERSION = 1
@@ -181,137 +188,162 @@ def project_to_constraints(q_raw, system: MechanicalSystem, tol=1e-10,
         f"retraction stalled with |Phi| = {np.linalg.norm(phi):.3e}")
 
 
+class _Eval:
+    """One state (t, q, qdot) of a run; each part is computed once, when first
+    asked for.  The active set is fixed at creation, mu read at first use."""
+
+    def __init__(self, runner, t, q, qdot, spectrum=False):   # True if recorded
+        self.runner, self.t, self.q, self.qdot = runner, t, q, qdot
+        self.active, self.spectrum = runner.active, spectrum
+
+    @cached_property
+    def jac(self):
+        return self.runner.system.jacobian(self.q, self.qdot, active=self.active)
+
+    @cached_property
+    def proj(self):
+        return build_projectors(self.jac, self.runner.rank_tol)
+
+    @cached_property
+    def plant(self):
+        return self.runner.system.plant(self.q, self.qdot)
+
+    @cached_property
+    def model(self):
+        return assemble(self.plant, self.proj, self.runner.mu_value, self.spectrum)
+
+    @cached_property
+    def force(self):
+        """(f, u): the regulator's law, else the force schedule, else zero."""
+        sc, plant, proj = self.runner.sc, self.plant, self.proj
+        if (c := sc.controller) is not None:
+            return control_force(self.q, self.qdot, c.q_star, c.gains, plant, proj,
+                                 rank_tol=self.runner.rank_tol)
+        f = (np.zeros(sc.system.n) if sc.force_schedule is None else
+             np.asarray(sc.force_schedule(self.t, self.q, self.qdot), dtype=float))
+        return f, np.zeros(plant.k)
+
+    @cached_property
+    def X(self):
+        return forces.mbar_inverse_p(self.model, self.proj)
+
+    @cached_property
+    def S(self):
+        return forces._oblique_s(self.plant, self.X)
+
+    @cached_property
+    def qdd(self):
+        f, _ = self.force
+        return forces._acceleration(self.plant, self.proj, self.X, self.S, f, self.qdot)
+
+
 class _Runner:
-    """One simulation run; owns the phase state (active set, mu, controller)."""
+    """One simulation run; owns the phase state (active set, mu)."""
 
     def __init__(self, scenario: Scenario):
-        self.sc = scenario
-        self.system = scenario.system
-        self.active = (tuple(range(self.system.m)) if scenario.initial_active is None
-                       else tuple(scenario.initial_active))
-        self.regulator = None
-        if scenario.controller is not None:
-            self.regulator = SetpointRegulator(q_star=scenario.controller.q_star,
-                                               gains=scenario.controller.gains)
+        self.sc = sc = scenario
+        self.system = sc.system
+        self.active = (tuple(range(self.system.m)) if sc.initial_active is None
+                       else tuple(sc.initial_active))
         self.mu_value = None
+        self.rank_tol = default_rank_tol() if sc.rank_tol is None else sc.rank_tol
 
     # --- model evaluation -------------------------------------------------
 
-    def _proj(self, q, qdot):
-        jac = self.system.jacobian(q, qdot, active=self.active)
-        return jac, build_projectors(jac, self.sc.rank_tol)
-
-    def _select_mu(self, q, qdot):
-        if self.sc.mu != "auto":
+    def _select_mu(self, ev):
+        if self.sc.mu == "auto":
+            self.mu_value = optimal_mu(ev.plant, ev.proj, policy=self.sc.mu_policy,
+                                       rank_tol=self.rank_tol)
+        elif float(self.sc.mu) <= 0:
+            raise ValueError("mu must be positive")
+        else:
             self.mu_value = float(self.sc.mu)
-            if self.mu_value <= 0:
-                raise ValueError("mu must be positive")
-            return
-        _, proj = self._proj(q, qdot)
-        plant = self.system.plant(q, qdot)
-        self.mu_value = optimal_mu(plant, proj, policy=self.sc.mu_policy,
-                                   rank_tol=self.sc.rank_tol)
 
-    def _applied_force(self, t, q, qdot, plant, proj):
-        if self.regulator is not None:
-            return self.regulator.force(q, qdot, plant, proj,
-                                        rank_tol=self.sc.rank_tol)
-        if self.sc.force_schedule is not None:
-            f = np.asarray(self.sc.force_schedule(t, q, qdot), dtype=float)
-            return f, np.zeros(plant.k)
-        return np.zeros(self.system.n), np.zeros(plant.k)
-
-    def _deriv(self, t, q, qdot):
-        _, proj = self._proj(q, qdot)
-        plant = self.system.plant(q, qdot)
-        model = assemble(plant, proj, self.mu_value, with_spectrum=False)
-        f, _ = self._applied_force(t, q, qdot, plant, proj)
-        qdd = forces.acceleration(plant, proj, model, f, qdot)
-        return qdot, qdd
+    def _projected(self, t, q, qdot, spectrum=False):
+        """The state with qdot projected through P(q), which reuses pinv(A)."""
+        raw = _Eval(self, t, q, qdot)
+        ev = _Eval(self, t, q, raw.proj.P @ qdot, spectrum)
+        ev.proj = with_adot(raw.proj, ev.jac.Adot)
+        return ev
 
     # --- stepping ---------------------------------------------------------
 
-    def _rk4(self, t, q, qdot, h):
-        k1q, k1v = self._deriv(t, q, qdot)
-        k2q, k2v = self._deriv(t + 0.5 * h, q + 0.5 * h * k1q, qdot + 0.5 * h * k1v)
-        k3q, k3v = self._deriv(t + 0.5 * h, q + 0.5 * h * k2q, qdot + 0.5 * h * k2v)
-        k4q, k4v = self._deriv(t + h, q + h * k3q, qdot + h * k3v)
-        q_new = q + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
-        v_new = qdot + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+    def _rk4(self, ev, h):
+        """One RK4 step of size h from ev; returns the raw end (q, qdot)."""
+        t, q, qdot = ev.t, ev.q, ev.qdot
+        s2 = _Eval(self, t + 0.5 * h, q + 0.5 * h * qdot, qdot + 0.5 * h * ev.qdd)
+        s3 = _Eval(self, t + 0.5 * h, q + 0.5 * h * s2.qdot, qdot + 0.5 * h * s2.qdd)
+        s4 = _Eval(self, t + h, q + h * s3.qdot, qdot + h * s3.qdd)
+        q_new = q + (h / 6.0) * (qdot + 2 * s2.qdot + 2 * s3.qdot + s4.qdot)
+        v_new = qdot + (h / 6.0) * (ev.qdd + 2 * s2.qdd + 2 * s3.qdd + s4.qdd)
         if not (np.all(np.isfinite(q_new)) and np.all(np.isfinite(v_new))):
             raise DivergenceError("state became non-finite",
                                   last_state=GeneralizedState(t, q, qdot))
         return q_new, v_new
 
-    def _apply_event(self, t, q, qdot, new_active):
-        jac_old, proj_old = self._proj(q, qdot)
-        rank_before = proj_old.rank
-        M = np.asarray(self.system.mass(q), dtype=float)
-        ke_before = 0.5 * float(qdot @ M @ qdot)
+    def _apply_event(self, ev, new_active):
+        rank_before = ev.proj.rank
+        M = np.asarray(self.system.mass(ev.q), dtype=float)
+        ke_before = 0.5 * float(ev.qdot @ M @ ev.qdot)
         self.active = tuple(new_active)
-        _, proj_new = self._proj(q, qdot)
-        qdot = proj_new.P @ qdot            # inelastic capture
-        ke_after = 0.5 * float(qdot @ M @ qdot)
-        self._select_mu(q, qdot)            # mu re-selected only at events
-        return qdot, {
-            "time": float(t),
+        ev = self._projected(ev.t, ev.q, ev.qdot)   # inelastic capture
+        ke_after = 0.5 * float(ev.qdot @ M @ ev.qdot)
+        self._select_mu(ev)                     # mu re-selected only at events
+        return ev, {
+            "time": float(ev.t),
             "rank_before": rank_before,
-            "rank_after": proj_new.rank,
+            "rank_after": ev.proj.rank,
             "energy_drop": ke_before - ke_after,
             "active": tuple(self.active),
         }
 
-    def advance(self, t, q, qdot, h, events_in_step):
-        """Advance one grid step of size h, splitting at any event times."""
+    def advance(self, ev, h, events_in_step):
+        """Advance one grid step of size h from ev, splitting at any event
+        times; the end state returned serves its record and the next step."""
         logs = []
-        t_cur = t
+        t_end = ev.t + h
         for t_e, new_active in events_in_step:
-            if t_e > t_cur:
-                q, qdot = self._rk4(t_cur, q, qdot, t_e - t_cur)
-                t_cur = t_e
-            qdot, log = self._apply_event(t_cur, q, qdot, new_active)
+            if t_e > ev.t:
+                ev = _Eval(self, t_e, *self._rk4(ev, t_e - ev.t))
+            ev, log = self._apply_event(ev, new_active)
             logs.append(log)
-        t_end = t + h
-        if t_end > t_cur:
-            q, qdot = self._rk4(t_cur, q, qdot, t_end - t_cur)
-        _, proj = self._proj(q, qdot)
-        qdot = proj.P @ qdot                # drift control
-        jac = self.system.jacobian(q, qdot, active=self.active)
-        drift = np.linalg.norm(jac.A @ qdot)
-        if drift > self.sc.drift_tol * (1.0 + np.linalg.norm(qdot)):
+        q, qdot = self._rk4(ev, t_end - ev.t) if t_end > ev.t else (ev.q, ev.qdot)
+        end = self._projected(t_end, q, qdot, spectrum=True)   # drift control
+        drift = np.linalg.norm(end.jac.A @ end.qdot)
+        if drift > self.sc.drift_tol * (1.0 + np.linalg.norm(end.qdot)):
             raise DivergenceError(f"velocity drift {drift:.3e} exceeds tolerance",
-                                  last_state=GeneralizedState(t_end, q, qdot))
-        return q, qdot, logs
+                                  last_state=GeneralizedState(t_end, q, end.qdot))
+        return end, logs
 
     # --- recording --------------------------------------------------------
 
-    def record(self, t, q, qdot):
-        jac, proj = self._proj(q, qdot)
-        plant = self.system.plant(q, qdot)
-        model = assemble(plant, proj, self.mu_value, with_spectrum=True)
-        f, u = self._applied_force(t, q, qdot, plant, proj)
-        qdd = forces.acceleration(plant, proj, model, f, qdot)
-        f_c = forces.constraint_force(plant, proj, model, f, qdot)
+    def record(self, t, ev):
+        """The trace row of ev at time t.  t is stamped on ev first: t + h in
+        advance and (i + 1) dt in run can differ in the last bit."""
+        ev.t = t
+        q, qdot, plant = ev.q, ev.qdot, ev.plant
+        f, u = ev.force
+        f_c = forces._constraint_force(plant, ev.proj, ev.S, f, qdot)
         ke = 0.5 * float(qdot @ plant.M @ qdot)
         pe = float(self.system.potential(q)) if self.system.potential else 0.0
-        V = np.nan
-        if self.regulator is not None:
-            V = lyapunov_value(q, qdot, self.regulator.q_star,
-                               self.regulator.gains, model)
+        c, V = self.sc.controller, np.nan
+        if c is not None:
+            V = lyapunov_value(q, qdot, c.q_star, c.gains, ev.model)
         return {
-            "t": t, "q": q, "qdot": qdot, "qdd": qdd, "f": f, "u": u, "f_c": f_c,
+            "t": t, "q": q, "qdot": qdot, "qdd": ev.qdd, "f": f, "u": u, "f_c": f_c,
             "kinetic": ke, "potential": pe, "energy": ke + pe, "lyapunov": V,
-            "rank": proj.rank, "cond_mbar": model.cond,
-            "drift": float(np.linalg.norm(jac.A @ qdot)),
+            "rank": ev.proj.rank, "cond_mbar": ev.model.cond,
+            "drift": float(np.linalg.norm(ev.jac.A @ qdot)),
         }
 
 
 def step(state: GeneralizedState, scenario: Scenario) -> GeneralizedState:
     """One fixed step from an arbitrary state (no event handling)."""
     runner = _Runner(scenario)
-    runner._select_mu(state.q, state.qdot)
-    q, qdot, _ = runner.advance(state.t, state.q, state.qdot, scenario.dt, [])
-    return GeneralizedState(t=state.t + scenario.dt, q=q, qdot=qdot)
+    ev = _Eval(runner, state.t, state.q, state.qdot)
+    runner._select_mu(ev)
+    end, _ = runner.advance(ev, scenario.dt, [])
+    return GeneralizedState(t=state.t + scenario.dt, q=end.q, qdot=end.qdot)
 
 
 def run(scenario: Scenario) -> SimulationTrace:
@@ -319,7 +351,6 @@ def run(scenario: Scenario) -> SimulationTrace:
     sc = scenario
     runner = _Runner(sc)
     q = sc.q0.copy()
-    qdot = sc.qdot0.copy()
 
     if sc.validate_initial and sc.system.residual is not None and runner.active:
         phi = np.asarray(sc.system.residual(q), dtype=float)[list(runner.active)]
@@ -327,39 +358,34 @@ def run(scenario: Scenario) -> SimulationTrace:
             raise InconsistentStateError(
                 f"initial configuration violates constraints: |Phi| = "
                 f"{np.linalg.norm(phi):.3e}; retract with project_to_constraints")
-    _, proj0 = runner._proj(q, qdot)
-    qdot = proj0.P @ qdot
-    runner._select_mu(q, qdot)
+    ev = runner._projected(0.0, q, sc.qdot0.copy(), spectrum=True)
+    runner._select_mu(ev)
 
     nsteps = int(round(sc.horizon / sc.dt))
-    records = [runner.record(0.0, q, qdot)]
+    records = [runner.record(0.0, ev)]
     events = list(sc.events)
     t = 0.0
     for i in range(nsteps):
         t_next = (i + 1) * sc.dt
-        in_step = [e for e in events if t < e[0] <= t_next + 1e-15]
+        # the last step takes every remaining event, so none is lost to rounding
+        in_step = [e for e in events if t < e[0] <= t_next + 1e-15 or i == nsteps - 1]
         try:
-            q, qdot, logs = runner.advance(t, q, qdot, sc.dt, in_step)
+            ev, logs = runner.advance(ev, sc.dt, in_step)
         except DivergenceError as exc:
             raise DivergenceError(f"step {i + 1}: {exc}",
                                   last_state=exc.last_state) from exc
         events = [e for e in events if e not in in_step]
         t = t_next
-        rec = runner.record(t, q, qdot)
+        rec = runner.record(t, ev)
         rec["_logs"] = logs
         records.append(rec)
     return _pack(records, sc)
 
 
 def _pack(records, sc: Scenario) -> SimulationTrace:
-    n = sc.system.n
-    k = records[0]["u"].shape[0]
-    trace = SimulationTrace(n=n, k=k)
-    trace.t = np.array([r["t"] for r in records])
-    for key in ("q", "qdot", "qdd", "f", "u", "f_c"):
-        setattr(trace, "f_c" if key == "f_c" else key,
-                np.array([r[key] for r in records]))
-    for key in ("kinetic", "potential", "energy", "lyapunov", "cond_mbar", "drift"):
+    trace = SimulationTrace(n=sc.system.n, k=records[0]["u"].shape[0])
+    for key in ("t", "q", "qdot", "qdd", "f", "u", "f_c", "kinetic", "potential",
+                "energy", "lyapunov", "cond_mbar", "drift"):
         setattr(trace, key, np.array([r[key] for r in records]))
     trace.rank = np.array([r["rank"] for r in records], dtype=int)
     trace.events = [log for r in records for log in r.get("_logs", [])]

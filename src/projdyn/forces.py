@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, InvalidTargetError
-from .kernel import ProjectorBundle, pseudo_inverse, default_rank_tol
+from .kernel import ProjectorBundle, pseudo_inverse
 from .model import ConstrainedModel, PlantMatrices, assemble
 
 
@@ -48,20 +48,22 @@ def mbar_inverse_p(model: ConstrainedModel, proj: ProjectorBundle) -> np.ndarray
     return np.linalg.solve(model.Mbar, proj.P)
 
 
+def _pinv_pb(B, proj: ProjectorBundle, rank_tol):
+    """pinv(P B), B as a matrix, and the ranks of P B and P from the same SVD."""
+    B = np.asarray(B, dtype=float)
+    if B.ndim == 1:
+        B = B[:, None]
+    Gamma, rank_pb = pseudo_inverse(proj.P @ B, rank_tol)
+    return Gamma, B, {"rank_PB": rank_pb, "rank_P": proj.n - proj.rank}
+
+
 def check_admissibility(B, proj: ProjectorBundle, rank_tol: float | None = None):
     """True iff range(P B) spans the whole admissible space null(A).
 
     Returns (ok, diagnostic) with both ranks reported.
     """
-    if rank_tol is None:
-        rank_tol = default_rank_tol()
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
-    _, rank_pb = pseudo_inverse(proj.P @ B, rank_tol)
-    rank_p = proj.n - proj.rank
-    ok = rank_pb == rank_p
-    return ok, {"rank_PB": rank_pb, "rank_P": rank_p}
+    _, _, diag = _pinv_pb(B, proj, rank_tol)
+    return diag["rank_PB"] == diag["rank_P"], diag
 
 
 def _gamma(B, proj: ProjectorBundle, rank_tol):
@@ -69,17 +71,13 @@ def _gamma(B, proj: ProjectorBundle, rank_tol):
 
     Computed by truncated SVD rather than (B^T P B)^{-1} B^T P so that
     redundant actuation (rank-deficient B^T P B with admissibility intact)
-    still yields the minimum-norm map.
+    still yields the minimum-norm map.  The same SVD decides admissibility.
     """
-    ok, diag = check_admissibility(B, proj, rank_tol)
-    if not ok:
+    Gamma, B, diag = _pinv_pb(B, proj, rank_tol)
+    if diag["rank_PB"] != diag["rank_P"]:
         raise AdmissibilityError(
             "range(P B) does not span null(A): rank(P B) = "
             f"{diag['rank_PB']} < rank(P) = {diag['rank_P']}")
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B[:, None]
-    Gamma, _ = pseudo_inverse(proj.P @ B, rank_tol)
     return Gamma, B
 
 
@@ -91,9 +89,13 @@ def build_oblique(plant: PlantMatrices, proj: ProjectorBundle,
     Mbar is always invertible.
     """
     Gamma, B = _gamma(plant.B, proj, rank_tol)
-    R = B @ Gamma
-    S = np.eye(proj.n) - plant.M @ mbar_inverse_p(model, proj)
-    return ObliqueProjectors(R=R, Gamma=Gamma, S=S)
+    return ObliqueProjectors(R=B @ Gamma, Gamma=Gamma,
+                             S=_oblique_s(plant, mbar_inverse_p(model, proj)))
+
+
+def _oblique_s(plant: PlantMatrices, X) -> np.ndarray:
+    """S = I - M X from X = Mbar^{-1} P."""
+    return np.eye(X.shape[0]) - plant.M @ X
 
 
 def nonlinear_vector(plant: PlantMatrices, qdot) -> np.ndarray:
@@ -105,10 +107,12 @@ def nonlinear_vector(plant: PlantMatrices, qdot) -> np.ndarray:
 def acceleration(plant: PlantMatrices, proj: ProjectorBundle,
                  model: ConstrainedModel, f, qdot) -> np.ndarray:
     """q'' = Mbar^{-1} P (f + h) + S^T Omega q'."""
-    f = np.asarray(f, dtype=float)
-    qdot = np.asarray(qdot, dtype=float)
     X = mbar_inverse_p(model, proj)
-    S = np.eye(proj.n) - plant.M @ X
+    return _acceleration(plant, proj, X, _oblique_s(plant, X),
+                         np.asarray(f, dtype=float), np.asarray(qdot, dtype=float))
+
+
+def _acceleration(plant, proj, X, S, f, qdot):
     return X @ (f + nonlinear_vector(plant, qdot)) + S.T @ (proj.Omega @ qdot)
 
 
@@ -124,9 +128,12 @@ def acceleration_nonminimal(plant: PlantMatrices, proj: ProjectorBundle,
 def constraint_force(plant: PlantMatrices, proj: ProjectorBundle,
                      model: ConstrainedModel, f, qdot) -> np.ndarray:
     """f_c = -S (f + h - M Omega q'); always lies in the reaction space."""
-    f = np.asarray(f, dtype=float)
-    qdot = np.asarray(qdot, dtype=float)
-    S = np.eye(proj.n) - plant.M @ mbar_inverse_p(model, proj)
+    S = _oblique_s(plant, mbar_inverse_p(model, proj))
+    return _constraint_force(plant, proj, S, np.asarray(f, dtype=float),
+                             np.asarray(qdot, dtype=float))
+
+
+def _constraint_force(plant, proj, S, f, qdot):
     return -S @ (f + nonlinear_vector(plant, qdot) - plant.M @ (proj.Omega @ qdot))
 
 
@@ -158,7 +165,7 @@ def force_split_for_control(f_par, f_c_desired, plant: PlantMatrices,
     if leak > target_tol * (1.0 + np.linalg.norm(fc_d)):
         raise InvalidTargetError(
             f"desired constraint force has a motion-space component |P f_c| = {leak:.3e}")
-    S = np.eye(proj.n) - plant.M @ mbar_inverse_p(model, proj)
+    S = _oblique_s(plant, mbar_inverse_p(model, proj))
     natural = -S @ (f_par + nonlinear_vector(plant, qdot)) \
         + S @ (plant.M @ (proj.Omega @ qdot))
     return natural - fc_d

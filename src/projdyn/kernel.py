@@ -15,7 +15,7 @@ switches unremarkable here.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class ConstraintJacobian:
 
 @dataclass(frozen=True)
 class ProjectorBundle:
-    """P, Q = I - P, Lambda, Pdot, Omega and the numerical rank of A."""
+    """P, Q = I - P, Lambda, Pdot, Omega, the numerical rank of A and pinv(A)."""
 
     P: np.ndarray
     Q: np.ndarray
@@ -64,6 +64,7 @@ class ProjectorBundle:
     Pdot: np.ndarray
     Omega: np.ndarray
     rank: int
+    A_pinv: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -105,11 +106,16 @@ def build_projectors(jac: ConstraintJacobian, rank_tol: float | None = None) -> 
     n = jac.n
     P = np.eye(n) - Apinv @ jac.A
     P = 0.5 * (P + P.T)
-    Q = np.eye(n) - P
-    Lam = -Apinv @ jac.Adot
-    Pdot = Lam @ P + P @ Lam.T
-    Omega = Lam - Lam.T
-    return ProjectorBundle(P=P, Q=Q, Lambda=Lam, Pdot=Pdot, Omega=Omega, rank=r)
+    # P, Q and the rank depend on q alone; with_adot adds the rates
+    return with_adot(ProjectorBundle(P, np.eye(n) - P, None, None, None, r, Apinv), jac.Adot)
+
+
+def with_adot(proj: ProjectorBundle, Adot) -> ProjectorBundle:
+    """The bundle of the same A (same q) with another Adot (another velocity):
+    only Lambda, Pdot and Omega are rebuilt, from the stored pinv(A)."""
+    Lam = -proj.A_pinv @ Adot
+    return ProjectorBundle(proj.P, proj.Q, Lam, Lam @ proj.P + proj.P @ Lam.T,
+                           Lam - Lam.T, proj.rank, proj.A_pinv)
 
 
 def pdot_fd_check(jac_at, t: float, h: float, rank_tol: float | None = None) -> float:

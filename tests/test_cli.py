@@ -88,6 +88,24 @@ class TestSimulate:
         records = [json.loads(l) for l in out.read_text().splitlines()]
         assert len(records) == 11 and "energy" in records[0]
 
+    def test_default_event_beyond_horizon_is_dropped(self, capsys):
+        # the catalog's capture at t = 1 s is a default, not a request
+        rc = main(["simulate", "--system", "switching-particle",
+                   "--horizon", "0.5", "--dt", "0.01"])
+        assert rc == 0
+        assert "rank events: none" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("t_event", [0.0, 0.6])
+    def test_scenario_file_event_out_of_range_is_usage_error(
+            self, tmp_path, capsys, t_event):
+        spec = {"system": "switching-particle", "q0": [0.0, 0.0],
+                "qdot0": [1.0, 0.5], "horizon": 0.5, "dt": 0.01,
+                "initial_active": [], "events": [[t_event, [0]]]}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec))
+        assert main(["simulate", "--scenario-file", str(path)]) == 2
+        assert "outside the run" in capsys.readouterr().err
+
     def test_missing_system_is_usage_error(self, capsys):
         assert main(["simulate"]) in (1, 2)
 

@@ -1,13 +1,17 @@
 """Simulation engine: integration accuracy, events, traces, validation."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from projdyn import (DivergenceError, GeneralizedState, InconsistentStateError,
-                     Scenario, pendulum, project_to_constraints, run, step,
-                     switching_particle)
+                     RegulationGains, Scenario, SetpointRegulator, acceleration,
+                     assemble, build_projectors, constraint_force, control_force,
+                     double_pendulum, load_system, lyapunov_value, optimal_mu,
+                     pendulum, project_to_constraints, redundant_pendulum, run,
+                     slider_crank, step, switching_particle)
 
 
 class TestProjectToConstraints:
@@ -144,6 +148,33 @@ class TestEvents:
         after = trace.drift[trace.t > 1.0]
         assert after.max() <= 1e-12
 
+    @pytest.mark.parametrize("t_event", [0.0, -0.5, 2.0 + 1e-9, 3.0])
+    def test_rejects_event_outside_the_run(self, t_event):
+        with pytest.raises(ValueError, match="outside the run"):
+            self.scenario(events=((t_event, (0,)),))
+
+    def test_rejects_conflicting_events_at_one_time(self):
+        with pytest.raises(ValueError, match="conflicting"):
+            self.scenario(events=((1.0, (0,)), (1.0, ())))
+        self.scenario(events=((1.0, (0,)), (1.0, (0,))))   # a repeat is fine
+
+    def test_event_at_the_horizon_is_applied(self):
+        # 570 * 0.03 lands one ulp below 17.1, more than the grid slack of
+        # 1e-15, so the per-step window alone would miss this event
+        trace = run(self.scenario(horizon=17.1, dt=0.03,
+                                  events=((17.1, (0,)),)))
+        assert len(trace.events) == 1
+        assert trace.rank[-1] == 1 and trace.qdot[-1, 1] == 0.0
+
+    def test_capture_freezes_the_forced_height(self):
+        # RK4 is exact under push; after the off-grid capture the height
+        # stays at its analytic value at the event time
+        te = 0.9995
+        trace = run(self.scenario(horizon=1.2, events=((te, (0,)),),
+                                  force_schedule=push))
+        y_e = 0.5 * te - te ** 2 / 2 - te ** 3 / 6
+        np.testing.assert_allclose(trace.q[trace.t > te, 1], y_e, rtol=0, atol=1e-12)
+
     def test_event_off_step_grid(self):
         # event time not a multiple of dt: the step is split internally
         trace = run(self.scenario(events=((0.9995, (0,)),)))
@@ -184,3 +215,115 @@ class TestTraceExport:
         assert len(records) == len(trace.t)
         assert records[3]["q"] == list(map(float, trace.q[3]))
         assert records[0]["rank"] == 1
+
+
+# The catalog slider-crank (unit rods) with non-unit masses, from polynomials.
+LOADED_SLIDER_CRANK = {
+    "name": "loaded-slider-crank", "n": 4,
+    "mass": {"diag": [1.2, 1.2, 0.8, 0.8]},
+    "gravity_force": [0.0, -1.2 * 9.81, 0.0, -0.8 * 9.81],
+    "constraints": [{"terms": [{"coeff": c, "powers": p} for c, p in poly]} for poly in (
+        [(1, [2, 0, 0, 0]), (1, [0, 2, 0, 0]), (-1, [0, 0, 0, 0])],
+        [(1, [0, 0, 2, 0]), (-2, [1, 0, 1, 0]), (1, [2, 0, 0, 0]), (1, [0, 0, 0, 2]),
+         (-2, [0, 1, 0, 1]), (1, [0, 2, 0, 0]), (-1, [0, 0, 0, 0])],
+        [(1, [0, 0, 0, 1])])],
+}
+
+
+def push(t, q, qdot):
+    """A time-dependent force under which RK4 is exact for the particle."""
+    return np.array([0.5 * t, -1.0 - t])
+
+
+def _case(name):
+    rng = np.random.default_rng(3)
+    if name == "free-double-pendulum":
+        system = double_pendulum(m1=1.3, m2=0.7)
+        q, qd = system.sample_state(rng)
+        return Scenario(system=system, q0=q, qdot0=qd, horizon=0.5, dt=5e-3)
+    if name == "regulated-pendulum":
+        gains = RegulationGains(Kp=10 * np.eye(2), Kd=10 * np.eye(2), sigma=1.5)
+        target = np.array([np.sin(1.0), -np.cos(1.0)])
+        return Scenario(system=pendulum(), q0=np.array([0.0, -1.0]),
+                        qdot0=np.zeros(2), horizon=0.5, dt=5e-3,
+                        controller=SetpointRegulator(target, gains))
+    if name == "switching-particle":
+        return Scenario(system=switching_particle(), q0=np.zeros(2),
+                        qdot0=np.array([1.0, 0.5]), horizon=1.2, dt=1e-3,
+                        initial_active=(), events=((0.9995, (0,)),),
+                        force_schedule=push)
+    if name == "redundant-pendulum":
+        return Scenario(system=redundant_pendulum(),
+                        q0=np.array([np.sin(0.4), -np.cos(0.4)]),
+                        qdot0=np.array([0.3, 0.1]), horizon=0.5, dt=5e-3)
+    q, qd = slider_crank().sample_state(rng)
+    return Scenario(system=load_system(LOADED_SLIDER_CRANK), q0=q, qdot0=qd,
+                    horizon=0.5, dt=5e-3)
+
+
+@pytest.mark.parametrize("name", ["free-double-pendulum", "regulated-pendulum",
+                                  "switching-particle", "redundant-pendulum",
+                                  "loaded-slider-crank"])
+def test_record_equals_a_fresh_evaluation(name):
+    """Every row equals a fresh evaluation of its recorded (q, qdot) through
+    the public functions, bit for bit: the engine's per-state cache cannot
+    go stale across steps, events or the choice of mu."""
+    sc = _case(name)
+    trace = run(sc)
+    system, reg = sc.system, sc.controller
+    mu = None
+    for i, t in enumerate(trace.t):
+        active = sc.initial_active
+        for ev in trace.events:
+            if ev["time"] <= t:
+                active = ev["active"]
+        q, qdot = trace.q[i], trace.qdot[i]
+        proj = build_projectors(system.jacobian(q, qdot, active=active))
+        plant = system.plant(q, qdot)
+        # mu = "auto" picks mu once, at the first row; the particle's optimal
+        # mu is its mass on both sides of the capture
+        mu = optimal_mu(plant, proj) if mu is None else mu
+        model = assemble(plant, proj, mu)
+        f, u = np.zeros(system.n), np.zeros(plant.k)
+        V = np.nan
+        if reg is not None:
+            f, u = control_force(q, qdot, reg.q_star, reg.gains, plant, proj)
+            V = lyapunov_value(q, qdot, reg.q_star, reg.gains, model)
+        elif sc.force_schedule is not None:
+            f = sc.force_schedule(t, q, qdot)
+        np.testing.assert_array_equal(trace.qdd[i], acceleration(plant, proj, model, f, qdot))
+        np.testing.assert_array_equal(trace.f_c[i],
+                                      constraint_force(plant, proj, model, f, qdot))
+        np.testing.assert_array_equal(trace.f[i], f)
+        np.testing.assert_array_equal(trace.u[i], u)
+        assert trace.cond_mbar[i] == model.cond
+        np.testing.assert_array_equal(trace.lyapunov[i], V)
+
+
+def _per_step_linalg_calls(monkeypatch, scenario):
+    """(SVDs, solves) per step: the difference of a 20-step and a 10-step run,
+    so calls made once per run do not count."""
+    counts = {"svd": 0, "solve": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    totals = []
+    for steps in (10, 20):
+        counts.update(svd=0, solve=0)
+        run(dataclasses.replace(scenario, horizon=steps * scenario.dt))
+        totals.append(dict(counts))
+    return [(totals[1][k] - totals[0][k]) / 10 for k in ("svd", "solve")]
+
+
+def test_per_step_linalg_cost(monkeypatch):
+    """4 state evaluations per RK4 step, one SVD per A and one per P B."""
+    free = Scenario(system=pendulum(), q0=np.array([1.0, 0.0]), qdot0=np.zeros(2),
+                    horizon=0.05, dt=5e-3)
+    svd, solve = _per_step_linalg_calls(monkeypatch, free)
+    assert svd <= 4 and solve <= 4
+    svd, solve = _per_step_linalg_calls(monkeypatch, _case("regulated-pendulum"))
+    assert svd <= 8 and solve <= 4
