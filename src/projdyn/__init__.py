@@ -4,8 +4,8 @@ mechanical systems in dependent coordinates."""
 from .control import (RegulationGains, SetpointRegulator, control_force,
                       fallback_direction, velocity_direction,
                       lyapunov_value)
-from .engine import (ControllerSpec, GeneralizedState, Scenario,
-                     SimulationTrace, project_to_constraints, run, step)
+from .engine import (GeneralizedState, Scenario, SimulationTrace,
+                     project_to_constraints, run, step)
 from .errors import (AdmissibilityError, DivergenceError,
                      InconsistentStateError, InvalidTargetError,
                      NonFiniteInputError, ProjdynError)

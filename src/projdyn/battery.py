@@ -12,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import forces
-from .kernel import ConstraintJacobian, build_projectors
-from .model import assemble, nonzero_pmp_eigenvalues, optimal_mu, spectrum_of_mbar
+from .kernel import ConstraintJacobian, build_projectors, pdot_fd_check, pseudo_inverse
+from .model import (PlantMatrices, assemble, nonzero_pmp_eigenvalues, optimal_mu,
+                    spectrum_of_mbar)
 from .systems import catalog, pendulum, double_pendulum
 
 
@@ -57,7 +58,6 @@ def check_pdot_finite_difference(rng, trials=20):
             return ConstraintJacobian(A=A0 + t * A1 + np.sin(t) * A2,
                                       Adot=A1 + np.cos(t) * A2)
 
-        from .kernel import pdot_fd_check
         worst = max(worst, pdot_fd_check(jac_at, 0.3, 1e-4))
     return "pdot-finite-difference", float(worst), 1e-5
 
@@ -95,7 +95,6 @@ def check_spectrum_law(rng, trials=100):
         jac = _random_jacobian(rng, n, m)
         proj = build_projectors(jac)
         M = _random_spd(rng, n)
-        from .model import PlantMatrices
         plant = PlantMatrices(M=M, C=np.zeros((n, n)), f_g=np.zeros(n), B=np.eye(n))
         mu = float(rng.uniform(0.2, 5.0))
         spec, _ = spectrum_of_mbar(plant, proj, mu)
@@ -127,7 +126,6 @@ def check_oracle_equivalence(rng, trials=60):
 
 
 def check_oblique_identities(rng, trials=150):
-    from .model import PlantMatrices
     worst = 0.0
     done = 0
     while done < trials:
@@ -147,7 +145,6 @@ def check_oblique_identities(rng, trials=150):
         ob = forces.build_oblique(plant, proj, model)
         R, S, P, Q = ob.R, ob.S, proj.P, proj.Q
         PMP = P @ M @ P
-        from .kernel import pseudo_inverse
         pmp_pinv, _ = pseudo_inverse(0.5 * (PMP + PMP.T))
         worst = max(worst,
                     np.linalg.norm(R @ R - R), np.linalg.norm(P @ R - P),

@@ -9,8 +9,8 @@ import sys
 import numpy as np
 
 from . import battery
-from .control import RegulationGains
-from .engine import ControllerSpec, Scenario, project_to_constraints, run
+from .control import RegulationGains, SetpointRegulator
+from .engine import Scenario, project_to_constraints, run
 from .errors import ProjdynError
 from .kernel import build_projectors, default_rank_tol
 from .loader import load_system
@@ -57,11 +57,27 @@ def _build_parser():
     return parser
 
 
-def _parse_vector(text, n, what):
-    vals = np.array([float(v) for v in text.split(",")], dtype=float)
-    if vals.size != n:
-        raise ProjdynError(f"{what} must have {n} components, got {vals.size}")
+def _parse_vector(values, n, what):
+    """n floats from comma-separated text or a list."""
+    if isinstance(values, str):
+        values = [float(v) for v in values.split(",")]
+    try:
+        vals = np.asarray(values, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"{what} must be a list of numbers") from exc
+    if vals.shape != (n,):
+        raise ValueError(f"{what} must have {n} components, got {vals.size}")
     return vals
+
+
+def _regulator(system, q_star, kp, kd, sigma, what) -> SetpointRegulator:
+    """The regulator to q_star, retracted onto the constraint manifold when
+    the system has a position residual."""
+    q_star = _parse_vector(q_star, system.n, what)
+    if system.residual is not None:
+        q_star = project_to_constraints(q_star, system)
+    eye = np.eye(system.n)
+    return SetpointRegulator(q_star, RegulationGains(Kp=kp * eye, Kd=kd * eye, sigma=sigma))
 
 
 def _scenario_from_args(args) -> Scenario:
@@ -71,13 +87,10 @@ def _scenario_from_args(args) -> Scenario:
         system = (get_system(spec["system"]) if isinstance(spec["system"], str)
                   else load_system(spec["system"]))
         controller = None
-        if spec.get("controller"):
-            c = spec["controller"]
-            n = system.n
-            gains = RegulationGains(Kp=c.get("kp", 10.0) * np.eye(n),
-                                    Kd=c.get("kd", 10.0) * np.eye(n),
-                                    sigma=c.get("sigma", 1.5))
-            controller = ControllerSpec(gains=gains, q_star=np.asarray(c["q_star"]))
+        if c := spec.get("controller"):
+            controller = _regulator(system, c["q_star"], c.get("kp", 10.0),
+                                    c.get("kd", 10.0), c.get("sigma", 1.5),
+                                    "controller q_star")
         return Scenario(
             system=system,
             q0=np.asarray(spec["q0"], dtype=float),
@@ -101,12 +114,8 @@ def _scenario_from_args(args) -> Scenario:
     if args.controller == "regulate":
         if not args.target:
             raise ProjdynError("--controller regulate requires --target")
-        q_star = _parse_vector(args.target, system.n, "--target")
-        if system.residual is not None:
-            q_star = project_to_constraints(q_star, system)
-        gains = RegulationGains(Kp=args.kp * np.eye(system.n),
-                                Kd=args.kd * np.eye(system.n), sigma=args.sigma)
-        controller = ControllerSpec(gains=gains, q_star=q_star)
+        controller = _regulator(system, args.target, args.kp, args.kd, args.sigma,
+                                "--target")
     return Scenario(
         system=system, q0=q0, qdot0=qdot0, horizon=args.horizon, dt=args.dt,
         mu=mu, controller=controller,

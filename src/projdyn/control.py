@@ -93,7 +93,7 @@ def velocity_direction(qdot, e, proj: ProjectorBundle, gains: RegulationGains) -
 
 
 def control_force(q, qdot, q_star, gains: RegulationGains, plant: PlantMatrices,
-                  proj: ProjectorBundle, rank_tol: float | None = None, eta=None):
+                  proj: ProjectorBundle, rank_tol: float | None = None):
     """Evaluate the regulation law; returns (f, u).
 
     Raises AdmissibilityError when range(P B) cannot realize the commanded
@@ -102,8 +102,7 @@ def control_force(q, qdot, q_star, gains: RegulationGains, plant: PlantMatrices,
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
     e = q - np.asarray(q_star, dtype=float)
-    if eta is None:
-        eta = velocity_direction(qdot, e, proj, gains)
+    eta = velocity_direction(qdot, e, proj, gains)
     inner = plant.f_g + gains.Kp @ (e + gains.sigma * np.linalg.norm(e) * eta) \
         + gains.Kd @ qdot
     Gamma, B = _gamma(plant.B, proj, rank_tol)
@@ -119,17 +118,12 @@ def lyapunov_value(q, qdot, q_star, gains: RegulationGains,
     return 0.5 * float(qdot @ model.Mbar @ qdot) + 0.5 * float(e @ gains.Kp @ e)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SetpointRegulator:
-    """Convenience wrapper binding a target and gains for the simulator."""
+    """The regulation target q* and the gains that drive a run toward it."""
 
     q_star: np.ndarray
     gains: RegulationGains
 
     def __post_init__(self):
-        self.q_star = np.asarray(self.q_star, dtype=float)
-
-    def force(self, q, qdot, plant: PlantMatrices, proj: ProjectorBundle,
-              rank_tol: float | None = None):
-        return control_force(q, qdot, self.q_star, self.gains, plant, proj,
-                             rank_tol=rank_tol)
+        object.__setattr__(self, "q_star", np.asarray(self.q_star, dtype=float))

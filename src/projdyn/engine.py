@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import forces
-from .control import RegulationGains, control_force, lyapunov_value
+from .control import SetpointRegulator, control_force, lyapunov_value
 from .errors import DivergenceError, InconsistentStateError
 from .kernel import build_projectors, default_rank_tol, pseudo_inverse, with_adot
 from .model import assemble, optimal_mu
@@ -34,15 +34,6 @@ class GeneralizedState:
         object.__setattr__(self, "qdot", np.asarray(self.qdot, dtype=float))
 
 
-@dataclass(frozen=True)
-class ControllerSpec:
-    gains: RegulationGains
-    q_star: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "q_star", np.asarray(self.q_star, dtype=float))
-
-
 @dataclass
 class Scenario:
     """Everything needed to reproduce one run."""
@@ -52,15 +43,13 @@ class Scenario:
     qdot0: np.ndarray
     horizon: float
     dt: float
-    mu: object = "auto"                  # "auto" or a positive float
-    mu_policy: str = "geometric-mean"
-    controller: ControllerSpec | None = None
+    mu: object = "auto"                  # "auto" (geometric mean) or a positive float
+    controller: SetpointRegulator | None = None
     force_schedule: object = None        # callable (t, q, qdot) -> f
     events: tuple = ()                   # ((time, active-row-tuple), ...)
     initial_active: tuple | None = None  # None = all rows active
     rank_tol: float | None = None
     drift_tol: float = 1e-12
-    validate_initial: bool = True
 
     def __post_init__(self):
         self.q0 = np.asarray(self.q0, dtype=float)
@@ -69,11 +58,15 @@ class Scenario:
             raise ValueError("step size must be positive")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
+        steps = self.horizon / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"horizon {self.horizon:g} is not a multiple of "
+                             f"dt {self.dt:g}")
         times = [t for t, _ in self.events]
         if times != sorted(times):
             raise ValueError("events must be time-ordered")
         # the run ends on the last grid time, which rounding may put a hair off
-        end = min(self.horizon, round(self.horizon / self.dt) * self.dt * (1 + 1e-12))
+        end = min(self.horizon, round(steps) * self.dt * (1 + 1e-12))
         if times and not 0.0 < times[0] <= times[-1] <= end:
             raise ValueError(f"event times {times} lie outside the run (0, {end:g}]")
         if len({(t, tuple(active)) for t, active in self.events}) > len(set(times)):
@@ -82,81 +75,55 @@ class Scenario:
 
 TRACE_SCHEMA_VERSION = 1
 
+# The trace layout, in column order: (record key, CSV column prefix, width).
+# A width-1 field is one column named by its prefix; a width-"n" or "k" field
+# is that many columns, prefix0, prefix1, ...  trace_schema.json describes
+# the same layout and a test keeps the two in step.
+TRACE_FIELDS = (
+    ("t", "t", 1), ("q", "q", "n"), ("qdot", "qd", "n"), ("qdd", "qdd", "n"),
+    ("f", "f", "n"), ("u", "u", "k"), ("f_c", "fc", "n"),
+    ("kinetic", "kinetic", 1), ("potential", "potential", 1),
+    ("energy", "energy", 1), ("lyapunov", "lyapunov", 1), ("rank", "rank", 1),
+    ("cond_mbar", "cond_mbar", 1), ("drift", "drift", 1),
+)
+TRACE_KEYS = tuple(key for key, _, _ in TRACE_FIELDS)
 
-@dataclass
+
+@dataclass(eq=False)
 class SimulationTrace:
-    """Per-step records plus the event log; exportable as CSV or JSON lines."""
+    """Per-step records plus the event log; exportable as CSV or JSON lines.
+
+    Each TRACE_FIELDS key is an attribute holding one row per recorded state
+    (``trace.t``, ``trace.q``, ...); ``rank`` is an int array.
+    """
 
     n: int
     k: int
-    t: np.ndarray = None
-    q: np.ndarray = None
-    qdot: np.ndarray = None
-    qdd: np.ndarray = None
-    f: np.ndarray = None
-    u: np.ndarray = None
-    f_c: np.ndarray = None
-    kinetic: np.ndarray = None
-    potential: np.ndarray = None
-    energy: np.ndarray = None
-    lyapunov: np.ndarray = None
-    rank: np.ndarray = None
-    cond_mbar: np.ndarray = None
-    drift: np.ndarray = None
     events: list = field(default_factory=list)
 
     def columns(self):
-        cols = ["t"]
-        cols += [f"q{i}" for i in range(self.n)]
-        cols += [f"qd{i}" for i in range(self.n)]
-        cols += [f"qdd{i}" for i in range(self.n)]
-        cols += [f"f{i}" for i in range(self.n)]
-        cols += [f"u{i}" for i in range(self.k)]
-        cols += [f"fc{i}" for i in range(self.n)]
-        cols += ["kinetic", "potential", "energy", "lyapunov",
-                 "rank", "cond_mbar", "drift"]
+        size = {"n": self.n, "k": self.k}
+        cols = []
+        for _, prefix, width in TRACE_FIELDS:
+            cols += ([prefix] if width == 1 else
+                     [f"{prefix}{i}" for i in range(size[width])])
         return cols
 
-    def _row(self, i):
-        vals = [self.t[i]]
-        vals += list(self.q[i]) + list(self.qdot[i]) + list(self.qdd[i])
-        vals += list(self.f[i]) + list(self.u[i]) + list(self.f_c[i])
-        vals += [self.kinetic[i], self.potential[i], self.energy[i],
-                 self.lyapunov[i], self.rank[i], self.cond_mbar[i], self.drift[i]]
-        return vals
-
-    @staticmethod
-    def _fmt(v):
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        return repr(float(v))
-
     def to_csv(self, path):
+        # Python floats and ints: repr is the shortest round-trip form
+        cols = []
+        for key, _, width in TRACE_FIELDS:
+            values = getattr(self, key)
+            cols += [values.tolist()] if width == 1 else values.T.tolist()
         with open(path, "w", newline="") as fh:
             fh.write(",".join(self.columns()) + "\n")
-            for i in range(len(self.t)):
-                fh.write(",".join(self._fmt(v) for v in self._row(i)) + "\n")
+            for row in zip(*cols):
+                fh.write(",".join(map(repr, row)) + "\n")
 
     def to_jsonl(self, path):
         with open(path, "w") as fh:
-            for i in range(len(self.t)):
-                rec = {
-                    "t": float(self.t[i]),
-                    "q": list(map(float, self.q[i])),
-                    "qdot": list(map(float, self.qdot[i])),
-                    "qdd": list(map(float, self.qdd[i])),
-                    "f": list(map(float, self.f[i])),
-                    "u": list(map(float, self.u[i])),
-                    "f_c": list(map(float, self.f_c[i])),
-                    "kinetic": float(self.kinetic[i]),
-                    "potential": float(self.potential[i]),
-                    "energy": float(self.energy[i]),
-                    "lyapunov": float(self.lyapunov[i]),
-                    "rank": int(self.rank[i]),
-                    "cond_mbar": float(self.cond_mbar[i]),
-                    "drift": float(self.drift[i]),
-                }
-                fh.write(json.dumps(rec) + "\n")
+            for row in zip(*(getattr(self, key).tolist() for key in TRACE_KEYS)):
+                fh.write(json.dumps(dict(zip(TRACE_KEYS, row))) + "\n")
 
 
 def project_to_constraints(q_raw, system: MechanicalSystem, tol=1e-10,
@@ -252,8 +219,7 @@ class _Runner:
 
     def _select_mu(self, ev):
         if self.sc.mu == "auto":
-            self.mu_value = optimal_mu(ev.plant, ev.proj, policy=self.sc.mu_policy,
-                                       rank_tol=self.rank_tol)
+            self.mu_value = optimal_mu(ev.plant, ev.proj, rank_tol=self.rank_tol)
         elif float(self.sc.mu) <= 0:
             raise ValueError("mu must be positive")
         else:
@@ -329,12 +295,9 @@ class _Runner:
         c, V = self.sc.controller, np.nan
         if c is not None:
             V = lyapunov_value(q, qdot, c.q_star, c.gains, ev.model)
-        return {
-            "t": t, "q": q, "qdot": qdot, "qdd": ev.qdd, "f": f, "u": u, "f_c": f_c,
-            "kinetic": ke, "potential": pe, "energy": ke + pe, "lyapunov": V,
-            "rank": ev.proj.rank, "cond_mbar": ev.model.cond,
-            "drift": float(np.linalg.norm(ev.jac.A @ qdot)),
-        }
+        drift = float(np.linalg.norm(ev.jac.A @ qdot))
+        return dict(zip(TRACE_KEYS, (t, q, qdot, ev.qdd, f, u, f_c, ke, pe, ke + pe, V,
+                                     ev.proj.rank, ev.model.cond, drift), strict=True))
 
 
 def step(state: GeneralizedState, scenario: Scenario) -> GeneralizedState:
@@ -352,7 +315,7 @@ def run(scenario: Scenario) -> SimulationTrace:
     runner = _Runner(sc)
     q = sc.q0.copy()
 
-    if sc.validate_initial and sc.system.residual is not None and runner.active:
+    if sc.system.residual is not None and runner.active:
         phi = np.asarray(sc.system.residual(q), dtype=float)[list(runner.active)]
         if np.linalg.norm(phi) > 1e-8:
             raise InconsistentStateError(
@@ -362,7 +325,7 @@ def run(scenario: Scenario) -> SimulationTrace:
     runner._select_mu(ev)
 
     nsteps = int(round(sc.horizon / sc.dt))
-    records = [runner.record(0.0, ev)]
+    records, logs = [runner.record(0.0, ev)], []
     events = list(sc.events)
     t = 0.0
     for i in range(nsteps):
@@ -370,23 +333,19 @@ def run(scenario: Scenario) -> SimulationTrace:
         # the last step takes every remaining event, so none is lost to rounding
         in_step = [e for e in events if t < e[0] <= t_next + 1e-15 or i == nsteps - 1]
         try:
-            ev, logs = runner.advance(ev, sc.dt, in_step)
+            ev, step_logs = runner.advance(ev, sc.dt, in_step)
         except DivergenceError as exc:
             raise DivergenceError(f"step {i + 1}: {exc}",
                                   last_state=exc.last_state) from exc
         events = [e for e in events if e not in in_step]
+        logs += step_logs
         t = t_next
-        rec = runner.record(t, ev)
-        rec["_logs"] = logs
-        records.append(rec)
-    return _pack(records, sc)
+        records.append(runner.record(t, ev))
+    return _pack(records, logs, sc)
 
 
-def _pack(records, sc: Scenario) -> SimulationTrace:
-    trace = SimulationTrace(n=sc.system.n, k=records[0]["u"].shape[0])
-    for key in ("t", "q", "qdot", "qdd", "f", "u", "f_c", "kinetic", "potential",
-                "energy", "lyapunov", "cond_mbar", "drift"):
+def _pack(records, logs, sc: Scenario) -> SimulationTrace:
+    trace = SimulationTrace(n=sc.system.n, k=records[0]["u"].shape[0], events=logs)
+    for key in TRACE_KEYS:   # rank holds Python ints, so its array is int
         setattr(trace, key, np.array([r[key] for r in records]))
-    trace.rank = np.array([r["rank"] for r in records], dtype=int)
-    trace.events = [log for r in records for log in r.get("_logs", [])]
     return trace

@@ -166,9 +166,7 @@ def force_split_for_control(f_par, f_c_desired, plant: PlantMatrices,
         raise InvalidTargetError(
             f"desired constraint force has a motion-space component |P f_c| = {leak:.3e}")
     S = _oblique_s(plant, mbar_inverse_p(model, proj))
-    natural = -S @ (f_par + nonlinear_vector(plant, qdot)) \
-        + S @ (plant.M @ (proj.Omega @ qdot))
-    return natural - fc_d
+    return _constraint_force(plant, proj, S, f_par, qdot) - fc_d
 
 
 def decompose(plant: PlantMatrices, proj: ProjectorBundle, model: ConstrainedModel,

@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .kernel import ConstraintJacobian
+from .model import PlantMatrices
 
 GRAVITY = 9.81
 
@@ -63,7 +64,6 @@ class MechanicalSystem:
         return ConstraintJacobian(A=A, Adot=Adot)
 
     def plant(self, q, qdot):
-        from .model import PlantMatrices
         q = np.asarray(q, dtype=float)
         qdot = np.asarray(qdot, dtype=float)
         return PlantMatrices(M=self.mass(q), C=self.coriolis(q, qdot),

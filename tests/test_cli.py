@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from projdyn import pendulum
 from projdyn.cli import main
 
 
@@ -79,6 +80,31 @@ class TestSimulate:
         rc = main(["simulate", "--scenario-file", str(path)])
         assert rc == 0
         assert "final position error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("q_star, message", [([0.5], "must have 2 components"),
+                                                 ({"x": 0.5}, "list of numbers")])
+    def test_scenario_file_malformed_q_star_is_usage_error(self, tmp_path, capsys,
+                                                           q_star, message):
+        spec = {"system": "pendulum", "q0": [0.0, -1.0], "horizon": 0.1, "dt": 0.01,
+                "controller": {"q_star": q_star}}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec))
+        assert main(["simulate", "--scenario-file", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_scenario_file_q_star_is_retracted_like_target(self, tmp_path):
+        # an off-manifold target reaches the engine on the circle either way
+        q0, qdot0 = pendulum().default_state
+        spec = {"system": "pendulum", "q0": list(q0), "qdot0": list(qdot0),
+                "horizon": 0.2, "dt": 0.01, "controller": {"q_star": [1.68, -1.08]}}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec))
+        a, b = tmp_path / "file.csv", tmp_path / "target.csv"
+        assert main(["simulate", "--scenario-file", str(path), "--out", str(a)]) == 0
+        assert main(["simulate", "--system", "pendulum", "--horizon", "0.2",
+                     "--dt", "0.01", "--controller", "regulate",
+                     "--target", "1.68,-1.08", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_jsonl_format(self, tmp_path):
         out = tmp_path / "trace.jsonl"

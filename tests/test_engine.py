@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from projdyn import engine
 from projdyn import (DivergenceError, GeneralizedState, InconsistentStateError,
                      RegulationGains, Scenario, SetpointRegulator, acceleration,
                      assemble, build_projectors, constraint_force, control_force,
@@ -108,6 +110,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             Scenario(system=pendulum(), q0=np.zeros(2), qdot0=np.zeros(2),
                      horizon=1.0, dt=1e-3, events=((2.0, ()), (1.0, (0,))))
+        with pytest.raises(ValueError, match="not a multiple of dt"):
+            # 3 steps of 0.3 would end the run at 0.9
+            Scenario(system=pendulum(), q0=np.zeros(2), qdot0=np.zeros(2),
+                     horizon=1.0, dt=0.3)
 
     def test_divergence_reports_last_state(self):
         blowup = lambda t, q, qd: np.array([np.inf, np.inf])
@@ -215,6 +221,15 @@ class TestTraceExport:
         assert len(records) == len(trace.t)
         assert records[3]["q"] == list(map(float, trace.q[3]))
         assert records[0]["rank"] == 1
+        assert isinstance(records[0]["rank"], int) and trace.rank.dtype.kind == "i"
+
+    def test_schema_file_matches_the_field_table(self):
+        schema = json.loads((Path(engine.__file__).parent / "trace_schema.json")
+                            .read_text())
+        assert [prefix if width == 1 else f"{prefix}0..{prefix}{{{width}-1}}"
+                for _, prefix, width in engine.TRACE_FIELDS] == schema["csv_columns"]
+        assert list(engine.TRACE_KEYS) == schema["jsonl_fields"]
+        assert schema["version"] == engine.TRACE_SCHEMA_VERSION
 
 
 # The catalog slider-crank (unit rods) with non-unit masses, from polynomials.
