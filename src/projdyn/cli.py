@@ -59,11 +59,11 @@ def _build_parser():
 
 def _parse_vector(values, n, what):
     """n floats from comma-separated text or a list."""
-    if isinstance(values, str):
-        values = [float(v) for v in values.split(",")]
     try:
+        if isinstance(values, str):
+            values = [float(v) for v in values.split(",")]
         vals = np.asarray(values, dtype=float)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{what} must be a list of numbers") from exc
     if vals.shape != (n,):
         raise ValueError(f"{what} must have {n} components, got {vals.size}")
@@ -93,8 +93,8 @@ def _scenario_from_args(args) -> Scenario:
                                     "controller q_star")
         return Scenario(
             system=system,
-            q0=np.asarray(spec["q0"], dtype=float),
-            qdot0=np.asarray(spec.get("qdot0", np.zeros(system.n)), dtype=float),
+            q0=_parse_vector(spec["q0"], system.n, "q0"),
+            qdot0=_parse_vector(spec.get("qdot0", np.zeros(system.n)), system.n, "qdot0"),
             horizon=float(spec.get("horizon", 10.0)),
             dt=float(spec.get("dt", 1e-3)),
             mu=spec.get("mu", "auto"),

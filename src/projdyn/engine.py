@@ -52,8 +52,10 @@ class Scenario:
     drift_tol: float = 1e-12
 
     def __post_init__(self):
-        self.q0 = np.asarray(self.q0, dtype=float)
-        self.qdot0 = np.asarray(self.qdot0, dtype=float)
+        for name in ("q0", "qdot0"):
+            setattr(self, name, v := np.asarray(getattr(self, name), dtype=float))
+            if v.shape != (self.system.n,):
+                raise ValueError(f"{name} must have shape ({self.system.n},), got {v.shape}")
         if self.dt <= 0:
             raise ValueError("step size must be positive")
         if self.horizon <= 0:
@@ -203,6 +205,10 @@ class _Eval:
         f, _ = self.force
         return forces._acceleration(self.plant, self.proj, self.X, self.S, f, self.qdot)
 
+    @cached_property
+    def drift(self):   # |A qdot|
+        return float(np.linalg.norm(self.jac.A @ self.qdot))
+
 
 class _Runner:
     """One simulation run; owns the phase state (active set, mu)."""
@@ -275,9 +281,8 @@ class _Runner:
             logs.append(log)
         q, qdot = self._rk4(ev, t_end - ev.t) if t_end > ev.t else (ev.q, ev.qdot)
         end = self._projected(t_end, q, qdot, spectrum=True)   # drift control
-        drift = np.linalg.norm(end.jac.A @ end.qdot)
-        if drift > self.sc.drift_tol * (1.0 + np.linalg.norm(end.qdot)):
-            raise DivergenceError(f"velocity drift {drift:.3e} exceeds tolerance",
+        if end.drift > self.sc.drift_tol * (1.0 + np.linalg.norm(end.qdot)):
+            raise DivergenceError(f"velocity drift {end.drift:.3e} exceeds tolerance",
                                   last_state=GeneralizedState(t_end, q, end.qdot))
         return end, logs
 
@@ -295,9 +300,8 @@ class _Runner:
         c, V = self.sc.controller, np.nan
         if c is not None:
             V = lyapunov_value(q, qdot, c.q_star, c.gains, ev.model)
-        drift = float(np.linalg.norm(ev.jac.A @ qdot))
         return dict(zip(TRACE_KEYS, (t, q, qdot, ev.qdd, f, u, f_c, ke, pe, ke + pe, V,
-                                     ev.proj.rank, ev.model.cond, drift), strict=True))
+                                     ev.proj.rank, ev.model.cond, ev.drift), strict=True))
 
 
 def step(state: GeneralizedState, scenario: Scenario) -> GeneralizedState:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, InvalidTargetError
-from .kernel import ProjectorBundle, pseudo_inverse
+from .kernel import ProjectorBundle, _identity, pseudo_inverse
 from .model import ConstrainedModel, PlantMatrices, assemble
 
 
@@ -95,7 +95,7 @@ def build_oblique(plant: PlantMatrices, proj: ProjectorBundle,
 
 def _oblique_s(plant: PlantMatrices, X) -> np.ndarray:
     """S = I - M X from X = Mbar^{-1} P."""
-    return np.eye(X.shape[0]) - plant.M @ X
+    return _identity(X.shape[0]) - plant.M @ X
 
 
 def nonlinear_vector(plant: PlantMatrices, qdot) -> np.ndarray:

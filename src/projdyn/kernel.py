@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class ConstraintJacobian:
         Adot = np.atleast_2d(np.asarray(self.Adot, dtype=float))
         if A.shape != Adot.shape:
             raise ValueError(f"A {A.shape} and Adot {Adot.shape} differ in shape")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(Adot))):
+        if not (np.isfinite(A).all() and np.isfinite(Adot).all()):
             raise NonFiniteInputError("constraint matrices must be finite")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "Adot", Adot)
@@ -56,12 +57,11 @@ class ConstraintJacobian:
 
 @dataclass(frozen=True)
 class ProjectorBundle:
-    """P, Q = I - P, Lambda, Pdot, Omega, the numerical rank of A and pinv(A)."""
+    """P, Q = I - P, Lambda, Omega, rank and pinv of A; Pdot is built when read."""
 
     P: np.ndarray
     Q: np.ndarray
     Lambda: np.ndarray
-    Pdot: np.ndarray
     Omega: np.ndarray
     rank: int
     A_pinv: np.ndarray | None = None
@@ -69,6 +69,17 @@ class ProjectorBundle:
     @property
     def n(self) -> int:
         return self.P.shape[0]
+
+    @cached_property
+    def Pdot(self) -> np.ndarray:
+        return self.Lambda @ self.P + self.P @ self.Lambda.T
+
+
+@lru_cache(maxsize=64)
+def _identity(n: int) -> np.ndarray:   # built once per n, read-only
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def pseudo_inverse(A, rank_tol: float | None = None):
@@ -83,7 +94,7 @@ def pseudo_inverse(A, rank_tol: float | None = None):
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise NonFiniteInputError("matrix to pseudo-invert must be finite")
     m, n = A.shape
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
@@ -96,26 +107,25 @@ def pseudo_inverse(A, rank_tol: float | None = None):
 
 
 def build_projectors(jac: ConstraintJacobian, rank_tol: float | None = None) -> ProjectorBundle:
-    """Build P, Q, Lambda, Pdot and Omega at one state.
+    """Build P, Q, Lambda and Omega at one state.
 
     P = I - pinv(A) A is symmetrized explicitly so that downstream identities
     (P^2 = P, P Lambda = 0, ...) hold to round-off rather than to SVD backward
     error in the asymmetric part.
     """
     Apinv, r = pseudo_inverse(jac.A, rank_tol)
-    n = jac.n
-    P = np.eye(n) - Apinv @ jac.A
+    eye = _identity(jac.n)
+    P = eye - Apinv @ jac.A
     P = 0.5 * (P + P.T)
     # P, Q and the rank depend on q alone; with_adot adds the rates
-    return with_adot(ProjectorBundle(P, np.eye(n) - P, None, None, None, r, Apinv), jac.Adot)
+    return with_adot(ProjectorBundle(P, eye - P, None, None, r, Apinv), jac.Adot)
 
 
 def with_adot(proj: ProjectorBundle, Adot) -> ProjectorBundle:
     """The bundle of the same A (same q) with another Adot (another velocity):
-    only Lambda, Pdot and Omega are rebuilt, from the stored pinv(A)."""
+    only Lambda and Omega are rebuilt, from the stored pinv(A)."""
     Lam = -proj.A_pinv @ Adot
-    return ProjectorBundle(proj.P, proj.Q, Lam, Lam @ proj.P + proj.P @ Lam.T,
-                           Lam - Lam.T, proj.rank, proj.A_pinv)
+    return ProjectorBundle(proj.P, proj.Q, Lam, Lam - Lam.T, proj.rank, proj.A_pinv)
 
 
 def pdot_fd_check(jac_at, t: float, h: float, rank_tol: float | None = None) -> float:

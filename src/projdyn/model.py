@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,30 +50,35 @@ class PlantMatrices:
 
 @dataclass(frozen=True)
 class ConstrainedModel:
-    """Mbar, Cbar and spectrum metadata at one state."""
+    """Mbar and spectrum metadata at one state; Cbar is built on first access."""
 
     Mbar: np.ndarray
-    Cbar: np.ndarray
     mu: float
+    plant: PlantMatrices
+    proj: ProjectorBundle
     spectrum: np.ndarray | None = None
     cond: float | None = None
+
+    @cached_property
+    def Cbar(self) -> np.ndarray:
+        """Cbar = P C P + P M Pdot - mu Lambda P."""
+        P, Lam, plant = self.proj.P, self.proj.Lambda, self.plant
+        return P @ plant.C @ P + P @ plant.M @ self.proj.Pdot - self.mu * (Lam @ P)
 
 
 def assemble(plant: PlantMatrices, proj: ProjectorBundle, mu: float,
              with_spectrum: bool = True) -> ConstrainedModel:
-    """Assemble Mbar = P M P + mu Q and Cbar = P C P + P M Pdot - mu Lambda P."""
+    """Assemble Mbar = P M P + mu Q and, with_spectrum, its eigenvalues."""
     mu = float(mu)
     if mu <= 0.0:
         raise ValueError("virtual mass mu must be positive")
-    P, Q, Lam = proj.P, proj.Q, proj.Lambda
-    Mbar = P @ plant.M @ P + mu * Q
+    Mbar = proj.P @ plant.M @ proj.P + mu * proj.Q
     Mbar = 0.5 * (Mbar + Mbar.T)
-    Cbar = P @ plant.C @ P + P @ plant.M @ proj.Pdot - mu * (Lam @ P)
     spectrum = cond = None
     if with_spectrum:
         spectrum = np.linalg.eigvalsh(Mbar)
         cond = float(spectrum[-1] / spectrum[0])
-    return ConstrainedModel(Mbar=Mbar, Cbar=Cbar, mu=mu, spectrum=spectrum, cond=cond)
+    return ConstrainedModel(Mbar, mu, plant, proj, spectrum, cond)
 
 
 def _pmp_eigenvalues(plant: PlantMatrices, proj: ProjectorBundle):

@@ -56,7 +56,7 @@ class MechanicalSystem:
             Ap = np.atleast_2d(np.asarray(self.constraint(q + h * qdot), dtype=float))
             Am = np.atleast_2d(np.asarray(self.constraint(q - h * qdot), dtype=float))
             Adot = (Ap - Am) / (2.0 * h)
-        if active is not None:
+        if active is not None and tuple(active) != tuple(range(self.m)):
             mask = np.zeros(self.m, dtype=bool)
             mask[list(active)] = True
             A = np.where(mask[:, None], A, 0.0)

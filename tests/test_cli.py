@@ -92,6 +92,20 @@ class TestSimulate:
         assert main(["simulate", "--scenario-file", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("state, message", [
+        ({"q0": 5}, "q0 must have 2 components, got 1"),
+        ({"q0": [1, 0, 0]}, "q0 must have 2 components, got 3"),
+        ({"q0": [1, 0], "qdot0": [0.1]}, "qdot0 must have 2 components, got 1"),
+        ({"q0": ["a", "b"]}, "q0 must be a list of numbers")],
+        ids=["scalar-q0", "long-q0", "short-qdot0", "text-q0"])
+    def test_scenario_file_malformed_state_is_usage_error(self, tmp_path, capsys,
+                                                          state, message):
+        spec = {"system": "pendulum", "horizon": 0.1, "dt": 0.01, **state}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec))
+        assert main(["simulate", "--scenario-file", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_scenario_file_q_star_is_retracted_like_target(self, tmp_path):
         # an off-manifold target reaches the engine on the circle either way
         q0, qdot0 = pendulum().default_state

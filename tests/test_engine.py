@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from projdyn import engine
-from projdyn import (DivergenceError, GeneralizedState, InconsistentStateError,
-                     RegulationGains, Scenario, SetpointRegulator, acceleration,
+from projdyn import (ConstrainedModel, DivergenceError, GeneralizedState,
+                     InconsistentStateError, ProjectorBundle, RegulationGains,
+                     Scenario, SetpointRegulator, acceleration,
                      assemble, build_projectors, constraint_force, control_force,
                      double_pendulum, load_system, lyapunov_value, optimal_mu,
                      pendulum, project_to_constraints, redundant_pendulum, run,
@@ -114,6 +115,11 @@ class TestValidation:
             # 3 steps of 0.3 would end the run at 0.9
             Scenario(system=pendulum(), q0=np.zeros(2), qdot0=np.zeros(2),
                      horizon=1.0, dt=0.3)
+        # each state vector must be one value per coordinate, named if not
+        for q0, qdot0, name in ((5.0, np.zeros(2), "q0"), (np.zeros(3), np.zeros(2), "q0"),
+                                (np.zeros(2), [0.1], "qdot0")):
+            with pytest.raises(ValueError, match=f"^{name} must have shape"):
+                Scenario(system=pendulum(), q0=q0, qdot0=qdot0, horizon=1.0, dt=1e-3)
 
     def test_divergence_reports_last_state(self):
         blowup = lambda t, q, qd: np.array([np.inf, np.inf])
@@ -342,3 +348,16 @@ def test_per_step_linalg_cost(monkeypatch):
     assert svd <= 4 and solve <= 4
     svd, solve = _per_step_linalg_calls(monkeypatch, _case("regulated-pendulum"))
     assert svd <= 8 and solve <= 4
+
+
+def test_a_run_never_builds_cbar_or_pdot(monkeypatch):
+    """Cbar and Pdot are analysis objects: no step of a free, regulated or
+    capturing run reads them."""
+    def unread(self):
+        raise AssertionError("a run built Cbar or Pdot")
+    monkeypatch.setattr(ConstrainedModel, "Cbar", property(unread))
+    monkeypatch.setattr(ProjectorBundle, "Pdot", property(unread))
+    for name in ("free-double-pendulum", "regulated-pendulum", "switching-particle"):
+        trace = run(_case(name))
+        assert np.isfinite(trace.qdd).all()
+    assert [ev["rank_after"] for ev in trace.events] == [1]

@@ -189,3 +189,25 @@ class TestKineticEnergy:
         with pytest.warns(UserWarning):
             kinetic_energy(pendulum_plant(), pendulum_proj(), 1.0,
                            np.array([0.0, 1.0]))
+
+
+def test_lazy_pdot_and_cbar_equal_the_eager_formulas():
+    """Pdot and Cbar, built on first access, are bit for bit the formulas
+    they replace, also where A has a dependent row."""
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(1, n + 1))
+        A, Adot = rng.standard_normal((m, n)), rng.standard_normal((m, n))
+        if trial % 3 == 0:
+            A, Adot = np.vstack([A, 2 * A[:1]]), np.vstack([Adot, 2 * Adot[:1]])
+        proj = build_projectors(ConstraintJacobian(A=A, Adot=Adot))
+        G = rng.standard_normal((n, n))
+        M, C = G @ G.T + n * np.eye(n), rng.standard_normal((n, n))
+        plant = PlantMatrices(M=M, C=C, f_g=np.zeros(n), B=np.eye(n))
+        mu = float(rng.uniform(0.2, 5.0))
+        model = assemble(plant, proj, mu, with_spectrum=trial % 2 == 0)
+        P, Lam = proj.P, proj.Lambda
+        Pdot = Lam @ P + P @ Lam.T
+        np.testing.assert_array_equal(proj.Pdot, Pdot)
+        np.testing.assert_array_equal(model.Cbar, P @ C @ P + P @ M @ Pdot - mu * (Lam @ P))
