@@ -12,13 +12,12 @@ from .errors import (AdmissibilityError, DivergenceError,
 from .forces import (ForceDecomposition, ObliqueProjectors, acceleration,
                      acceleration_nonminimal, build_oblique,
                      check_admissibility, constraint_force, decompose,
-                     force_split_for_control, kkt_oracle, mbar_inverse_p,
-                     resolve_actuation)
+                     force_split_for_control, kkt_oracle, resolve_actuation)
 from .kernel import (ConstraintJacobian, ProjectorBundle, build_projectors,
                      default_rank_tol, pdot_fd_check, pseudo_inverse)
 from .loader import load_system
 from .model import (ConstrainedModel, PlantMatrices, assemble, kinetic_energy,
-                    nonzero_pmp_eigenvalues, optimal_mu, spectrum_of_mbar)
+                    nonzero_pmp_eigenvalues, optimal_mu)
 from .systems import (MechanicalSystem, catalog, double_pendulum, get_system,
                       pendulum, redundant_pendulum, self_test,
                       singular_configuration, slider_crank, switching_particle)

@@ -13,8 +13,7 @@ import numpy as np
 
 from . import forces
 from .kernel import ConstraintJacobian, build_projectors, pdot_fd_check, pseudo_inverse
-from .model import (PlantMatrices, assemble, nonzero_pmp_eigenvalues, optimal_mu,
-                    spectrum_of_mbar)
+from .model import PlantMatrices, assemble, nonzero_pmp_eigenvalues, optimal_mu
 from .systems import catalog, pendulum, double_pendulum
 
 
@@ -75,11 +74,10 @@ def check_skew_symmetry(rng, fault=None, h=1e-5, trials=40):
                 qq = q + dt_ * qd
                 # first-order state transport is enough for an O(h^2) quotient
                 proj_ = build_projectors(system.jacobian(qq, qd))
-                return assemble(system.plant(qq, qd), proj_, 2.0,
-                                with_spectrum=False).Mbar
+                return assemble(system.plant(qq, qd), proj_, 2.0).Mbar
 
             proj = build_projectors(system.jacobian(q, qd))
-            Cbar = assemble(plant, proj, 2.0, with_spectrum=False).Cbar
+            Cbar = assemble(plant, proj, 2.0).Cbar
             if fault == "cbar-sign":
                 Cbar = -Cbar
             X = (mbar_at(h) - mbar_at(-h)) / (2 * h) - 2.0 * Cbar
@@ -97,7 +95,7 @@ def check_spectrum_law(rng, trials=100):
         M = _random_spd(rng, n)
         plant = PlantMatrices(M=M, C=np.zeros((n, n)), f_g=np.zeros(n), B=np.eye(n))
         mu = float(rng.uniform(0.2, 5.0))
-        spec, _ = spectrum_of_mbar(plant, proj, mu)
+        spec = assemble(plant, proj, mu).spectrum
         expected = np.sort(np.concatenate([np.full(proj.rank, mu),
                                            nonzero_pmp_eigenvalues(plant, proj)]))
         worst = max(worst, float(np.max(np.abs(np.sort(spec) - expected))))
@@ -114,7 +112,7 @@ def check_oracle_equivalence(rng, trials=60):
             qd = proj.P @ qd
             plant = system.plant(q, qd)
             mu = optimal_mu(plant, proj)
-            model = assemble(plant, proj, mu, with_spectrum=False)
+            model = assemble(plant, proj, mu)
             f = rng.standard_normal(system.n)
             qdd = forces.acceleration(plant, proj, model, f, qd)
             f_c = forces.constraint_force(plant, proj, model, f, qd)
@@ -141,7 +139,7 @@ def check_oblique_identities(rng, trials=150):
         M = _random_spd(rng, n)
         plant = PlantMatrices(M=M, C=np.zeros((n, n)), f_g=np.zeros(n), B=B)
         mu = float(rng.uniform(0.2, 5.0))
-        model = assemble(plant, proj, mu, with_spectrum=False)
+        model = assemble(plant, proj, mu)
         ob = forces.build_oblique(plant, proj, model)
         R, S, P, Q = ob.R, ob.S, proj.P, proj.Q
         PMP = P @ M @ P
@@ -150,7 +148,7 @@ def check_oblique_identities(rng, trials=150):
                     np.linalg.norm(R @ R - R), np.linalg.norm(P @ R - P),
                     np.linalg.norm(R @ P - R), np.linalg.norm(S @ S - S),
                     np.linalg.norm(Q @ S - S), np.linalg.norm(S @ Q - Q),
-                    np.linalg.norm(forces.mbar_inverse_p(model, proj) - pmp_pinv))
+                    np.linalg.norm(model.X - pmp_pinv))
     return "oblique-identities", float(worst), 1e-10
 
 
@@ -162,7 +160,7 @@ def check_acceleration_routes(rng, trials=60):
             proj = build_projectors(system.jacobian(q, qd))
             qd = proj.P @ qd
             plant = system.plant(q, qd)
-            model = assemble(plant, proj, optimal_mu(plant, proj), with_spectrum=False)
+            model = assemble(plant, proj, optimal_mu(plant, proj))
             f = rng.standard_normal(system.n)
             a1 = forces.acceleration(plant, proj, model, f, qd)
             a2 = forces.acceleration_nonminimal(plant, proj, model, f, qd)

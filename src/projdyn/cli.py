@@ -14,7 +14,7 @@ from .engine import Scenario, project_to_constraints, run
 from .errors import ProjdynError
 from .kernel import build_projectors, default_rank_tol
 from .loader import load_system
-from .model import nonzero_pmp_eigenvalues, spectrum_of_mbar
+from .model import assemble, nonzero_pmp_eigenvalues
 from .systems import catalog, get_system
 
 
@@ -185,10 +185,7 @@ def cmd_analyze(args) -> int:
     print(f"optimal-mu interval: [{lo:.6g}, {hi:.6g}]  "
           f"minimum cond(Mbar) = {hi / lo:.6g}")
     grid = np.geomspace(1e-3 * lo, 1e3 * hi, args.grid_points)
-    rows = []
-    for mu in grid:
-        _, cond = spectrum_of_mbar(plant, proj, float(mu))
-        rows.append((float(mu), cond))
+    rows = [(float(mu), assemble(plant, proj, float(mu)).cond) for mu in grid]
     best = min(rows, key=lambda r: r[1])
     print(f"grid minimum: cond = {best[1]:.6g} at mu = {best[0]:.6g}")
     if args.out:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -73,6 +74,18 @@ class Scenario:
             raise ValueError(f"event times {times} lie outside the run (0, {end:g}]")
         if len({(t, tuple(active)) for t, active in self.events}) > len(set(times)):
             raise ValueError("conflicting active sets for events at one time")
+        m = self.system.m
+        row_sets = [("events", active) for _, active in self.events]
+        if self.initial_active is not None:
+            row_sets.append(("initial_active", self.initial_active))
+        for name, rows in row_sets:
+            if not all(isinstance(i, Integral) and not isinstance(i, bool) and 0 <= i < m
+                       for i in rows):
+                raise ValueError(f"{name} rows must be ints in range({m}), got {rows!r}")
+        if not (self.mu == "auto" if isinstance(self.mu, str) else
+                isinstance(self.mu, Real) and not isinstance(self.mu, bool)
+                and 0 < self.mu < np.inf):
+            raise ValueError(f"mu must be 'auto' or a positive number, got {self.mu!r}")
 
 
 TRACE_SCHEMA_VERSION = 1
@@ -161,9 +174,9 @@ class _Eval:
     """One state (t, q, qdot) of a run; each part is computed once, when first
     asked for.  The active set is fixed at creation, mu read at first use."""
 
-    def __init__(self, runner, t, q, qdot, spectrum=False):   # True if recorded
+    def __init__(self, runner, t, q, qdot):
         self.runner, self.t, self.q, self.qdot = runner, t, q, qdot
-        self.active, self.spectrum = runner.active, spectrum
+        self.active = runner.active
 
     @cached_property
     def jac(self):
@@ -179,7 +192,7 @@ class _Eval:
 
     @cached_property
     def model(self):
-        return assemble(self.plant, self.proj, self.runner.mu_value, self.spectrum)
+        return assemble(self.plant, self.proj, self.runner.mu_value)
 
     @cached_property
     def force(self):
@@ -193,17 +206,9 @@ class _Eval:
         return f, np.zeros(plant.k)
 
     @cached_property
-    def X(self):
-        return forces.mbar_inverse_p(self.model, self.proj)
-
-    @cached_property
-    def S(self):
-        return forces._oblique_s(self.plant, self.X)
-
-    @cached_property
     def qdd(self):
         f, _ = self.force
-        return forces._acceleration(self.plant, self.proj, self.X, self.S, f, self.qdot)
+        return forces.acceleration(self.plant, self.proj, self.model, f, self.qdot)
 
     @cached_property
     def drift(self):   # |A qdot|
@@ -224,17 +229,13 @@ class _Runner:
     # --- model evaluation -------------------------------------------------
 
     def _select_mu(self, ev):
-        if self.sc.mu == "auto":
-            self.mu_value = optimal_mu(ev.plant, ev.proj, rank_tol=self.rank_tol)
-        elif float(self.sc.mu) <= 0:
-            raise ValueError("mu must be positive")
-        else:
-            self.mu_value = float(self.sc.mu)
+        self.mu_value = (optimal_mu(ev.plant, ev.proj, rank_tol=self.rank_tol)
+                         if self.sc.mu == "auto" else float(self.sc.mu))
 
-    def _projected(self, t, q, qdot, spectrum=False):
+    def _projected(self, t, q, qdot):
         """The state with qdot projected through P(q), which reuses pinv(A)."""
         raw = _Eval(self, t, q, qdot)
-        ev = _Eval(self, t, q, raw.proj.P @ qdot, spectrum)
+        ev = _Eval(self, t, q, raw.proj.P @ qdot)
         ev.proj = with_adot(raw.proj, ev.jac.Adot)
         return ev
 
@@ -280,7 +281,7 @@ class _Runner:
             ev, log = self._apply_event(ev, new_active)
             logs.append(log)
         q, qdot = self._rk4(ev, t_end - ev.t) if t_end > ev.t else (ev.q, ev.qdot)
-        end = self._projected(t_end, q, qdot, spectrum=True)   # drift control
+        end = self._projected(t_end, q, qdot)   # drift control
         if end.drift > self.sc.drift_tol * (1.0 + np.linalg.norm(end.qdot)):
             raise DivergenceError(f"velocity drift {end.drift:.3e} exceeds tolerance",
                                   last_state=GeneralizedState(t_end, q, end.qdot))
@@ -294,7 +295,7 @@ class _Runner:
         ev.t = t
         q, qdot, plant = ev.q, ev.qdot, ev.plant
         f, u = ev.force
-        f_c = forces._constraint_force(plant, ev.proj, ev.S, f, qdot)
+        f_c = forces.constraint_force(plant, ev.proj, ev.model, f, qdot)
         ke = 0.5 * float(qdot @ plant.M @ qdot)
         pe = float(self.system.potential(q)) if self.system.potential else 0.0
         c, V = self.sc.controller, np.nan
@@ -325,7 +326,7 @@ def run(scenario: Scenario) -> SimulationTrace:
             raise InconsistentStateError(
                 f"initial configuration violates constraints: |Phi| = "
                 f"{np.linalg.norm(phi):.3e}; retract with project_to_constraints")
-    ev = runner._projected(0.0, q, sc.qdot0.copy(), spectrum=True)
+    ev = runner._projected(0.0, q, sc.qdot0.copy())
     runner._select_mu(ev)
 
     nsteps = int(round(sc.horizon / sc.dt))

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, InvalidTargetError
-from .kernel import ProjectorBundle, _identity, pseudo_inverse
-from .model import ConstrainedModel, PlantMatrices, assemble
+from .kernel import ProjectorBundle, pseudo_inverse
+from .model import ConstrainedModel, PlantMatrices
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,6 @@ class ForceDecomposition:
     f_perp: np.ndarray
     f_c: np.ndarray
     u: np.ndarray
-
-
-def mbar_inverse_p(model: ConstrainedModel, proj: ProjectorBundle) -> np.ndarray:
-    """Mbar^{-1} P, which commutes with P and equals pinv(P M P)."""
-    return np.linalg.solve(model.Mbar, proj.P)
 
 
 def _pinv_pb(B, proj: ProjectorBundle, rank_tol):
@@ -89,13 +84,7 @@ def build_oblique(plant: PlantMatrices, proj: ProjectorBundle,
     Mbar is always invertible.
     """
     Gamma, B = _gamma(plant.B, proj, rank_tol)
-    return ObliqueProjectors(R=B @ Gamma, Gamma=Gamma,
-                             S=_oblique_s(plant, mbar_inverse_p(model, proj)))
-
-
-def _oblique_s(plant: PlantMatrices, X) -> np.ndarray:
-    """S = I - M X from X = Mbar^{-1} P."""
-    return _identity(X.shape[0]) - plant.M @ X
+    return ObliqueProjectors(R=B @ Gamma, Gamma=Gamma, S=model.S)
 
 
 def nonlinear_vector(plant: PlantMatrices, qdot) -> np.ndarray:
@@ -107,13 +96,9 @@ def nonlinear_vector(plant: PlantMatrices, qdot) -> np.ndarray:
 def acceleration(plant: PlantMatrices, proj: ProjectorBundle,
                  model: ConstrainedModel, f, qdot) -> np.ndarray:
     """q'' = Mbar^{-1} P (f + h) + S^T Omega q'."""
-    X = mbar_inverse_p(model, proj)
-    return _acceleration(plant, proj, X, _oblique_s(plant, X),
-                         np.asarray(f, dtype=float), np.asarray(qdot, dtype=float))
-
-
-def _acceleration(plant, proj, X, S, f, qdot):
-    return X @ (f + nonlinear_vector(plant, qdot)) + S.T @ (proj.Omega @ qdot)
+    qdot = np.asarray(qdot, dtype=float)
+    return (model.X @ (np.asarray(f, dtype=float) + nonlinear_vector(plant, qdot))
+            + model.S.T @ (proj.Omega @ qdot))
 
 
 def acceleration_nonminimal(plant: PlantMatrices, proj: ProjectorBundle,
@@ -128,13 +113,9 @@ def acceleration_nonminimal(plant: PlantMatrices, proj: ProjectorBundle,
 def constraint_force(plant: PlantMatrices, proj: ProjectorBundle,
                      model: ConstrainedModel, f, qdot) -> np.ndarray:
     """f_c = -S (f + h - M Omega q'); always lies in the reaction space."""
-    S = _oblique_s(plant, mbar_inverse_p(model, proj))
-    return _constraint_force(plant, proj, S, np.asarray(f, dtype=float),
-                             np.asarray(qdot, dtype=float))
-
-
-def _constraint_force(plant, proj, S, f, qdot):
-    return -S @ (f + nonlinear_vector(plant, qdot) - plant.M @ (proj.Omega @ qdot))
+    qdot = np.asarray(qdot, dtype=float)
+    return -model.S @ (np.asarray(f, dtype=float) + nonlinear_vector(plant, qdot)
+                       - plant.M @ (proj.Omega @ qdot))
 
 
 def resolve_actuation(f_par_desired, B, proj: ProjectorBundle,
@@ -165,8 +146,7 @@ def force_split_for_control(f_par, f_c_desired, plant: PlantMatrices,
     if leak > target_tol * (1.0 + np.linalg.norm(fc_d)):
         raise InvalidTargetError(
             f"desired constraint force has a motion-space component |P f_c| = {leak:.3e}")
-    S = _oblique_s(plant, mbar_inverse_p(model, proj))
-    return _constraint_force(plant, proj, S, f_par, qdot) - fc_d
+    return constraint_force(plant, proj, model, f_par, qdot) - fc_d
 
 
 def decompose(plant: PlantMatrices, proj: ProjectorBundle, model: ConstrainedModel,

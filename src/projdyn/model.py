@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernel import ProjectorBundle, default_rank_tol
+from .kernel import ProjectorBundle, _identity, default_rank_tol
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,34 @@ class PlantMatrices:
 
 @dataclass(frozen=True)
 class ConstrainedModel:
-    """Mbar and spectrum metadata at one state; Cbar is built on first access."""
+    """Mbar at one state.  X = Mbar^{-1} P, S, the spectrum of Mbar and Cbar
+    are built on first access, so a state pays only for what it reads."""
 
     Mbar: np.ndarray
     mu: float
     plant: PlantMatrices
     proj: ProjectorBundle
-    spectrum: np.ndarray | None = None
-    cond: float | None = None
+
+    @cached_property
+    def X(self) -> np.ndarray:
+        """Mbar^{-1} P, the state's one solve; it commutes with P and equals
+        pinv(P M P)."""
+        return np.linalg.solve(self.Mbar, self.proj.P)
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        """S = I - M X, the oblique projector onto the reaction space."""
+        return _identity(self.proj.n) - self.plant.M @ self.X
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of Mbar, ascending: mu repeated rank(A) times plus the
+        nonzero eigenvalues of P M P."""
+        return np.linalg.eigvalsh(self.Mbar)
+
+    @cached_property
+    def cond(self) -> float:
+        return float(self.spectrum[-1] / self.spectrum[0])
 
     @cached_property
     def Cbar(self) -> np.ndarray:
@@ -66,19 +86,13 @@ class ConstrainedModel:
         return P @ plant.C @ P + P @ plant.M @ self.proj.Pdot - self.mu * (Lam @ P)
 
 
-def assemble(plant: PlantMatrices, proj: ProjectorBundle, mu: float,
-             with_spectrum: bool = True) -> ConstrainedModel:
-    """Assemble Mbar = P M P + mu Q and, with_spectrum, its eigenvalues."""
+def assemble(plant: PlantMatrices, proj: ProjectorBundle, mu: float) -> ConstrainedModel:
+    """Assemble Mbar = P M P + mu Q."""
     mu = float(mu)
     if mu <= 0.0:
         raise ValueError("virtual mass mu must be positive")
     Mbar = proj.P @ plant.M @ proj.P + mu * proj.Q
-    Mbar = 0.5 * (Mbar + Mbar.T)
-    spectrum = cond = None
-    if with_spectrum:
-        spectrum = np.linalg.eigvalsh(Mbar)
-        cond = float(spectrum[-1] / spectrum[0])
-    return ConstrainedModel(Mbar, mu, plant, proj, spectrum, cond)
+    return ConstrainedModel(0.5 * (Mbar + Mbar.T), mu, plant, proj)
 
 
 def _pmp_eigenvalues(plant: PlantMatrices, proj: ProjectorBundle):
@@ -97,42 +111,21 @@ def nonzero_pmp_eigenvalues(plant: PlantMatrices, proj: ProjectorBundle,
     return lam[lam > rank_tol * lam[-1]]
 
 
-def spectrum_of_mbar(plant: PlantMatrices, proj: ProjectorBundle, mu: float):
-    """Eigenvalues of Mbar (ascending) and its condition number.
-
-    The multiset is {mu repeated r} plus the nonzero eigenvalues of P M P,
-    with r the rank of the constraint matrix.
-    """
-    model = assemble(plant, proj, mu, with_spectrum=True)
-    return model.spectrum, model.cond
-
-
 def optimal_mu(plant: PlantMatrices, proj: ProjectorBundle,
-               policy="geometric-mean", rank_tol: float | None = None) -> float:
-    """Pick mu inside the condition-optimal interval [lam_min!=0, lam_max] of P M P.
+               rank_tol: float | None = None) -> float:
+    """The geometric mean of the condition-optimal interval [lam_min!=0, lam_max]
+    of P M P.
 
-    policy: "geometric-mean" (default), "midpoint", or a positive number used
-    verbatim.  Any mu in the interval attains cond(Mbar) = lam_max / lam_min!=0.
-    When P = 0 there is no admissible direction, Mbar = mu Q with Q = I, and
-    the choice is arbitrary; the mean eigenvalue of M is returned with a
-    warning.
+    Any mu in the interval attains cond(Mbar) = lam_max / lam_min!=0.  When
+    P = 0 there is no admissible direction, Mbar = mu Q with Q = I, and the
+    choice is arbitrary; the mean eigenvalue of M is returned with a warning.
     """
-    if isinstance(policy, (int, float)) and not isinstance(policy, bool):
-        mu = float(policy)
-        if mu <= 0.0:
-            raise ValueError("fixed mu must be positive")
-        return mu
     lam = nonzero_pmp_eigenvalues(plant, proj, rank_tol)
     if lam.size == 0:
         warnings.warn("P = 0: fully constrained state, mu is arbitrary; "
                       "using the mean eigenvalue of M")
         return float(np.mean(np.linalg.eigvalsh(plant.M)))
-    lo, hi = float(lam[0]), float(lam[-1])
-    if policy == "geometric-mean":
-        return float(np.sqrt(lo * hi))
-    if policy == "midpoint":
-        return 0.5 * (lo + hi)
-    raise ValueError(f"unknown mu policy {policy!r}")
+    return float(np.sqrt(lam[0] * lam[-1]))
 
 
 def kinetic_energy(plant: PlantMatrices, proj: ProjectorBundle, mu: float,
@@ -144,7 +137,7 @@ def kinetic_energy(plant: PlantMatrices, proj: ProjectorBundle, mu: float,
     quadratic forms then differ by the mu-weighted normal component.
     """
     qdot = np.asarray(qdot, dtype=float)
-    model = assemble(plant, proj, mu, with_spectrum=False)
+    model = assemble(plant, proj, mu)
     perp = np.linalg.norm(proj.Q @ qdot)
     if perp > admissibility_tol * (1.0 + np.linalg.norm(qdot)):
         warnings.warn(f"velocity has a normal component |Q qdot| = {perp:.3e}; "

@@ -106,6 +106,14 @@ class TestSimulate:
         assert main(["simulate", "--scenario-file", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_scenario_file_active_row_out_of_range_is_usage_error(self, tmp_path, capsys):
+        spec = {"system": "pendulum", "q0": [1, 0], "horizon": 0.1, "dt": 0.01,
+                "initial_active": [5]}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec))
+        assert main(["simulate", "--scenario-file", str(path)]) == 2
+        assert "initial_active rows must be ints in range(1)" in capsys.readouterr().err
+
     def test_scenario_file_q_star_is_retracted_like_target(self, tmp_path):
         # an off-manifold target reaches the engine on the circle either way
         q0, qdot0 = pendulum().default_state

@@ -118,7 +118,7 @@ class TestLyapunov:
                               f_g=np.zeros(2), B=np.eye(2))
         proj = build_projectors(ConstraintJacobian(A=np.zeros((1, 2)),
                                                    Adot=np.zeros((1, 2))))
-        model = assemble(plant, proj, mu=1.0, with_spectrum=False)
+        model = assemble(plant, proj, mu=1.0)
         gains = RegulationGains(Kp=2 * np.eye(2), Kd=np.eye(2), sigma=2.0)
         q_star = np.array([1.0, 2.0])
         assert lyapunov_value(q_star, np.zeros(2), q_star, gains, model) == 0.0

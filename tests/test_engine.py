@@ -115,6 +115,18 @@ class TestValidation:
             # 3 steps of 0.3 would end the run at 0.9
             Scenario(system=pendulum(), q0=np.zeros(2), qdot0=np.zeros(2),
                      horizon=1.0, dt=0.3)
+        # active rows must index the system's constraint rows
+        for kw, name in (({"initial_active": (5,)}, "initial_active"),
+                         ({"initial_active": (-1,)}, "initial_active"),
+                         ({"initial_active": (0.0,)}, "initial_active"),
+                         ({"events": ((0.5, (3,)),)}, "events")):
+            with pytest.raises(ValueError, match=f"^{name} rows must be ints"):
+                Scenario(system=switching_particle(), q0=np.zeros(2), qdot0=np.zeros(2),
+                         horizon=1.0, dt=1e-3, **kw)
+        for mu in (-1.0, 0, "fast", float("nan"), True):
+            with pytest.raises(ValueError, match="^mu must be 'auto' or a positive number"):
+                Scenario(system=pendulum(), q0=np.zeros(2), qdot0=np.zeros(2),
+                         horizon=1.0, dt=1e-3, mu=mu)
         # each state vector must be one value per coordinate, named if not
         for q0, qdot0, name in ((5.0, np.zeros(2), "q0"), (np.zeros(3), np.zeros(2), "q0"),
                                 (np.zeros(2), [0.1], "qdot0")):
@@ -322,9 +334,9 @@ def test_record_equals_a_fresh_evaluation(name):
 
 
 def _per_step_linalg_calls(monkeypatch, scenario):
-    """(SVDs, solves) per step: the difference of a 20-step and a 10-step run,
-    so calls made once per run do not count."""
-    counts = {"svd": 0, "solve": 0}
+    """(SVDs, solves, eigvalsh) per step: the difference of a 20-step and a
+    10-step run, so calls made once per run do not count."""
+    counts = {"svd": 0, "solve": 0, "eigvalsh": 0}
     for name in counts:
         original = getattr(np.linalg, name)
 
@@ -334,20 +346,21 @@ def _per_step_linalg_calls(monkeypatch, scenario):
         monkeypatch.setattr(np.linalg, name, counted)
     totals = []
     for steps in (10, 20):
-        counts.update(svd=0, solve=0)
+        counts.update(dict.fromkeys(counts, 0))
         run(dataclasses.replace(scenario, horizon=steps * scenario.dt))
         totals.append(dict(counts))
-    return [(totals[1][k] - totals[0][k]) / 10 for k in ("svd", "solve")]
+    return [(totals[1][k] - totals[0][k]) / 10 for k in counts]
 
 
 def test_per_step_linalg_cost(monkeypatch):
-    """4 state evaluations per RK4 step, one SVD per A and one per P B."""
+    """4 state evaluations per RK4 step, one SVD per A and one per P B; the
+    spectrum of Mbar only for the recorded state's cond_mbar."""
     free = Scenario(system=pendulum(), q0=np.array([1.0, 0.0]), qdot0=np.zeros(2),
                     horizon=0.05, dt=5e-3)
-    svd, solve = _per_step_linalg_calls(monkeypatch, free)
-    assert svd <= 4 and solve <= 4
-    svd, solve = _per_step_linalg_calls(monkeypatch, _case("regulated-pendulum"))
-    assert svd <= 8 and solve <= 4
+    svd, solve, eig = _per_step_linalg_calls(monkeypatch, free)
+    assert svd <= 4 and solve <= 4 and eig == 1
+    svd, solve, eig = _per_step_linalg_calls(monkeypatch, _case("regulated-pendulum"))
+    assert svd <= 8 and solve <= 4 and eig == 1
 
 
 def test_a_run_never_builds_cbar_or_pdot(monkeypatch):

@@ -7,8 +7,8 @@ from projdyn import (AdmissibilityError, ConstraintJacobian, InvalidTargetError,
                      PlantMatrices, acceleration, acceleration_nonminimal,
                      assemble, build_oblique, build_projectors,
                      check_admissibility, constraint_force, decompose,
-                     force_split_for_control, kkt_oracle, mbar_inverse_p,
-                     pseudo_inverse, resolve_actuation)
+                     force_split_for_control, kkt_oracle, pseudo_inverse,
+                     resolve_actuation)
 
 
 def pendulum_proj(q=(0.0, -1.0), qd=(0.0, 0.0)):
@@ -35,8 +35,7 @@ def random_instance(rng, n=None, m=None, k=None):
                           B=rng.standard_normal((n, k)))
     proj = build_projectors(ConstraintJacobian(A=rng.standard_normal((m, n)),
                                                Adot=rng.standard_normal((m, n))))
-    model = assemble(plant, proj, mu=float(rng.uniform(0.3, 3.0)),
-                     with_spectrum=False)
+    model = assemble(plant, proj, mu=float(rng.uniform(0.3, 3.0)))
     return plant, proj, model
 
 
@@ -52,7 +51,7 @@ class TestAdmissibility:
     def test_gamma_raises_when_inadmissible(self):
         plant = pendulum_plant(B=np.array([[0.0], [1.0]]))
         proj = pendulum_proj()
-        model = assemble(plant, proj, mu=1.0, with_spectrum=False)
+        model = assemble(plant, proj, mu=1.0)
         with pytest.raises(AdmissibilityError):
             build_oblique(plant, proj, model)
 
@@ -67,7 +66,7 @@ class TestAdmissibility:
             B = vt[m:].T  # orthonormal basis of null(A)
             plant = PlantMatrices(M=np.eye(n), C=np.zeros((n, n)),
                                   f_g=np.zeros(n), B=B)
-            model = assemble(plant, proj, mu=1.0, with_spectrum=False)
+            model = assemble(plant, proj, mu=1.0)
             ob = build_oblique(plant, proj, model)
             np.testing.assert_allclose(ob.R, ob.R.T, atol=1e-10)
             np.testing.assert_allclose(ob.R, proj.P, atol=1e-10)
@@ -77,7 +76,7 @@ class TestObliqueIdentities:
     def test_pendulum_s(self):
         plant = pendulum_plant()
         proj = pendulum_proj()
-        model = assemble(plant, proj, mu=1.0, with_spectrum=False)
+        model = assemble(plant, proj, mu=1.0)
         ob = build_oblique(plant, proj, model)
         np.testing.assert_allclose(ob.S, np.diag([0.0, 1.0]), atol=1e-12)
         np.testing.assert_allclose(ob.R, proj.P, atol=1e-12)
@@ -87,7 +86,7 @@ class TestObliqueIdentities:
         plant, _, _ = random_instance(rng, n=3, m=1)
         proj = build_projectors(ConstraintJacobian(A=np.zeros((1, 3)),
                                                    Adot=np.zeros((1, 3))))
-        model = assemble(plant, proj, mu=1.0, with_spectrum=False)
+        model = assemble(plant, proj, mu=1.0)
         ob = build_oblique(plant, proj, model)
         np.testing.assert_allclose(ob.S, np.zeros((3, 3)), atol=1e-12)
 
@@ -114,7 +113,7 @@ class TestObliqueIdentities:
         rng = np.random.default_rng(13)
         for _ in range(30):
             plant, proj, model = random_instance(rng)
-            X = mbar_inverse_p(model, proj)
+            X = model.X
             pinv_pmp, _ = pseudo_inverse(proj.P @ plant.M @ proj.P)
             np.testing.assert_allclose(X, pinv_pmp, atol=1e-9)
             np.testing.assert_allclose(X, X.T, atol=1e-9)
@@ -125,7 +124,7 @@ class TestAcceleration:
         w = 1.7
         plant = pendulum_plant()
         proj = pendulum_proj(qd=(w, 0.0))
-        model = assemble(plant, proj, mu=1.0, with_spectrum=False)
+        model = assemble(plant, proj, mu=1.0)
         qdd = acceleration(plant, proj, model, np.array([0.0, 9.81]),
                            np.array([w, 0.0]))
         # gravity cancelled by the applied force: pure centripetal acceleration
@@ -134,7 +133,7 @@ class TestAcceleration:
     def test_static_equilibrium(self):
         plant = pendulum_plant()
         proj = pendulum_proj()
-        model = assemble(plant, proj, mu=1.0, with_spectrum=False)
+        model = assemble(plant, proj, mu=1.0)
         qdd = acceleration(plant, proj, model, np.zeros(2), np.zeros(2))
         np.testing.assert_allclose(qdd, np.zeros(2), atol=1e-12)
 
@@ -143,7 +142,7 @@ class TestAcceleration:
         plant, _, _ = random_instance(rng, n=4, m=1)
         proj = build_projectors(ConstraintJacobian(A=np.zeros((1, 4)),
                                                    Adot=np.zeros((1, 4))))
-        model = assemble(plant, proj, mu=1.0, with_spectrum=False)
+        model = assemble(plant, proj, mu=1.0)
         f = rng.standard_normal(4)
         qd = rng.standard_normal(4)
         qdd = acceleration(plant, proj, model, f, qd)
@@ -167,7 +166,7 @@ class TestConstraintForce:
         w = 1.7
         plant = pendulum_plant()
         proj = pendulum_proj(qd=(w, 0.0))
-        model = assemble(plant, proj, mu=1.0, with_spectrum=False)
+        model = assemble(plant, proj, mu=1.0)
         f_c = constraint_force(plant, proj, model, np.zeros(2),
                                np.array([w, 0.0]))
         np.testing.assert_allclose(f_c, [0.0, 9.81 + w ** 2], atol=1e-10)
@@ -197,7 +196,7 @@ class TestKktOracle:
                 A[-1] = 2.0 * A[0]  # force rank deficiency sometimes
             jac = ConstraintJacobian(A=A, Adot=rng.standard_normal((m, n)))
             proj = build_projectors(jac)
-            model = assemble(plant, proj, mu=1.0, with_spectrum=False)
+            model = assemble(plant, proj, mu=1.0)
             f = rng.standard_normal(n)
             qd = proj.P @ rng.standard_normal(n)
             qdd_o, lam = kkt_oracle(plant, jac, f, qd)
@@ -266,7 +265,7 @@ class TestForceSplit:
     def test_rejects_motion_space_target(self):
         plant = pendulum_plant()
         proj = pendulum_proj()
-        model = assemble(plant, proj, mu=1.0, with_spectrum=False)
+        model = assemble(plant, proj, mu=1.0)
         with pytest.raises(InvalidTargetError):
             force_split_for_control(np.zeros(2), np.array([1.0, 0.0]),
                                     plant, proj, model, np.zeros(2))
