@@ -70,6 +70,29 @@ def _parse_vector(values, n, what):
     return vals
 
 
+def _rows(values, what):
+    """A scenario file's active set: a list of constraint-row indices."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of row indices, got {values!r}")
+    return tuple(values)
+
+
+def _events(values):
+    """A scenario file's events: a list of [time, active rows] pairs."""
+    if not isinstance(values, list):
+        raise ValueError(f"events must be a list of [time, rows] pairs, got {values!r}")
+    events = []
+    for i, event in enumerate(values):
+        try:
+            t, rows = event
+            t = float(t)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"events[{i}] must be a [time, rows] pair, "
+                             f"got {event!r}") from exc
+        events.append((t, _rows(rows, f"events[{i}] active set")))
+    return tuple(events)
+
+
 def _regulator(system, q_star, kp, kd, sigma, what) -> SetpointRegulator:
     """The regulator to q_star, retracted onto the constraint manifold when
     the system has a position residual."""
@@ -99,8 +122,8 @@ def _scenario_from_args(args) -> Scenario:
             dt=float(spec.get("dt", 1e-3)),
             mu=spec.get("mu", "auto"),
             controller=controller,
-            events=tuple((float(t), tuple(act)) for t, act in spec.get("events", [])),
-            initial_active=(tuple(spec["initial_active"])
+            events=_events(spec.get("events", [])),
+            initial_active=(_rows(spec["initial_active"], "initial_active")
                             if "initial_active" in spec else None),
             rank_tol=spec.get("rank_tol"),
         )

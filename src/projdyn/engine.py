@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from numbers import Integral, Real
 
 import numpy as np
@@ -19,7 +18,8 @@ import numpy as np
 from . import forces
 from .control import SetpointRegulator, control_force, lyapunov_value
 from .errors import DivergenceError, InconsistentStateError
-from .kernel import build_projectors, default_rank_tol, pseudo_inverse, with_adot
+from .kernel import (ConstraintJacobian, _lazy, build_projectors, configuration_projectors,
+                     default_rank_tol, pseudo_inverse, with_adot)
 from .model import assemble, optimal_mu
 from .systems import MechanicalSystem
 
@@ -178,23 +178,23 @@ class _Eval:
         self.runner, self.t, self.q, self.qdot = runner, t, q, qdot
         self.active = runner.active
 
-    @cached_property
+    @_lazy
     def jac(self):
         return self.runner.system.jacobian(self.q, self.qdot, active=self.active)
 
-    @cached_property
+    @_lazy
     def proj(self):
         return build_projectors(self.jac, self.runner.rank_tol)
 
-    @cached_property
+    @_lazy
     def plant(self):
         return self.runner.system.plant(self.q, self.qdot)
 
-    @cached_property
+    @_lazy
     def model(self):
         return assemble(self.plant, self.proj, self.runner.mu_value)
 
-    @cached_property
+    @_lazy
     def force(self):
         """(f, u): the regulator's law, else the force schedule, else zero."""
         sc, plant, proj = self.runner.sc, self.plant, self.proj
@@ -205,12 +205,12 @@ class _Eval:
              np.asarray(sc.force_schedule(self.t, self.q, self.qdot), dtype=float))
         return f, np.zeros(plant.k)
 
-    @cached_property
+    @_lazy
     def qdd(self):
         f, _ = self.force
         return forces.acceleration(self.plant, self.proj, self.model, f, self.qdot)
 
-    @cached_property
+    @_lazy
     def drift(self):   # |A qdot|
         return float(np.linalg.norm(self.jac.A @ self.qdot))
 
@@ -233,10 +233,14 @@ class _Runner:
                          if self.sc.mu == "auto" else float(self.sc.mu))
 
     def _projected(self, t, q, qdot):
-        """The state with qdot projected through P(q), which reuses pinv(A)."""
-        raw = _Eval(self, t, q, qdot)
-        ev = _Eval(self, t, q, raw.proj.P @ qdot)
-        ev.proj = with_adot(raw.proj, ev.jac.Adot)
+        """The state with qdot projected through P(q).  A(q) and its SVD serve
+        both velocities; the projected state adds only Adot."""
+        system, active = self.system, self.active
+        A = system.constraint_matrix(q, active)
+        config = configuration_projectors(A, self.rank_tol)
+        ev = _Eval(self, t, q, config.P @ qdot)
+        ev.jac = ConstraintJacobian(A, system.constraint_rate_matrix(q, ev.qdot, active))
+        ev.proj = with_adot(config, ev.jac.Adot)
         return ev
 
     # --- stepping ---------------------------------------------------------
@@ -249,7 +253,7 @@ class _Runner:
         s4 = _Eval(self, t + h, q + h * s3.qdot, qdot + h * s3.qdd)
         q_new = q + (h / 6.0) * (qdot + 2 * s2.qdot + 2 * s3.qdot + s4.qdot)
         v_new = qdot + (h / 6.0) * (ev.qdd + 2 * s2.qdd + 2 * s3.qdd + s4.qdd)
-        if not (np.all(np.isfinite(q_new)) and np.all(np.isfinite(v_new))):
+        if not (np.isfinite(q_new).all() and np.isfinite(v_new).all()):
             raise DivergenceError("state became non-finite",
                                   last_state=GeneralizedState(t, q, qdot))
         return q_new, v_new

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +27,25 @@ def default_rank_tol() -> float:
     """Relative singular-value cutoff; overridable via PROJDYN_RANK_TOL."""
     env = os.environ.get("PROJDYN_RANK_TOL")
     return float(env) if env else 1e-10
+
+
+class _lazy:
+    """functools.cached_property without its lock (Python < 3.12 takes a
+    class-wide RLock on every first access): the value is computed on first
+    access and stored in the instance's __dict__, which then shadows this
+    non-data descriptor, also on frozen dataclasses."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -57,7 +76,11 @@ class ConstraintJacobian:
 
 @dataclass(frozen=True)
 class ProjectorBundle:
-    """P, Q = I - P, Lambda, Omega, rank and pinv of A; Pdot is built when read."""
+    """P, Q = I - P, Lambda, Omega, rank and pinv of A; Pdot is built when read.
+
+    P, Q, rank and pinv(A) depend on q alone (configuration_projectors);
+    Lambda and Omega also need qdot and are None until with_adot adds them.
+    """
 
     P: np.ndarray
     Q: np.ndarray
@@ -70,7 +93,7 @@ class ProjectorBundle:
     def n(self) -> int:
         return self.P.shape[0]
 
-    @cached_property
+    @_lazy
     def Pdot(self) -> np.ndarray:
         return self.Lambda @ self.P + self.P @ self.Lambda.T
 
@@ -106,19 +129,25 @@ def pseudo_inverse(A, rank_tol: float | None = None):
     return Vt[:r].T @ (U[:, :r] / s[:r]).T, r
 
 
-def build_projectors(jac: ConstraintJacobian, rank_tol: float | None = None) -> ProjectorBundle:
-    """Build P, Q, Lambda and Omega at one state.
+def configuration_projectors(A, rank_tol: float | None = None) -> ProjectorBundle:
+    """P, Q, pinv(A) and the rank at one configuration, from one SVD of the
+    m x n float array A.
 
     P = I - pinv(A) A is symmetrized explicitly so that downstream identities
     (P^2 = P, P Lambda = 0, ...) hold to round-off rather than to SVD backward
-    error in the asymmetric part.
+    error in the asymmetric part.  Lambda and Omega are left None.
     """
-    Apinv, r = pseudo_inverse(jac.A, rank_tol)
-    eye = _identity(jac.n)
-    P = eye - Apinv @ jac.A
+    Apinv, r = pseudo_inverse(A, rank_tol)
+    eye = _identity(Apinv.shape[0])
+    P = eye - Apinv @ A
     P = 0.5 * (P + P.T)
-    # P, Q and the rank depend on q alone; with_adot adds the rates
-    return with_adot(ProjectorBundle(P, eye - P, None, None, r, Apinv), jac.Adot)
+    return ProjectorBundle(P, eye - P, None, None, r, Apinv)
+
+
+def build_projectors(jac: ConstraintJacobian, rank_tol: float | None = None) -> ProjectorBundle:
+    """Build P, Q, Lambda and Omega at one state: the configuration part of
+    jac.A plus the rates of jac.Adot."""
+    return with_adot(configuration_projectors(jac.A, rank_tol), jac.Adot)
 
 
 def with_adot(proj: ProjectorBundle, Adot) -> ProjectorBundle:

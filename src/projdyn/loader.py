@@ -27,7 +27,7 @@ import json
 
 import numpy as np
 
-from .systems import MechanicalSystem
+from .systems import MechanicalSystem, _constant_plant
 
 
 class Polynomial:
@@ -121,12 +121,9 @@ def load_system(source) -> MechanicalSystem:
     return MechanicalSystem(
         name=str(spec.get("name", "user-system")),
         n=n, m=max(m, 1), k=B.shape[1],
-        mass=lambda q: M,
-        coriolis=lambda q, qd: np.zeros((n, n)),
-        gravity_force=lambda q: f_g,
+        **_constant_plant(M, np.zeros((n, n)), f_g, B),
         constraint=constraint,
         constraint_rate=constraint_rate,
-        input_map=lambda q: B,
         residual=residual if m else None,
         potential=potential,
         notes="loaded from structured definition",

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .kernel import ProjectorBundle, _identity, default_rank_tol
+from .kernel import ProjectorBundle, _identity, _lazy, default_rank_tol
 
 
 @dataclass(frozen=True)
@@ -58,28 +57,28 @@ class ConstrainedModel:
     plant: PlantMatrices
     proj: ProjectorBundle
 
-    @cached_property
+    @_lazy
     def X(self) -> np.ndarray:
         """Mbar^{-1} P, the state's one solve; it commutes with P and equals
         pinv(P M P)."""
         return np.linalg.solve(self.Mbar, self.proj.P)
 
-    @cached_property
+    @_lazy
     def S(self) -> np.ndarray:
         """S = I - M X, the oblique projector onto the reaction space."""
         return _identity(self.proj.n) - self.plant.M @ self.X
 
-    @cached_property
+    @_lazy
     def spectrum(self) -> np.ndarray:
         """Eigenvalues of Mbar, ascending: mu repeated rank(A) times plus the
         nonzero eigenvalues of P M P."""
         return np.linalg.eigvalsh(self.Mbar)
 
-    @cached_property
+    @_lazy
     def cond(self) -> float:
         return float(self.spectrum[-1] / self.spectrum[0])
 
-    @cached_property
+    @_lazy
     def Cbar(self) -> np.ndarray:
         """Cbar = P C P + P M Pdot - mu Lambda P."""
         P, Lam, plant = self.proj.P, self.proj.Lambda, self.plant

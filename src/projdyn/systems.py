@@ -20,6 +20,16 @@ from .model import PlantMatrices
 GRAVITY = 9.81
 
 
+def _constant_plant(M, C, f_g, B) -> dict:
+    """The plant callables of a system whose M, C, f_g and B do not depend on
+    the state: each array is built once, read-only, and shared by every state."""
+    M, C, f_g, B = (np.array(x, dtype=float) for x in (M, C, f_g, B))
+    for x in (M, C, f_g, B):
+        x.flags.writeable = False
+    return dict(mass=lambda q: M, coriolis=lambda q, qd: C,
+                gravity_force=lambda q: f_g, input_map=lambda q: B)
+
+
 @dataclass(frozen=True)
 class MechanicalSystem:
     name: str
@@ -41,14 +51,26 @@ class MechanicalSystem:
     notes: str = ""
 
     def jacobian(self, q, qdot, active=None) -> ConstraintJacobian:
-        """A and Adot at a state, with inactive rows zeroed (fixed dimension).
+        """A and Adot at a state, with inactive rows zeroed (fixed dimension):
+        the configuration part constraint_matrix and the rate part
+        constraint_rate_matrix."""
+        return ConstraintJacobian(A=self.constraint_matrix(q, active),
+                                  Adot=self.constraint_rate_matrix(q, qdot, active))
+
+    def constraint_matrix(self, q, active=None) -> np.ndarray:
+        """A(q), m x n, with inactive rows zeroed."""
+        q = np.asarray(q, dtype=float)
+        return self._active_rows(
+            np.atleast_2d(np.asarray(self.constraint(q), dtype=float)), active)
+
+    def constraint_rate_matrix(self, q, qdot, active=None) -> np.ndarray:
+        """Adot(q, qdot), m x n, with inactive rows zeroed.
 
         Falls back to a central finite difference of A along qdot when
         the system omits an analytic Adot.
         """
         q = np.asarray(q, dtype=float)
         qdot = np.asarray(qdot, dtype=float)
-        A = np.atleast_2d(np.asarray(self.constraint(q), dtype=float))
         if self.constraint_rate is not None:
             Adot = np.atleast_2d(np.asarray(self.constraint_rate(q, qdot), dtype=float))
         else:
@@ -56,12 +78,14 @@ class MechanicalSystem:
             Ap = np.atleast_2d(np.asarray(self.constraint(q + h * qdot), dtype=float))
             Am = np.atleast_2d(np.asarray(self.constraint(q - h * qdot), dtype=float))
             Adot = (Ap - Am) / (2.0 * h)
-        if active is not None and tuple(active) != tuple(range(self.m)):
-            mask = np.zeros(self.m, dtype=bool)
-            mask[list(active)] = True
-            A = np.where(mask[:, None], A, 0.0)
-            Adot = np.where(mask[:, None], Adot, 0.0)
-        return ConstraintJacobian(A=A, Adot=Adot)
+        return self._active_rows(Adot, active)
+
+    def _active_rows(self, X, active):
+        if active is None or tuple(active) == tuple(range(self.m)):
+            return X
+        mask = np.zeros(self.m, dtype=bool)
+        mask[list(active)] = True
+        return np.where(mask[:, None], X, 0.0)
 
     def plant(self, q, qdot):
         q = np.asarray(q, dtype=float)
@@ -82,12 +106,10 @@ def pendulum(mass_val=1.0, length=1.0, g=GRAVITY) -> MechanicalSystem:
 
     return MechanicalSystem(
         name="pendulum", n=2, m=1, k=2,
-        mass=lambda q: mass_val * np.eye(2),
-        coriolis=lambda q, qd: np.zeros((2, 2)),
-        gravity_force=lambda q: np.array([0.0, -mass_val * g]),
+        **_constant_plant(mass_val * np.eye(2), np.zeros((2, 2)),
+                          [0.0, -mass_val * g], np.eye(2)),
         constraint=lambda q: 2.0 * q[None, :],
         constraint_rate=lambda q, qd: 2.0 * qd[None, :],
-        input_map=lambda q: np.eye(2),
         residual=lambda q: np.array([q @ q - length ** 2]),
         potential=lambda q: mass_val * g * q[1],
         sample_state=sample,
@@ -149,11 +171,9 @@ def double_pendulum(m1=1.0, m2=1.0, l1=1.0, l2=1.0, g=GRAVITY) -> MechanicalSyst
 
     return MechanicalSystem(
         name="double-pendulum", n=4, m=2, k=4,
-        mass=lambda q: np.diag([m1, m1, m2, m2]),
-        coriolis=lambda q, qd: np.zeros((4, 4)),
-        gravity_force=lambda q: np.array([0.0, -m1 * g, 0.0, -m2 * g]),
+        **_constant_plant(np.diag([m1, m1, m2, m2]), np.zeros((4, 4)),
+                          [0.0, -m1 * g, 0.0, -m2 * g], np.eye(4)),
         constraint=constraint, constraint_rate=constraint_rate,
-        input_map=lambda q: np.eye(4),
         residual=residual,
         potential=lambda q: g * (m1 * q[1] + m2 * q[3]),
         sample_state=sample,
@@ -210,11 +230,9 @@ def slider_crank(m1=1.0, m2=1.0, l1=1.0, l2=1.0, g=GRAVITY) -> MechanicalSystem:
 
     return MechanicalSystem(
         name="slider-crank", n=4, m=3, k=4,
-        mass=lambda q: np.diag([m1, m1, m2, m2]),
-        coriolis=lambda q, qd: np.zeros((4, 4)),
-        gravity_force=lambda q: np.array([0.0, -m1 * g, 0.0, -m2 * g]),
+        **_constant_plant(np.diag([m1, m1, m2, m2]), np.zeros((4, 4)),
+                          [0.0, -m1 * g, 0.0, -m2 * g], np.eye(4)),
         constraint=constraint, constraint_rate=constraint_rate,
-        input_map=lambda q: np.eye(4),
         residual=residual,
         potential=lambda q: g * (m1 * q[1] + m2 * q[3]),
         sample_state=sample,
@@ -242,12 +260,9 @@ def switching_particle(mass_val=1.0) -> MechanicalSystem:
 
     return MechanicalSystem(
         name="switching-particle", n=2, m=1, k=2,
-        mass=lambda q: mass_val * np.eye(2),
-        coriolis=lambda q, qd: np.zeros((2, 2)),
-        gravity_force=lambda q: np.zeros(2),
+        **_constant_plant(mass_val * np.eye(2), np.zeros((2, 2)), np.zeros(2), np.eye(2)),
         constraint=lambda q: np.array([[0.0, 1.0]]),
         constraint_rate=lambda q, qd: np.zeros((1, 2)),
-        input_map=lambda q: np.eye(2),
         residual=None,
         potential=lambda q: 0.0,
         sample_state=sample,

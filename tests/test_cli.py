@@ -114,6 +114,21 @@ class TestSimulate:
         assert main(["simulate", "--scenario-file", str(path)]) == 2
         assert "initial_active rows must be ints in range(1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("active, message", [
+        ({"initial_active": 5}, "initial_active must be a list of row indices, got 5"),
+        ({"initial_active": [], "events": [[0.05, 0]]},
+         "events[0] active set must be a list of row indices, got 0"),
+        ({"initial_active": [], "events": [0.05]}, "events[0] must be a [time, rows] pair"),
+        ({"events": 0.05}, "events must be a list of [time, rows] pairs")],
+        ids=["scalar-initial-active", "scalar-event-rows", "scalar-event", "scalar-events"])
+    def test_scenario_file_active_set_not_a_list_is_usage_error(self, tmp_path, capsys,
+                                                               active, message):
+        spec = {"system": "pendulum", "q0": [1, 0], "horizon": 0.1, "dt": 0.01, **active}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec))
+        assert main(["simulate", "--scenario-file", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_scenario_file_q_star_is_retracted_like_target(self, tmp_path):
         # an off-manifold target reaches the engine on the circle either way
         q0, qdot0 = pendulum().default_state

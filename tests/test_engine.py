@@ -363,6 +363,31 @@ def test_per_step_linalg_cost(monkeypatch):
     assert svd <= 8 and solve <= 4 and eig == 1
 
 
+def test_a_step_evaluates_a_and_adot_four_times():
+    """The velocity projection shares A(q), pinv(A), P and Q with the end
+    state, so a step evaluates A and Adot once per RK4 stage: 4 each."""
+    counts = {"A": 0, "Adot": 0}
+    base = pendulum()
+
+    def constraint(q):
+        counts["A"] += 1
+        return base.constraint(q)
+
+    def constraint_rate(q, qdot):
+        counts["Adot"] += 1
+        return base.constraint_rate(q, qdot)
+
+    system = dataclasses.replace(base, constraint=constraint,
+                                 constraint_rate=constraint_rate)
+    totals = []
+    for steps in (10, 20):
+        counts.update(A=0, Adot=0)
+        run(Scenario(system=system, q0=np.array([1.0, 0.0]), qdot0=np.zeros(2),
+                     horizon=steps * 5e-3, dt=5e-3))
+        totals.append(dict(counts))
+    assert [(totals[1][k] - totals[0][k]) / 10 for k in counts] == [4, 4]
+
+
 def test_a_run_never_builds_cbar_or_pdot(monkeypatch):
     """Cbar and Pdot are analysis objects: no step of a free, regulated or
     capturing run reads them."""

@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from projdyn import (ConstraintJacobian, NonFiniteInputError, build_projectors,
-                     pdot_fd_check, pseudo_inverse)
+from projdyn import (ConstraintJacobian, NonFiniteInputError, ProjectorBundle,
+                     build_projectors, pdot_fd_check, pseudo_inverse)
+from projdyn.kernel import _lazy
 
 
 def mp_residuals(A, Apinv):
@@ -163,3 +164,31 @@ class TestPdotFiniteDifference:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             pdot_fd_check(self.pendulum_path, 0.0, 0.0)
+
+
+class TestLazyAttribute:
+    def test_computed_once_per_instance(self):
+        calls = []
+
+        class Holder:
+            @_lazy
+            def value(self):
+                calls.append(self)
+                return object()
+
+        a, b = Holder(), Holder()
+        assert a.value is a.value and b.value is b.value and a.value is not b.value
+        assert calls == [a, b]
+
+    def test_works_on_a_frozen_bundle(self):
+        jac = ConstraintJacobian(A=np.array([[1.0, 2.0]]), Adot=np.array([[0.5, -1.0]]))
+        proj = build_projectors(jac)
+        assert proj.Pdot is proj.Pdot
+        np.testing.assert_array_equal(proj.Pdot,
+                                      proj.Lambda @ proj.P + proj.P @ proj.Lambda.T)
+
+    def test_class_attribute_stays_patchable(self, monkeypatch):
+        jac = ConstraintJacobian(A=np.array([[1.0, 2.0]]), Adot=np.array([[0.5, -1.0]]))
+        assert isinstance(ProjectorBundle.Pdot, _lazy)
+        monkeypatch.setattr(ProjectorBundle, "Pdot", property(lambda self: "patched"))
+        assert build_projectors(jac).Pdot == "patched"

@@ -25,6 +25,17 @@ class TestCatalog:
         assert report["passed"], report
 
     @pytest.mark.parametrize("system", catalog(), ids=lambda s: s.name)
+    def test_constant_plant_parts_are_shared_and_read_only(self, system):
+        rng = np.random.default_rng(2)
+        a = system.plant(*system.sample_state(rng))
+        b = system.plant(*system.sample_state(rng))
+        for part in ("M", "C", "f_g", "B"):
+            x = getattr(a, part)
+            assert x is getattr(b, part)
+            with pytest.raises(ValueError):
+                x.flat[0] = 1.0
+
+    @pytest.mark.parametrize("system", catalog(), ids=lambda s: s.name)
     def test_default_state_is_consistent(self, system):
         q0, qd0 = system.default_state
         if system.residual is not None:
@@ -106,6 +117,15 @@ class TestLoader:
             np.testing.assert_allclose(ja.Adot, jb.Adot, atol=1e-10)
             np.testing.assert_allclose(loaded.residual(q), builtin.residual(q),
                                        atol=1e-12)
+
+    def test_plant_parts_are_shared_and_read_only(self):
+        system = load_system(PENDULUM_SPEC)
+        a = system.plant(np.array([0.6, -0.8]), np.zeros(2))
+        b = system.plant(np.zeros(2), np.ones(2))
+        for part in ("M", "C", "f_g", "B"):
+            assert getattr(a, part) is getattr(b, part)
+            with pytest.raises(ValueError):
+                getattr(a, part).flat[0] = 1.0
 
     def test_accepts_json_string_and_file(self, tmp_path):
         text = json.dumps(PENDULUM_SPEC)
