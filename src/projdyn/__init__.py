@@ -9,10 +9,9 @@ from .engine import (GeneralizedState, Scenario, SimulationTrace,
 from .errors import (AdmissibilityError, DivergenceError,
                      InconsistentStateError, InvalidTargetError,
                      NonFiniteInputError, ProjdynError)
-from .forces import (ForceDecomposition, ObliqueProjectors, acceleration,
-                     acceleration_nonminimal, build_oblique,
-                     check_admissibility, constraint_force, decompose,
-                     force_split_for_control, kkt_oracle, resolve_actuation)
+from .forces import (ForceDecomposition, acceleration, acceleration_nonminimal,
+                     constraint_force, decompose, force_split_for_control,
+                     kkt_oracle)
 from .kernel import (ConstraintJacobian, ProjectorBundle, build_projectors,
                      default_rank_tol, pdot_fd_check, pseudo_inverse)
 from .loader import load_system

@@ -114,8 +114,8 @@ def check_oracle_equivalence(rng, trials=60):
             mu = optimal_mu(plant, proj)
             model = assemble(plant, proj, mu)
             f = rng.standard_normal(system.n)
-            qdd = forces.acceleration(plant, proj, model, f, qd)
-            f_c = forces.constraint_force(plant, proj, model, f, qd)
+            qdd = forces.acceleration(model, f, qd)
+            f_c = forces.constraint_force(model, f, qd)
             qdd_o, lam = forces.kkt_oracle(plant, jac, f, qd)
             worst = max(worst,
                         float(np.linalg.norm(qdd - qdd_o)),
@@ -140,8 +140,7 @@ def check_oblique_identities(rng, trials=150):
         plant = PlantMatrices(M=M, C=np.zeros((n, n)), f_g=np.zeros(n), B=B)
         mu = float(rng.uniform(0.2, 5.0))
         model = assemble(plant, proj, mu)
-        ob = forces.build_oblique(plant, proj, model)
-        R, S, P, Q = ob.R, ob.S, proj.P, proj.Q
+        R, S, P, Q = model.R, model.S, proj.P, proj.Q
         PMP = P @ M @ P
         pmp_pinv, _ = pseudo_inverse(0.5 * (PMP + PMP.T))
         worst = max(worst,
@@ -162,8 +161,8 @@ def check_acceleration_routes(rng, trials=60):
             plant = system.plant(q, qd)
             model = assemble(plant, proj, optimal_mu(plant, proj))
             f = rng.standard_normal(system.n)
-            a1 = forces.acceleration(plant, proj, model, f, qd)
-            a2 = forces.acceleration_nonminimal(plant, proj, model, f, qd)
+            a1 = forces.acceleration(model, f, qd)
+            a2 = forces.acceleration_nonminimal(model, f, qd)
             worst = max(worst, float(np.linalg.norm(a1 - a2)))
     return "acceleration-route-agreement", worst, 1e-9
 

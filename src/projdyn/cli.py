@@ -12,7 +12,7 @@ from . import battery
 from .control import RegulationGains, SetpointRegulator
 from .engine import Scenario, project_to_constraints, run
 from .errors import ProjdynError
-from .kernel import build_projectors, default_rank_tol
+from .kernel import build_projectors
 from .loader import load_system
 from .model import assemble, nonzero_pmp_eigenvalues
 from .systems import catalog, get_system
@@ -191,13 +191,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.grid_points < 1:
+        raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
     system = get_system(args.system)
     q0, qd0 = system.default_state
     if args.state:
         q0 = _parse_vector(args.state, system.n, "--state")
     proj = build_projectors(system.jacobian(q0, qd0), args.rank_tol)
     plant = system.plant(q0, qd0)
-    lam = nonzero_pmp_eigenvalues(plant, proj, args.rank_tol)
+    lam = nonzero_pmp_eigenvalues(plant, proj)
     if lam.size == 0:
         print("P = 0 at this state: no admissible direction, cond(Mbar) = 1 "
               "for every mu")

@@ -2,10 +2,10 @@
 
 Control law:  f = -R(q) ( f_g(q) + Kp (e + sigma |e| eta) + Kd q' )
 with e = q - q*, eta the unit vector along q' (a fixed admissible unit
-vector xi when the velocity vanishes), and R the oblique projector of
-forces.py.  The same inner vector premultiplied by Gamma gives the actuator
-forces directly.  With sigma > 1 the only rest point of the closed loop is
-e = 0.
+vector xi when the velocity vanishes), and R = B Gamma the oblique projector
+of the state's ConstrainedModel.  The same inner vector premultiplied by
+Gamma gives the actuator forces directly.  With sigma > 1 the only rest
+point of the closed loop is e = 0.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError
-from .forces import _gamma
 from .kernel import ProjectorBundle
-from .model import ConstrainedModel, PlantMatrices
+from .model import ConstrainedModel
 
 
 @dataclass(frozen=True)
@@ -92,9 +91,8 @@ def velocity_direction(qdot, e, proj: ProjectorBundle, gains: RegulationGains) -
     return qdot / max(speed, gains.eps_v)
 
 
-def control_force(q, qdot, q_star, gains: RegulationGains, plant: PlantMatrices,
-                  proj: ProjectorBundle, rank_tol: float | None = None):
-    """Evaluate the regulation law; returns (f, u).
+def control_force(q, qdot, q_star, gains: RegulationGains, model: ConstrainedModel):
+    """Evaluate the regulation law at the state of model; returns (f, u).
 
     Raises AdmissibilityError when range(P B) cannot realize the commanded
     motion-space force at this configuration.
@@ -102,12 +100,11 @@ def control_force(q, qdot, q_star, gains: RegulationGains, plant: PlantMatrices,
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
     e = q - np.asarray(q_star, dtype=float)
-    eta = velocity_direction(qdot, e, proj, gains)
-    inner = plant.f_g + gains.Kp @ (e + gains.sigma * np.linalg.norm(e) * eta) \
+    eta = velocity_direction(qdot, e, model.proj, gains)
+    inner = model.plant.f_g + gains.Kp @ (e + gains.sigma * np.linalg.norm(e) * eta) \
         + gains.Kd @ qdot
-    Gamma, B = _gamma(plant.B, proj, rank_tol)
-    u = -(Gamma @ inner)
-    return B @ u, u
+    u = -(model.Gamma @ inner)
+    return model.plant.B @ u, u
 
 
 def lyapunov_value(q, qdot, q_star, gains: RegulationGains,

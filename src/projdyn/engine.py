@@ -35,6 +35,10 @@ class GeneralizedState:
         object.__setattr__(self, "qdot", np.asarray(self.qdot, dtype=float))
 
 
+def _positive_finite(x) -> bool:
+    return isinstance(x, Real) and not isinstance(x, bool) and 0 < x < np.inf
+
+
 @dataclass
 class Scenario:
     """Everything needed to reproduce one run."""
@@ -57,10 +61,12 @@ class Scenario:
             setattr(self, name, v := np.asarray(getattr(self, name), dtype=float))
             if v.shape != (self.system.n,):
                 raise ValueError(f"{name} must have shape ({self.system.n},), got {v.shape}")
-        if self.dt <= 0:
-            raise ValueError("step size must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        for name in ("dt", "horizon"):
+            if not _positive_finite(v := getattr(self, name)):
+                raise ValueError(f"{name} must be a positive finite number, got {v!r}")
+        if not (self.rank_tol is None or _positive_finite(self.rank_tol)):
+            raise ValueError("rank_tol must be None or a positive finite number, "
+                             f"got {self.rank_tol!r}")
         steps = self.horizon / self.dt
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(f"horizon {self.horizon:g} is not a multiple of "
@@ -83,8 +89,7 @@ class Scenario:
                        for i in rows):
                 raise ValueError(f"{name} rows must be ints in range({m}), got {rows!r}")
         if not (self.mu == "auto" if isinstance(self.mu, str) else
-                isinstance(self.mu, Real) and not isinstance(self.mu, bool)
-                and 0 < self.mu < np.inf):
+                _positive_finite(self.mu)):
             raise ValueError(f"mu must be 'auto' or a positive number, got {self.mu!r}")
 
 
@@ -197,18 +202,17 @@ class _Eval:
     @_lazy
     def force(self):
         """(f, u): the regulator's law, else the force schedule, else zero."""
-        sc, plant, proj = self.runner.sc, self.plant, self.proj
+        sc = self.runner.sc
         if (c := sc.controller) is not None:
-            return control_force(self.q, self.qdot, c.q_star, c.gains, plant, proj,
-                                 rank_tol=self.runner.rank_tol)
+            return control_force(self.q, self.qdot, c.q_star, c.gains, self.model)
         f = (np.zeros(sc.system.n) if sc.force_schedule is None else
              np.asarray(sc.force_schedule(self.t, self.q, self.qdot), dtype=float))
-        return f, np.zeros(plant.k)
+        return f, np.zeros(self.plant.k)
 
     @_lazy
     def qdd(self):
         f, _ = self.force
-        return forces.acceleration(self.plant, self.proj, self.model, f, self.qdot)
+        return forces.acceleration(self.model, f, self.qdot)
 
     @_lazy
     def drift(self):   # |A qdot|
@@ -224,12 +228,13 @@ class _Runner:
         self.active = (tuple(range(self.system.m)) if sc.initial_active is None
                        else tuple(sc.initial_active))
         self.mu_value = None
+        # resolved once per run, not from the environment at every state
         self.rank_tol = default_rank_tol() if sc.rank_tol is None else sc.rank_tol
 
     # --- model evaluation -------------------------------------------------
 
     def _select_mu(self, ev):
-        self.mu_value = (optimal_mu(ev.plant, ev.proj, rank_tol=self.rank_tol)
+        self.mu_value = (optimal_mu(ev.plant, ev.proj)
                          if self.sc.mu == "auto" else float(self.sc.mu))
 
     def _projected(self, t, q, qdot):
@@ -299,7 +304,7 @@ class _Runner:
         ev.t = t
         q, qdot, plant = ev.q, ev.qdot, ev.plant
         f, u = ev.force
-        f_c = forces.constraint_force(plant, ev.proj, ev.model, f, qdot)
+        f_c = forces.constraint_force(ev.model, f, qdot)
         ke = 0.5 * float(qdot @ plant.M @ qdot)
         pe = float(self.system.potential(q)) if self.system.potential else 0.0
         c, V = self.sc.controller, np.nan

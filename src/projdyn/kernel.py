@@ -80,6 +80,8 @@ class ProjectorBundle:
 
     P, Q, rank and pinv(A) depend on q alone (configuration_projectors);
     Lambda and Omega also need qdot and are None until with_adot adds them.
+    rank_tol is the relative cutoff the rank was decided with; every later
+    rank decision at this state reads it.
     """
 
     P: np.ndarray
@@ -87,7 +89,8 @@ class ProjectorBundle:
     Lambda: np.ndarray
     Omega: np.ndarray
     rank: int
-    A_pinv: np.ndarray | None = None
+    rank_tol: float
+    A_pinv: np.ndarray
 
     @property
     def n(self) -> int:
@@ -114,16 +117,14 @@ def pseudo_inverse(A, rank_tol: float | None = None):
     """
     if rank_tol is None:
         rank_tol = default_rank_tol()
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
+    if not 0 < rank_tol < np.inf:
+        raise ValueError(f"rank_tol must be a positive finite number, got {rank_tol!r}")
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if not np.isfinite(A).all():
         raise NonFiniteInputError("matrix to pseudo-invert must be finite")
     m, n = A.shape
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((n, m)), 0
-    r = int(np.count_nonzero(s > rank_tol * s[0]))
+    r = int(np.count_nonzero(s > rank_tol * s[0])) if s.size else 0
     if r == 0:
         return np.zeros((n, m)), 0
     return Vt[:r].T @ (U[:, :r] / s[:r]).T, r
@@ -137,11 +138,13 @@ def configuration_projectors(A, rank_tol: float | None = None) -> ProjectorBundl
     (P^2 = P, P Lambda = 0, ...) hold to round-off rather than to SVD backward
     error in the asymmetric part.  Lambda and Omega are left None.
     """
+    if rank_tol is None:
+        rank_tol = default_rank_tol()
     Apinv, r = pseudo_inverse(A, rank_tol)
     eye = _identity(Apinv.shape[0])
     P = eye - Apinv @ A
     P = 0.5 * (P + P.T)
-    return ProjectorBundle(P, eye - P, None, None, r, Apinv)
+    return ProjectorBundle(P, eye - P, None, None, r, rank_tol, Apinv)
 
 
 def build_projectors(jac: ConstraintJacobian, rank_tol: float | None = None) -> ProjectorBundle:
@@ -154,7 +157,8 @@ def with_adot(proj: ProjectorBundle, Adot) -> ProjectorBundle:
     """The bundle of the same A (same q) with another Adot (another velocity):
     only Lambda and Omega are rebuilt, from the stored pinv(A)."""
     Lam = -proj.A_pinv @ Adot
-    return ProjectorBundle(proj.P, proj.Q, Lam, Lam - Lam.T, proj.rank, proj.A_pinv)
+    return ProjectorBundle(proj.P, proj.Q, Lam, Lam - Lam.T, proj.rank, proj.rank_tol,
+                           proj.A_pinv)
 
 
 def pdot_fd_check(jac_at, t: float, h: float, rank_tol: float | None = None) -> float:

@@ -7,7 +7,7 @@ The schema covers constant-matrix plants with polynomial position constraints:
       "n": 2,
       "mass": [[1, 0], [0, 1]],          # or {"diag": [1, 1]}
       "gravity_force": [0, -9.81],
-      "input_map": [[1, 0], [0, 1]],     # optional, default identity
+      "input_map": [[1, 0], [0, 1]],     # optional, n rows, default identity
       "constraints": [
         {"terms": [{"coeff": 1, "powers": [2, 0]},
                    {"coeff": 1, "powers": [0, 2]},
@@ -88,9 +88,13 @@ def load_system(source) -> MechanicalSystem:
     if np.linalg.eigvalsh(M)[0] <= 0.0:
         raise ValueError("mass matrix must be positive definite")
     f_g = np.asarray(spec.get("gravity_force", np.zeros(n)), dtype=float)
+    if f_g.shape != (n,):
+        raise ValueError(f"gravity_force must have shape ({n},), got {f_g.shape}")
     B = np.asarray(spec.get("input_map", np.eye(n)), dtype=float)
     if B.ndim == 1:
         B = B[:, None]
+    if B.ndim != 2 or B.shape[0] != n:
+        raise ValueError(f"input_map must have {n} rows, got shape {B.shape}")
 
     phis = [_poly_from_spec(c, n) for c in spec.get("constraints", [])]
     m = len(phis)

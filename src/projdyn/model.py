@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import ProjectorBundle, _identity, _lazy, default_rank_tol
+from .errors import AdmissibilityError
+from .kernel import ProjectorBundle, _identity, _lazy, pseudo_inverse
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,9 @@ class PlantMatrices:
 
 @dataclass(frozen=True)
 class ConstrainedModel:
-    """Mbar at one state.  X = Mbar^{-1} P, S, the spectrum of Mbar and Cbar
-    are built on first access, so a state pays only for what it reads."""
+    """Mbar at one state.  X = Mbar^{-1} P, S, the spectrum of Mbar, Cbar and
+    the actuation maps Gamma and R are built on first access, so a state pays
+    only for what it reads."""
 
     Mbar: np.ndarray
     mu: float
@@ -84,6 +86,34 @@ class ConstrainedModel:
         P, Lam, plant = self.proj.P, self.proj.Lambda, self.plant
         return P @ plant.C @ P + P @ plant.M @ self.proj.Pdot - self.mu * (Lam @ P)
 
+    @_lazy
+    def _pb_pinv(self):
+        """(pinv(P B), rank(P B)) from one truncated SVD, cut at the bundle's
+        rank_tol; unlike (B^T P B)^{-1} B^T P it stays the minimum-norm map
+        under redundant actuation."""
+        return pseudo_inverse(self.proj.P @ self.plant.B, self.proj.rank_tol)
+
+    @_lazy
+    def admissible(self) -> bool:
+        """True iff range(P B) spans the admissible space null(A)."""
+        return self._pb_pinv[1] == self.proj.n - self.proj.rank
+
+    @_lazy
+    def Gamma(self) -> np.ndarray:
+        """Gamma = pinv(P B): u = Gamma f_par is the smallest u with
+        P B u = f_par.  Raises AdmissibilityError unless admissible."""
+        if not self.admissible:
+            raise AdmissibilityError(
+                "range(P B) does not span null(A): rank(P B) = "
+                f"{self._pb_pinv[1]} < rank(P) = {self.proj.n - self.proj.rank}")
+        return self._pb_pinv[0]
+
+    @_lazy
+    def R(self) -> np.ndarray:
+        """R = B Gamma, the oblique projector that maps a desired motion-space
+        force to the realizable one B u."""
+        return self.plant.B @ self.Gamma
+
 
 def assemble(plant: PlantMatrices, proj: ProjectorBundle, mu: float) -> ConstrainedModel:
     """Assemble Mbar = P M P + mu Q."""
@@ -94,24 +124,16 @@ def assemble(plant: PlantMatrices, proj: ProjectorBundle, mu: float) -> Constrai
     return ConstrainedModel(0.5 * (Mbar + Mbar.T), mu, plant, proj)
 
 
-def _pmp_eigenvalues(plant: PlantMatrices, proj: ProjectorBundle):
+def nonzero_pmp_eigenvalues(plant: PlantMatrices, proj: ProjectorBundle) -> np.ndarray:
+    """Nonzero eigenvalues of P M P, cut at the bundle's rank_tol like the rank."""
     PMP = proj.P @ plant.M @ proj.P
-    return np.linalg.eigvalsh(0.5 * (PMP + PMP.T))
-
-
-def nonzero_pmp_eigenvalues(plant: PlantMatrices, proj: ProjectorBundle,
-                            rank_tol: float | None = None) -> np.ndarray:
-    """Nonzero eigenvalues of P M P, thresholded consistently with the rank."""
-    if rank_tol is None:
-        rank_tol = default_rank_tol()
-    lam = _pmp_eigenvalues(plant, proj)
+    lam = np.linalg.eigvalsh(0.5 * (PMP + PMP.T))
     if lam.size == 0 or lam[-1] <= 0.0:
         return np.empty(0)
-    return lam[lam > rank_tol * lam[-1]]
+    return lam[lam > proj.rank_tol * lam[-1]]
 
 
-def optimal_mu(plant: PlantMatrices, proj: ProjectorBundle,
-               rank_tol: float | None = None) -> float:
+def optimal_mu(plant: PlantMatrices, proj: ProjectorBundle) -> float:
     """The geometric mean of the condition-optimal interval [lam_min!=0, lam_max]
     of P M P.
 
@@ -119,7 +141,7 @@ def optimal_mu(plant: PlantMatrices, proj: ProjectorBundle,
     P = 0 there is no admissible direction, Mbar = mu Q with Q = I, and the
     choice is arbitrary; the mean eigenvalue of M is returned with a warning.
     """
-    lam = nonzero_pmp_eigenvalues(plant, proj, rank_tol)
+    lam = nonzero_pmp_eigenvalues(plant, proj)
     if lam.size == 0:
         warnings.warn("P = 0: fully constrained state, mu is arbitrary; "
                       "using the mean eigenvalue of M")
@@ -127,18 +149,17 @@ def optimal_mu(plant: PlantMatrices, proj: ProjectorBundle,
     return float(np.sqrt(lam[0] * lam[-1]))
 
 
-def kinetic_energy(plant: PlantMatrices, proj: ProjectorBundle, mu: float,
-                   qdot, admissibility_tol: float = 1e-8) -> float:
+def kinetic_energy(model: ConstrainedModel, qdot) -> float:
     """Kinetic energy 0.5 q'^T Mbar q'.
 
     For admissible velocities (Q q' = 0) this equals 0.5 q'^T M q' for every
-    mu.  An inadmissible q' is flagged with a warning, not rejected: the two
-    quadratic forms then differ by the mu-weighted normal component.
+    mu.  An inadmissible q' (|Q q'| above 1e-8 (1 + |q'|)) is flagged with a
+    warning, not rejected: the two quadratic forms then differ by the
+    mu-weighted normal component.
     """
     qdot = np.asarray(qdot, dtype=float)
-    model = assemble(plant, proj, mu)
-    perp = np.linalg.norm(proj.Q @ qdot)
-    if perp > admissibility_tol * (1.0 + np.linalg.norm(qdot)):
+    perp = np.linalg.norm(model.proj.Q @ qdot)
+    if perp > 1e-8 * (1.0 + np.linalg.norm(qdot)):
         warnings.warn(f"velocity has a normal component |Q qdot| = {perp:.3e}; "
                       "kinetic energy is mu-dependent here")
     return 0.5 * float(qdot @ model.Mbar @ qdot)

@@ -12,7 +12,7 @@ import pytest
 
 from projdyn import (ConstraintJacobian, PlantMatrices, RegulationGains,
                      Scenario, SetpointRegulator, acceleration, assemble,
-                     build_oblique, build_projectors, catalog,
+                     build_projectors, catalog,
                      constraint_force, double_pendulum, kkt_oracle,
                      nonzero_pmp_eigenvalues, optimal_mu, pdot_fd_check, pendulum, pseudo_inverse, run,
                      singular_configuration, slider_crank, switching_particle)
@@ -152,8 +152,8 @@ def test_criterion_05_kkt_oracle_equivalence():
             plant = system.plant(q, qd)
             model = assemble(plant, proj, optimal_mu(plant, proj))
             f = rng.standard_normal(system.n)
-            qdd = acceleration(plant, proj, model, f, qd)
-            f_c = constraint_force(plant, proj, model, f, qd)
+            qdd = acceleration(model, f, qd)
+            f_c = constraint_force(model, f, qd)
             qdd_o, lam = kkt_oracle(plant, jac, f, qd)
             worst = max(worst,
                         float(np.linalg.norm(qdd - qdd_o)),
@@ -172,8 +172,8 @@ def test_criterion_05_kkt_oracle_equivalence():
         plant = system.plant(q, qd)
         model = assemble(plant, proj, optimal_mu(plant, proj))
         f = rng.standard_normal(4)
-        qdd = acceleration(plant, proj, model, f, qd)
-        f_c = constraint_force(plant, proj, model, f, qd)
+        qdd = acceleration(model, f, qd)
+        f_c = constraint_force(model, f, qd)
         qdd_o, lam = kkt_oracle(plant, jac, f, qd)
         worst = max(worst,
                     float(np.linalg.norm(qdd - qdd_o)),
@@ -200,8 +200,7 @@ def test_criterion_06_oblique_identities():
         plant = PlantMatrices(M=random_spd(rng, n), C=np.zeros((n, n)),
                               f_g=np.zeros(n), B=B)
         model = assemble(plant, proj, float(rng.uniform(0.2, 5.0)))
-        ob = build_oblique(plant, proj, model)
-        R, S, P, Q = ob.R, ob.S, proj.P, proj.Q
+        R, S, P, Q = model.R, model.S, proj.P, proj.Q
         PMP = P @ plant.M @ P
         pmp_pinv, _ = pseudo_inverse(0.5 * (PMP + PMP.T))
         worst = max(worst,
@@ -223,10 +222,9 @@ def test_criterion_06_oblique_identities():
         plant = PlantMatrices(M=random_spd(rng, n), C=np.zeros((n, n)),
                               f_g=np.zeros(n), B=B)
         model = assemble(plant, proj, 1.0)
-        ob = build_oblique(plant, proj, model)
         ortho_worst = max(ortho_worst,
-                           float(np.linalg.norm(ob.R - ob.R.T)),
-                           float(np.linalg.norm(ob.R - proj.P)))
+                           float(np.linalg.norm(model.R - model.R.T)),
+                           float(np.linalg.norm(model.R - proj.P)))
     ok = worst <= 1e-10 and ortho_worst <= 1e-10
     verdict(6, ok, f"max identity residual {worst:.3e}, orthogonal special "
                    f"case {ortho_worst:.3e} (tol 1e-10)")
@@ -292,7 +290,7 @@ def test_criterion_10_pendulum_tension():
         proj = build_projectors(system.jacobian(q, qd))
         plant = system.plant(q, qd)
         model = assemble(plant, proj, optimal_mu(plant, proj))
-        f_c = constraint_force(plant, proj, model, np.zeros(2), qd)
+        f_c = constraint_force(model, np.zeros(2), qd)
         analytic = 9.81 + w ** 2  # m (g + w^2 L)
         worst = max(worst, abs(float(np.linalg.norm(f_c)) - analytic))
     ok = worst <= 1e-8

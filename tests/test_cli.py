@@ -81,6 +81,18 @@ class TestSimulate:
         assert rc == 0
         assert "final position error" in capsys.readouterr().out
 
+    def test_infinite_horizon_is_usage_error(self, capsys):
+        assert main(["simulate", "--system", "pendulum", "--horizon", "inf"]) == 2
+        assert "horizon must be a positive finite number" in capsys.readouterr().err
+
+    def test_scenario_file_text_rank_tol_is_usage_error(self, tmp_path, capsys):
+        spec = {"system": "pendulum", "q0": [0.0, -1.0], "horizon": 0.1, "dt": 0.01,
+                "rank_tol": "1e-8"}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec))
+        assert main(["simulate", "--scenario-file", str(path)]) == 2
+        assert "rank_tol must be None or a positive finite number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("q_star, message", [([0.5], "must have 2 components"),
                                                  ({"x": 0.5}, "list of numbers")])
     def test_scenario_file_malformed_q_star_is_usage_error(self, tmp_path, capsys,
@@ -218,6 +230,11 @@ class TestAnalyze:
                    "--state", "0,1,0,0"])
         assert rc == 0
         assert "rank(A) = 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_grid_points_below_one_is_usage_error(self, capsys, points):
+        assert main(["analyze", "--system", "pendulum", "--grid-points", points]) == 2
+        assert "--grid-points must be at least 1" in capsys.readouterr().err
 
 
 class TestUsage:

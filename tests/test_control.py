@@ -85,7 +85,7 @@ class TestControlForce:
                               f_g=np.zeros(1), B=np.eye(1))
         gains = RegulationGains(Kp=np.eye(1), Kd=np.eye(1), sigma=2.0)
         f, u = control_force(np.array([0.5]), np.array([-1.0]), np.zeros(1),
-                             gains, plant, free_scalar_proj())
+                             gains, assemble(plant, free_scalar_proj(), mu=1.0))
         np.testing.assert_allclose(f, [1.5], atol=1e-14)
         np.testing.assert_allclose(u, [1.5], atol=1e-14)
 
@@ -94,7 +94,7 @@ class TestControlForce:
                               f_g=np.array([-9.81]), B=np.eye(1))
         gains = RegulationGains(Kp=np.eye(1), Kd=np.eye(1), sigma=2.0)
         f, _ = control_force(np.zeros(1), np.zeros(1), np.zeros(1),
-                             gains, plant, free_scalar_proj())
+                             gains, assemble(plant, free_scalar_proj(), mu=1.0))
         np.testing.assert_allclose(f, [9.81], atol=1e-12)
 
     def test_force_lies_in_range_of_b(self):
@@ -108,8 +108,25 @@ class TestControlForce:
         gains = RegulationGains(Kp=np.eye(n), Kd=np.eye(n), sigma=1.5)
         f, u = control_force(rng.standard_normal(n),
                              proj.P @ rng.standard_normal(n),
-                             rng.standard_normal(n), gains, plant, proj)
+                             rng.standard_normal(n), gains, assemble(plant, proj, mu=1.0))
         np.testing.assert_allclose(f, plant.B @ u, atol=1e-12)
+
+    def test_admissibility_cutoff_follows_the_bundle(self):
+        # sigma_min(P B) / sigma_max = 1e-5 lies between the default cutoff
+        # 1e-10 and a bundle's rank_tol = 1e-3: the law runs on the first
+        # bundle and finds P B rank-deficient on the second
+        plant = PlantMatrices(M=np.eye(2), C=np.zeros((2, 2)), f_g=np.zeros(2),
+                              B=np.diag([1.0, 1e-5]))
+        jac = ConstraintJacobian(A=np.zeros((1, 2)), Adot=np.zeros((1, 2)))
+        sv = np.linalg.svd(build_projectors(jac).P @ plant.B, compute_uv=False)
+        assert 1e-10 < sv[-1] / sv[0] < 1e-3
+        gains = RegulationGains(Kp=np.eye(2), Kd=np.eye(2), sigma=1.5)
+        state = (np.ones(2), np.zeros(2), np.zeros(2), gains)
+        control_force(*state, assemble(plant, build_projectors(jac), mu=1.0))
+        coarse = build_projectors(jac, rank_tol=1e-3)
+        assert coarse.rank_tol == 1e-3
+        with pytest.raises(AdmissibilityError):
+            control_force(*state, assemble(plant, coarse, mu=1.0))
 
 
 class TestLyapunov:

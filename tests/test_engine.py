@@ -123,6 +123,14 @@ class TestValidation:
             with pytest.raises(ValueError, match=f"^{name} rows must be ints"):
                 Scenario(system=switching_particle(), q0=np.zeros(2), qdot0=np.zeros(2),
                          horizon=1.0, dt=1e-3, **kw)
+        # run parameters must be positive finite numbers, each named if not
+        for name, value in (("dt", float("nan")), ("dt", -1e-3), ("horizon", float("inf")),
+                            ("horizon", 0.0), ("rank_tol", "1e-8"), ("rank_tol", 0.0),
+                            ("rank_tol", float("nan")), ("rank_tol", float("inf")),
+                            ("rank_tol", True)):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                Scenario(system=pendulum(), q0=np.zeros(2), qdot0=np.zeros(2),
+                         **{"horizon": 1.0, "dt": 1e-3, name: value})
         for mu in (-1.0, 0, "fast", float("nan"), True):
             with pytest.raises(ValueError, match="^mu must be 'auto' or a positive number"):
                 Scenario(system=pendulum(), q0=np.zeros(2), qdot0=np.zeros(2),
@@ -320,13 +328,12 @@ def test_record_equals_a_fresh_evaluation(name):
         f, u = np.zeros(system.n), np.zeros(plant.k)
         V = np.nan
         if reg is not None:
-            f, u = control_force(q, qdot, reg.q_star, reg.gains, plant, proj)
+            f, u = control_force(q, qdot, reg.q_star, reg.gains, model)
             V = lyapunov_value(q, qdot, reg.q_star, reg.gains, model)
         elif sc.force_schedule is not None:
             f = sc.force_schedule(t, q, qdot)
-        np.testing.assert_array_equal(trace.qdd[i], acceleration(plant, proj, model, f, qdot))
-        np.testing.assert_array_equal(trace.f_c[i],
-                                      constraint_force(plant, proj, model, f, qdot))
+        np.testing.assert_array_equal(trace.qdd[i], acceleration(model, f, qdot))
+        np.testing.assert_array_equal(trace.f_c[i], constraint_force(model, f, qdot))
         np.testing.assert_array_equal(trace.f[i], f)
         np.testing.assert_array_equal(trace.u[i], u)
         assert trace.cond_mbar[i] == model.cond

@@ -1,14 +1,13 @@
-"""Force resolution: oblique projectors, accelerations, reactions, DAE oracle."""
+"""Force resolution: oblique projectors, actuation, accelerations, reactions,
+DAE oracle."""
 
 import numpy as np
 import pytest
 
 from projdyn import (AdmissibilityError, ConstraintJacobian, InvalidTargetError,
                      PlantMatrices, acceleration, acceleration_nonminimal,
-                     assemble, build_oblique, build_projectors,
-                     check_admissibility, constraint_force, decompose,
-                     force_split_for_control, kkt_oracle, pseudo_inverse,
-                     resolve_actuation)
+                     assemble, build_projectors, constraint_force, decompose,
+                     force_split_for_control, kkt_oracle, pseudo_inverse)
 
 
 def pendulum_proj(q=(0.0, -1.0), qd=(0.0, 0.0)):
@@ -39,21 +38,28 @@ def random_instance(rng, n=None, m=None, k=None):
     return plant, proj, model
 
 
+def pendulum_model(B=None):
+    return assemble(pendulum_plant(B), pendulum_proj(), mu=1.0)
+
+
 class TestAdmissibility:
     def test_identity_input_map(self):
-        ok, diag = check_admissibility(np.eye(2), pendulum_proj())
-        assert ok and diag == {"rank_PB": 1, "rank_P": 1}
+        model = pendulum_model(np.eye(2))
+        assert model.admissible and model.proj.n - model.proj.rank == 1
+        assert np.linalg.matrix_rank(model.Gamma) == 1
 
     def test_orthogonal_actuator_fails(self):
-        ok, diag = check_admissibility(np.array([0.0, 1.0]), pendulum_proj())
-        assert not ok and diag["rank_PB"] == 0
+        model = pendulum_model(np.array([0.0, 1.0]))
+        assert not model.admissible
+        with pytest.raises(AdmissibilityError, match=r"rank\(P B\) = 0 < rank\(P\) = 1"):
+            model.Gamma
 
     def test_gamma_raises_when_inadmissible(self):
-        plant = pendulum_plant(B=np.array([[0.0], [1.0]]))
-        proj = pendulum_proj()
-        model = assemble(plant, proj, mu=1.0)
+        model = pendulum_model(np.array([[0.0], [1.0]]))
         with pytest.raises(AdmissibilityError):
-            build_oblique(plant, proj, model)
+            model.Gamma
+        with pytest.raises(AdmissibilityError):
+            model.R
 
     def test_nullspace_basis_gives_orthogonal_r(self):
         # B spanning null(A) exactly makes R an orthogonal projector (= P)
@@ -67,9 +73,8 @@ class TestAdmissibility:
             plant = PlantMatrices(M=np.eye(n), C=np.zeros((n, n)),
                                   f_g=np.zeros(n), B=B)
             model = assemble(plant, proj, mu=1.0)
-            ob = build_oblique(plant, proj, model)
-            np.testing.assert_allclose(ob.R, ob.R.T, atol=1e-10)
-            np.testing.assert_allclose(ob.R, proj.P, atol=1e-10)
+            np.testing.assert_allclose(model.R, model.R.T, atol=1e-10)
+            np.testing.assert_allclose(model.R, proj.P, atol=1e-10)
 
 
 class TestObliqueIdentities:
@@ -77,9 +82,8 @@ class TestObliqueIdentities:
         plant = pendulum_plant()
         proj = pendulum_proj()
         model = assemble(plant, proj, mu=1.0)
-        ob = build_oblique(plant, proj, model)
-        np.testing.assert_allclose(ob.S, np.diag([0.0, 1.0]), atol=1e-12)
-        np.testing.assert_allclose(ob.R, proj.P, atol=1e-12)
+        np.testing.assert_allclose(model.S, np.diag([0.0, 1.0]), atol=1e-12)
+        np.testing.assert_allclose(model.R, proj.P, atol=1e-12)
 
     def test_unconstrained_s_vanishes(self):
         rng = np.random.default_rng(4)
@@ -87,8 +91,7 @@ class TestObliqueIdentities:
         proj = build_projectors(ConstraintJacobian(A=np.zeros((1, 3)),
                                                    Adot=np.zeros((1, 3))))
         model = assemble(plant, proj, mu=1.0)
-        ob = build_oblique(plant, proj, model)
-        np.testing.assert_allclose(ob.S, np.zeros((3, 3)), atol=1e-12)
+        np.testing.assert_allclose(model.S, np.zeros((3, 3)), atol=1e-12)
 
     def test_random_identities(self):
         rng = np.random.default_rng(9)
@@ -100,8 +103,7 @@ class TestObliqueIdentities:
             if sv[min(len(sv), proj.n - proj.rank) - 1] < 0.1:
                 continue
             checked += 1
-            ob = build_oblique(plant, proj, model)
-            P, R, S, Q = proj.P, ob.R, ob.S, proj.Q
+            P, R, S, Q = proj.P, model.R, model.S, proj.Q
             scale = 1 + np.linalg.norm(R) ** 2 + np.linalg.norm(S) ** 2
             for name, X in [("R2", R @ R - R), ("PR", P @ R - P),
                             ("RP", R @ P - R), ("S2", S @ S - S),
@@ -125,8 +127,7 @@ class TestAcceleration:
         plant = pendulum_plant()
         proj = pendulum_proj(qd=(w, 0.0))
         model = assemble(plant, proj, mu=1.0)
-        qdd = acceleration(plant, proj, model, np.array([0.0, 9.81]),
-                           np.array([w, 0.0]))
+        qdd = acceleration(model, np.array([0.0, 9.81]), np.array([w, 0.0]))
         # gravity cancelled by the applied force: pure centripetal acceleration
         np.testing.assert_allclose(qdd, [0.0, w ** 2], atol=1e-12)
 
@@ -134,7 +135,7 @@ class TestAcceleration:
         plant = pendulum_plant()
         proj = pendulum_proj()
         model = assemble(plant, proj, mu=1.0)
-        qdd = acceleration(plant, proj, model, np.zeros(2), np.zeros(2))
+        qdd = acceleration(model, np.zeros(2), np.zeros(2))
         np.testing.assert_allclose(qdd, np.zeros(2), atol=1e-12)
 
     def test_unconstrained_newton(self):
@@ -145,7 +146,7 @@ class TestAcceleration:
         model = assemble(plant, proj, mu=1.0)
         f = rng.standard_normal(4)
         qd = rng.standard_normal(4)
-        qdd = acceleration(plant, proj, model, f, qd)
+        qdd = acceleration(model, f, qd)
         expect = np.linalg.solve(plant.M, f + plant.f_g - plant.C @ qd)
         np.testing.assert_allclose(qdd, expect, atol=1e-10)
 
@@ -155,8 +156,8 @@ class TestAcceleration:
             plant, proj, model = random_instance(rng)
             f = rng.standard_normal(proj.n)
             qd = proj.P @ rng.standard_normal(proj.n)
-            a1 = acceleration(plant, proj, model, f, qd)
-            a2 = acceleration_nonminimal(plant, proj, model, f, qd)
+            a1 = acceleration(model, f, qd)
+            a2 = acceleration_nonminimal(model, f, qd)
             assert np.linalg.norm(a1 - a2) / (1 + np.linalg.norm(a1)) < 1e-9
 
 
@@ -167,8 +168,7 @@ class TestConstraintForce:
         plant = pendulum_plant()
         proj = pendulum_proj(qd=(w, 0.0))
         model = assemble(plant, proj, mu=1.0)
-        f_c = constraint_force(plant, proj, model, np.zeros(2),
-                               np.array([w, 0.0]))
+        f_c = constraint_force(model, np.zeros(2), np.array([w, 0.0]))
         np.testing.assert_allclose(f_c, [0.0, 9.81 + w ** 2], atol=1e-10)
 
     def test_reaction_is_normal(self):
@@ -177,7 +177,7 @@ class TestConstraintForce:
             plant, proj, model = random_instance(rng)
             f = rng.standard_normal(proj.n)
             qd = proj.P @ rng.standard_normal(proj.n)
-            f_c = constraint_force(plant, proj, model, f, qd)
+            f_c = constraint_force(model, f, qd)
             assert np.linalg.norm(proj.P @ f_c) / (1 + np.linalg.norm(f_c)) < 1e-9
 
 
@@ -200,8 +200,8 @@ class TestKktOracle:
             f = rng.standard_normal(n)
             qd = proj.P @ rng.standard_normal(n)
             qdd_o, lam = kkt_oracle(plant, jac, f, qd)
-            qdd = acceleration(plant, proj, model, f, qd)
-            f_c = constraint_force(plant, proj, model, f, qd)
+            qdd = acceleration(model, f, qd)
+            f_c = constraint_force(model, f, qd)
             scale = 1 + np.linalg.norm(qdd_o)
             assert np.linalg.norm(qdd - qdd_o) / scale < 1e-8
             assert np.linalg.norm(f_c - (-jac.A.T @ lam)) / scale < 1e-8
@@ -209,17 +209,16 @@ class TestKktOracle:
 
 class TestActuation:
     def test_identity_map(self):
-        proj = pendulum_proj()
-        u, f = resolve_actuation(np.array([3.0, 0.0]), np.eye(2), proj)
-        np.testing.assert_allclose(u, [3.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(f, [3.0, 0.0], atol=1e-12)
+        model = pendulum_model(np.eye(2))
+        f_par = np.array([3.0, 0.0])
+        np.testing.assert_allclose(model.Gamma @ f_par, [3.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(model.R @ f_par, [3.0, 0.0], atol=1e-12)
 
     def test_redundant_columns_split_equally(self):
-        proj = pendulum_proj()
-        B = np.array([[1.0, 1.0], [0.0, 0.0]])
-        u, f = resolve_actuation(np.array([3.0, 0.0]), B, proj)
-        np.testing.assert_allclose(u, [1.5, 1.5], atol=1e-12)
-        np.testing.assert_allclose(f, [3.0, 0.0], atol=1e-12)
+        model = pendulum_model(np.array([[1.0, 1.0], [0.0, 0.0]]))
+        f_par = np.array([3.0, 0.0])
+        np.testing.assert_allclose(model.Gamma @ f_par, [1.5, 1.5], atol=1e-12)
+        np.testing.assert_allclose(model.R @ f_par, [3.0, 0.0], atol=1e-12)
 
     def test_minimum_norm_against_normal_equations(self):
         rng = np.random.default_rng(41)
@@ -228,12 +227,14 @@ class TestActuation:
             A = rng.standard_normal((m, n))
             proj = build_projectors(ConstraintJacobian(A=A, Adot=np.zeros((m, n))))
             B = rng.standard_normal((n, k))
-            ok, _ = check_admissibility(B, proj)
-            if not ok:
+            plant = PlantMatrices(M=np.eye(n), C=np.zeros((n, n)), f_g=np.zeros(n), B=B)
+            model = assemble(plant, proj, mu=1.0)
+            if not model.admissible:
                 continue
             f_par = proj.P @ rng.standard_normal(n)
-            u, f = resolve_actuation(f_par, B, proj)
+            u = model.Gamma @ f_par
             np.testing.assert_allclose(proj.P @ B @ u, f_par, atol=1e-9)
+            np.testing.assert_allclose(model.R @ f_par, B @ u, atol=1e-9)
             # oracle: min-norm u via lstsq on P B u = f_par
             u_star, *_ = np.linalg.lstsq(proj.P @ B, f_par, rcond=None)
             np.testing.assert_allclose(u, u_star, atol=1e-8)
@@ -245,8 +246,8 @@ class TestForceSplit:
         plant, proj, model = random_instance(rng)
         qd = proj.P @ rng.standard_normal(proj.n)
         f_par = proj.P @ rng.standard_normal(proj.n)
-        natural = constraint_force(plant, proj, model, f_par, qd)
-        f_perp = force_split_for_control(f_par, natural, plant, proj, model, qd)
+        natural = constraint_force(model, f_par, qd)
+        f_perp = force_split_for_control(f_par, natural, model, qd)
         assert np.linalg.norm(f_perp) / (1 + np.linalg.norm(natural)) < 1e-9
 
     def test_round_trip(self):
@@ -257,18 +258,15 @@ class TestForceSplit:
             qd = proj.P @ rng.standard_normal(proj.n)
             f_par = proj.P @ rng.standard_normal(proj.n)
             fc_d = proj.Q @ rng.standard_normal(proj.n)
-            f_perp = force_split_for_control(f_par, fc_d, plant, proj, model, qd)
-            realized = constraint_force(plant, proj, model, f_par + f_perp, qd)
+            f_perp = force_split_for_control(f_par, fc_d, model, qd)
+            realized = constraint_force(model, f_par + f_perp, qd)
             scale = 1 + np.linalg.norm(fc_d)
             assert np.linalg.norm(proj.Q @ (realized - fc_d)) / scale < 1e-8
 
     def test_rejects_motion_space_target(self):
-        plant = pendulum_plant()
-        proj = pendulum_proj()
-        model = assemble(plant, proj, mu=1.0)
         with pytest.raises(InvalidTargetError):
             force_split_for_control(np.zeros(2), np.array([1.0, 0.0]),
-                                    plant, proj, model, np.zeros(2))
+                                    pendulum_model(), np.zeros(2))
 
     def test_decompose_consistency(self):
         rng = np.random.default_rng(53)
@@ -277,7 +275,7 @@ class TestForceSplit:
         assert sv[proj.n - proj.rank - 1] > 1e-6
         f = rng.standard_normal(4)
         qd = proj.P @ rng.standard_normal(4)
-        dec = decompose(plant, proj, model, f, qd)
+        dec = decompose(model, f, qd)
         np.testing.assert_allclose(dec.f_par + dec.f_perp, f, atol=1e-10)
         np.testing.assert_allclose(proj.P @ plant.B @ dec.u, dec.f_par,
                                    atol=1e-8)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from projdyn import (ConstraintJacobian, PlantMatrices, assemble,
+from projdyn import (AdmissibilityError, ConstraintJacobian, PlantMatrices, assemble,
                      build_projectors, kinetic_energy, nonzero_pmp_eigenvalues,
-                     optimal_mu)
+                     optimal_mu, pseudo_inverse)
 
 
 def pendulum_proj(q=(0.0, -1.0), qd=(0.0, 0.0)):
@@ -165,23 +165,23 @@ class TestKineticEnergy:
         w = 1.4
         proj = pendulum_proj(qd=(w, 0.0))
         qd = np.array([w, 0.0])
-        values = [kinetic_energy(plant, proj, mu, qd)
+        values = [kinetic_energy(assemble(plant, proj, mu), qd)
                   for mu in (0.1, 1.0, 10.0)]
         np.testing.assert_allclose(values, 0.5 * w ** 2, atol=1e-12)
 
     def test_zero_velocity(self):
-        assert kinetic_energy(pendulum_plant(), pendulum_proj(), 1.0,
+        assert kinetic_energy(assemble(pendulum_plant(), pendulum_proj(), 1.0),
                               np.zeros(2)) == 0.0
 
     def test_inadmissible_velocity_warns(self):
         with pytest.warns(UserWarning):
-            kinetic_energy(pendulum_plant(), pendulum_proj(), 1.0,
+            kinetic_energy(assemble(pendulum_plant(), pendulum_proj(), 1.0),
                            np.array([0.0, 1.0]))
 
 
 def test_lazy_pdot_and_cbar_equal_the_eager_formulas():
-    """Pdot, Cbar, X, S and the spectrum, built on first access, are bit for
-    bit the formulas they replace, also where A has a dependent row."""
+    """Pdot, Cbar, X, S, the spectrum, Gamma and R, built on first access, are
+    bit for bit the formulas they replace, also where A has a dependent row."""
     rng = np.random.default_rng(11)
     for trial in range(60):
         n = int(rng.integers(2, 7))
@@ -205,3 +205,29 @@ def test_lazy_pdot_and_cbar_equal_the_eager_formulas():
         spectrum = np.linalg.eigvalsh(model.Mbar)
         np.testing.assert_array_equal(model.spectrum, spectrum)
         assert model.cond == spectrum[-1] / spectrum[0]
+        Gamma, rank_pb = pseudo_inverse(P @ plant.B)
+        if rank_pb == n - proj.rank:
+            np.testing.assert_array_equal(model.Gamma, Gamma)
+            np.testing.assert_array_equal(model.R, plant.B @ model.Gamma)
+        else:
+            # rank(A) = n: P B is round-off, and the relative cut counts its rank
+            assert proj.rank == n and not model.admissible
+            with pytest.raises(AdmissibilityError):
+                model.Gamma
+
+
+def test_admissible_and_the_actuation_maps_share_one_svd(monkeypatch):
+    """model.admissible, model.Gamma and model.R all come from one SVD of P B."""
+    rng = np.random.default_rng(12)
+    n, m = 4, 2
+    proj = build_projectors(ConstraintJacobian(A=rng.standard_normal((m, n)),
+                                               Adot=rng.standard_normal((m, n))))
+    plant = PlantMatrices(M=np.eye(n), C=np.zeros((n, n)), f_g=np.zeros(n),
+                          B=rng.standard_normal((n, 3)))
+    model = assemble(plant, proj, 1.0)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    assert model.admissible
+    assert model.Gamma.shape == (3, n) and model.R.shape == (n, n)
+    assert len(calls) == 1

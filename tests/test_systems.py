@@ -167,3 +167,18 @@ class TestLoader:
             load_system(bad)
         with pytest.raises(ValueError):
             load_system(dict(PENDULUM_SPEC, mass={"diag": [1, -1]}))
+
+    @pytest.mark.parametrize("field, value", [
+        ("gravity_force", [0, -9.81, 0]),
+        ("gravity_force", -9.81),
+        ("input_map", [[1, 0, 0]]),
+        ("input_map", [1, 0, 0]),
+    ])
+    def test_rejects_misshapen_force_and_input_map(self, field, value):
+        # one entry per coordinate, one input_map row per coordinate
+        with pytest.raises(ValueError, match=f"^{field} must have"):
+            load_system(dict(PENDULUM_SPEC, **{field: value}))
+
+    def test_input_map_column_is_accepted(self):
+        system = load_system(dict(PENDULUM_SPEC, input_map=[1, 0]))
+        assert system.k == 1
