@@ -1,6 +1,7 @@
 """Projection-operator modeling, simulation and control of constrained
 mechanical systems in dependent coordinates."""
 
+from .battery import pdot_fd_check
 from .control import (RegulationGains, SetpointRegulator, control_force,
                       fallback_direction, velocity_direction,
                       lyapunov_value)
@@ -12,8 +13,8 @@ from .errors import (AdmissibilityError, DivergenceError,
 from .forces import (ForceDecomposition, acceleration, acceleration_nonminimal,
                      constraint_force, decompose, force_split_for_control,
                      kkt_oracle)
-from .kernel import (ConstraintJacobian, ProjectorBundle, build_projectors,
-                     default_rank_tol, pdot_fd_check, pseudo_inverse)
+from .kernel import (RANK_TOL, ConstraintJacobian, ProjectorBundle, build_projectors,
+                     pseudo_inverse)
 from .loader import load_system
 from .model import (ConstrainedModel, PlantMatrices, assemble, kinetic_energy,
                     nonzero_pmp_eigenvalues, optimal_mu)

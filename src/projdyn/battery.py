@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import forces
-from .kernel import ConstraintJacobian, build_projectors, pdot_fd_check, pseudo_inverse
+from .kernel import ConstraintJacobian, build_projectors, pseudo_inverse
 from .model import PlantMatrices, assemble, nonzero_pmp_eigenvalues, optimal_mu
 from .systems import catalog, pendulum, double_pendulum
 
@@ -44,6 +44,22 @@ def check_projector_algebra(rng, trials=200):
                     np.linalg.norm(P @ Lam),
                     np.linalg.norm(Lam.T @ P))
     return "projector-algebra", float(worst), 1e-10
+
+
+def pdot_fd_check(jac_at, t: float, h: float) -> float:
+    """Residual between the closed-form Pdot and a central finite difference.
+
+    jac_at(t) must return the ConstraintJacobian along a smooth path.  The
+    caller asserts O(h^2) decay; the rank must not change on [t-h, t+h] for
+    the difference quotient to be meaningful.
+    """
+    if h <= 0:
+        raise ValueError("step h must be positive")
+    plus = build_projectors(jac_at(t + h))
+    minus = build_projectors(jac_at(t - h))
+    center = build_projectors(jac_at(t))
+    fd = (plus.P - minus.P) / (2.0 * h)
+    return float(np.linalg.norm(fd - center.Pdot))
 
 
 def check_pdot_finite_difference(rng, trials=20):

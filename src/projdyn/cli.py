@@ -12,7 +12,7 @@ from . import battery
 from .control import RegulationGains, SetpointRegulator
 from .engine import Scenario, project_to_constraints, run
 from .errors import ProjdynError
-from .kernel import build_projectors
+from .kernel import RANK_TOL, build_projectors
 from .loader import load_system
 from .model import assemble, nonzero_pmp_eigenvalues
 from .systems import catalog, get_system
@@ -38,7 +38,6 @@ def _build_parser():
     sim.add_argument("--sigma", type=float, default=1.5)
     sim.add_argument("--out", help="trace output path")
     sim.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-    sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--rank-tol", type=float, default=None)
 
     chk = sub.add_parser("check", help="run the invariant property battery")
@@ -53,7 +52,7 @@ def _build_parser():
                                      "system's reference configuration)")
     ana.add_argument("--grid-points", type=int, default=61)
     ana.add_argument("--out", help="CSV output of the mu/cond sweep")
-    ana.add_argument("--rank-tol", type=float, default=None)
+    ana.add_argument("--rank-tol", type=float, default=RANK_TOL)
     return parser
 
 
@@ -68,6 +67,14 @@ def _parse_vector(values, n, what):
     if vals.shape != (n,):
         raise ValueError(f"{what} must have {n} components, got {vals.size}")
     return vals
+
+
+def _number(spec, key, default, what=None):
+    """A scenario file's numeric field: a JSON number, as a float."""
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what or key} must be a number, got {value!r}")
+    return float(value)
 
 
 def _rows(values, what):
@@ -107,19 +114,23 @@ def _scenario_from_args(args) -> Scenario:
     if args.scenario_file:
         with open(args.scenario_file) as fh:
             spec = json.load(fh)
+        if not isinstance(spec, dict):
+            raise ValueError(f"a scenario file must hold a JSON object, got {spec!r}")
         system = (get_system(spec["system"]) if isinstance(spec["system"], str)
                   else load_system(spec["system"]))
         controller = None
         if c := spec.get("controller"):
-            controller = _regulator(system, c["q_star"], c.get("kp", 10.0),
-                                    c.get("kd", 10.0), c.get("sigma", 1.5),
-                                    "controller q_star")
+            if not isinstance(c, dict):
+                raise ValueError(f"controller must be a JSON object, got {c!r}")
+            kp, kd, sigma = (_number(c, key, default, f"controller {key}") for key, default
+                             in (("kp", 10.0), ("kd", 10.0), ("sigma", 1.5)))
+            controller = _regulator(system, c["q_star"], kp, kd, sigma, "controller q_star")
         return Scenario(
             system=system,
             q0=_parse_vector(spec["q0"], system.n, "q0"),
             qdot0=_parse_vector(spec.get("qdot0", np.zeros(system.n)), system.n, "qdot0"),
-            horizon=float(spec.get("horizon", 10.0)),
-            dt=float(spec.get("dt", 1e-3)),
+            horizon=_number(spec, "horizon", 10.0),
+            dt=_number(spec, "dt", 1e-3),
             mu=spec.get("mu", "auto"),
             controller=controller,
             events=_events(spec.get("events", [])),

@@ -1,11 +1,11 @@
 """Setpoint regulation of the dependent coordinates.
 
 Control law:  f = -R(q) ( f_g(q) + Kp (e + sigma |e| eta) + Kd q' )
-with e = q - q*, eta the unit vector along q' (a fixed admissible unit
-vector xi when the velocity vanishes), and R = B Gamma the oblique projector
-of the state's ConstrainedModel.  The same inner vector premultiplied by
-Gamma gives the actuator forces directly.  With sigma > 1 the only rest
-point of the closed loop is e = 0.
+with e = q - q*, eta the unit vector along q' (tapered below the speed
+EPS_V; the first nonzero column of P, normalized, at a stalled rest point),
+and R = B Gamma the oblique projector of the state's ConstrainedModel.
+The same inner vector premultiplied by Gamma gives the actuator forces
+directly.  With sigma > 1 the only rest point of the closed loop is e = 0.
 """
 
 from __future__ import annotations
@@ -18,18 +18,17 @@ from .errors import AdmissibilityError
 from .kernel import ProjectorBundle
 from .model import ConstrainedModel
 
+EPS_V = 0.3   # speed below which eta tapers linearly to zero
+
 
 @dataclass(frozen=True)
 class RegulationGains:
     """Gains of the regulation law; Kp, Kd symmetric positive definite,
-    sigma > 1.  xi is the zero-velocity fallback direction (unit vector in
-    the admissible space); None lets the caller derive it from P."""
+    sigma > 1."""
 
     Kp: np.ndarray
     Kd: np.ndarray
     sigma: float
-    xi: np.ndarray | None = None
-    eps_v: float = 0.3
 
     def __post_init__(self):
         Kp = np.atleast_2d(np.asarray(self.Kp, dtype=float))
@@ -43,22 +42,10 @@ class RegulationGains:
             raise ValueError("sigma must exceed 1")
         object.__setattr__(self, "Kp", Kp)
         object.__setattr__(self, "Kd", Kd)
-        if self.xi is not None:
-            xi = np.asarray(self.xi, dtype=float)
-            nrm = np.linalg.norm(xi)
-            if nrm == 0.0:
-                raise ValueError("xi must be a nonzero direction")
-            object.__setattr__(self, "xi", xi / nrm)
 
 
-def fallback_direction(proj: ProjectorBundle, xi=None) -> np.ndarray:
-    """A unit vector in the admissible space: xi re-projected through the
-    current P, or the first nonzero column of P when xi is absent/annihilated."""
-    if xi is not None:
-        v = proj.P @ np.asarray(xi, dtype=float)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-12:
-            return v / nrm
+def fallback_direction(proj: ProjectorBundle) -> np.ndarray:
+    """A unit vector in the admissible space: the first nonzero column of P."""
     for j in range(proj.n):
         col = proj.P[:, j]
         nrm = np.linalg.norm(col)
@@ -67,18 +54,18 @@ def fallback_direction(proj: ProjectorBundle, xi=None) -> np.ndarray:
     raise AdmissibilityError("P = 0: no admissible direction exists")
 
 
-def velocity_direction(qdot, e, proj: ProjectorBundle, gains: RegulationGains) -> np.ndarray:
-    """eta = q'/|q'| above the eps_v threshold, tapered as q'/eps_v below it.
+def velocity_direction(qdot, e, proj: ProjectorBundle) -> np.ndarray:
+    """eta = q'/|q'| above the EPS_V threshold, tapered as q'/EPS_V below it.
 
     The raw unit vector is discontinuous at q' = 0 and, interpreted by any
     convergent integrator, acts as Coulomb friction of magnitude
     sigma |e| |Kp| that exceeds the restoring force (sigma > 1) and freezes
-    the loop short of the target.  Tapering inside |q'| < eps_v keeps the
+    the loop short of the target.  Tapering inside |q'| < EPS_V keeps the
     descent inequality (q'^T eta >= 0 still holds) while restoring smooth
-    convergence.  The constant admissible direction xi takes over only at
-    the stalled rest points it exists to escape: at rest with e != 0 but no
-    motion-space spring force (P e = 0), where the tapered law would sit
-    forever.
+    convergence.  The constant admissible direction of fallback_direction
+    takes over only at the stalled rest points it exists to escape: at rest
+    with e != 0 but no motion-space spring force (P e = 0), where the
+    tapered law would sit forever.
     """
     qdot = np.asarray(qdot, dtype=float)
     e = np.asarray(e, dtype=float)
@@ -86,9 +73,9 @@ def velocity_direction(qdot, e, proj: ProjectorBundle, gains: RegulationGains) -
     if speed <= 1e-15:
         err = np.linalg.norm(e)
         if err > 0.0 and np.linalg.norm(proj.P @ e) <= 1e-9 * (1.0 + err):
-            return fallback_direction(proj, gains.xi)
+            return fallback_direction(proj)
         return np.zeros_like(qdot)
-    return qdot / max(speed, gains.eps_v)
+    return qdot / max(speed, EPS_V)
 
 
 def control_force(q, qdot, q_star, gains: RegulationGains, model: ConstrainedModel):
@@ -100,7 +87,7 @@ def control_force(q, qdot, q_star, gains: RegulationGains, model: ConstrainedMod
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
     e = q - np.asarray(q_star, dtype=float)
-    eta = velocity_direction(qdot, e, model.proj, gains)
+    eta = velocity_direction(qdot, e, model.proj)
     inner = model.plant.f_g + gains.Kp @ (e + gains.sigma * np.linalg.norm(e) * eta) \
         + gains.Kd @ qdot
     u = -(model.Gamma @ inner)

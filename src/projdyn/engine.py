@@ -18,8 +18,8 @@ import numpy as np
 from . import forces
 from .control import SetpointRegulator, control_force, lyapunov_value
 from .errors import DivergenceError, InconsistentStateError
-from .kernel import (ConstraintJacobian, _lazy, build_projectors, configuration_projectors,
-                     default_rank_tol, pseudo_inverse, with_adot)
+from .kernel import (RANK_TOL, ConstraintJacobian, _lazy, build_projectors,
+                     configuration_projectors, pseudo_inverse, with_adot)
 from .model import assemble, optimal_mu
 from .systems import MechanicalSystem
 
@@ -68,6 +68,9 @@ class Scenario:
             raise ValueError("rank_tol must be None or a positive finite number, "
                              f"got {self.rank_tol!r}")
         steps = self.horizon / self.dt
+        if steps == np.inf:
+            raise ValueError(f"horizon {self.horizon:g} over dt {self.dt:g} is not a "
+                             "finite step count")
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(f"horizon {self.horizon:g} is not a multiple of "
                              f"dt {self.dt:g}")
@@ -228,8 +231,7 @@ class _Runner:
         self.active = (tuple(range(self.system.m)) if sc.initial_active is None
                        else tuple(sc.initial_active))
         self.mu_value = None
-        # resolved once per run, not from the environment at every state
-        self.rank_tol = default_rank_tol() if sc.rank_tol is None else sc.rank_tol
+        self.rank_tol = RANK_TOL if sc.rank_tol is None else sc.rank_tol
 
     # --- model evaluation -------------------------------------------------
 

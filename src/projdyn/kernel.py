@@ -14,7 +14,6 @@ switches unremarkable here.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,10 +22,7 @@ import numpy as np
 from .errors import NonFiniteInputError
 
 
-def default_rank_tol() -> float:
-    """Relative singular-value cutoff; overridable via PROJDYN_RANK_TOL."""
-    env = os.environ.get("PROJDYN_RANK_TOL")
-    return float(env) if env else 1e-10
+RANK_TOL = 1e-10   # default relative singular-value cutoff of every rank decision
 
 
 class _lazy:
@@ -65,14 +61,6 @@ class ConstraintJacobian:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "Adot", Adot)
 
-    @property
-    def m(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[1]
-
 
 @dataclass(frozen=True)
 class ProjectorBundle:
@@ -108,15 +96,13 @@ def _identity(n: int) -> np.ndarray:   # built once per n, read-only
     return eye
 
 
-def pseudo_inverse(A, rank_tol: float | None = None):
+def pseudo_inverse(A, rank_tol: float = RANK_TOL):
     """Moore-Penrose pseudo-inverse by rank-truncated SVD.
 
     Returns (A_pinv, r) where r counts the singular values above
     rank_tol * sigma_max.  This is the epsilon -> 0 limit of the Tikhonov
     regularized inverse, realized the numerically standard way.
     """
-    if rank_tol is None:
-        rank_tol = default_rank_tol()
     if not 0 < rank_tol < np.inf:
         raise ValueError(f"rank_tol must be a positive finite number, got {rank_tol!r}")
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -130,7 +116,7 @@ def pseudo_inverse(A, rank_tol: float | None = None):
     return Vt[:r].T @ (U[:, :r] / s[:r]).T, r
 
 
-def configuration_projectors(A, rank_tol: float | None = None) -> ProjectorBundle:
+def configuration_projectors(A, rank_tol: float = RANK_TOL) -> ProjectorBundle:
     """P, Q, pinv(A) and the rank at one configuration, from one SVD of the
     m x n float array A.
 
@@ -138,8 +124,6 @@ def configuration_projectors(A, rank_tol: float | None = None) -> ProjectorBundl
     (P^2 = P, P Lambda = 0, ...) hold to round-off rather than to SVD backward
     error in the asymmetric part.  Lambda and Omega are left None.
     """
-    if rank_tol is None:
-        rank_tol = default_rank_tol()
     Apinv, r = pseudo_inverse(A, rank_tol)
     eye = _identity(Apinv.shape[0])
     P = eye - Apinv @ A
@@ -147,7 +131,7 @@ def configuration_projectors(A, rank_tol: float | None = None) -> ProjectorBundl
     return ProjectorBundle(P, eye - P, None, None, r, rank_tol, Apinv)
 
 
-def build_projectors(jac: ConstraintJacobian, rank_tol: float | None = None) -> ProjectorBundle:
+def build_projectors(jac: ConstraintJacobian, rank_tol: float = RANK_TOL) -> ProjectorBundle:
     """Build P, Q, Lambda and Omega at one state: the configuration part of
     jac.A plus the rates of jac.Adot."""
     return with_adot(configuration_projectors(jac.A, rank_tol), jac.Adot)
@@ -160,18 +144,3 @@ def with_adot(proj: ProjectorBundle, Adot) -> ProjectorBundle:
     return ProjectorBundle(proj.P, proj.Q, Lam, Lam - Lam.T, proj.rank, proj.rank_tol,
                            proj.A_pinv)
 
-
-def pdot_fd_check(jac_at, t: float, h: float, rank_tol: float | None = None) -> float:
-    """Residual between the closed-form Pdot and a central finite difference.
-
-    jac_at(t) must return the ConstraintJacobian along a smooth path.  The
-    caller asserts O(h^2) decay; the rank must not change on [t-h, t+h] for
-    the difference quotient to be meaningful.
-    """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    plus = build_projectors(jac_at(t + h), rank_tol)
-    minus = build_projectors(jac_at(t - h), rank_tol)
-    center = build_projectors(jac_at(t), rank_tol)
-    fd = (plus.P - minus.P) / (2.0 * h)
-    return float(np.linalg.norm(fd - center.Pdot))

@@ -124,11 +124,10 @@ def load_system(source) -> MechanicalSystem:
 
     return MechanicalSystem(
         name=str(spec.get("name", "user-system")),
-        n=n, m=max(m, 1), k=B.shape[1],
+        n=n, m=max(m, 1),
         **_constant_plant(M, np.zeros((n, n)), f_g, B),
         constraint=constraint,
         constraint_rate=constraint_rate,
         residual=residual if m else None,
         potential=potential,
-        notes="loaded from structured definition",
     )

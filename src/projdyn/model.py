@@ -40,10 +40,6 @@ class PlantMatrices:
         object.__setattr__(self, "B", B)
 
     @property
-    def n(self) -> int:
-        return self.M.shape[0]
-
-    @property
     def k(self) -> int:
         return self.B.shape[1]
 

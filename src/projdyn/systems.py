@@ -1,7 +1,8 @@
 """Benchmark mechanical systems in Cartesian (dependent) coordinates.
 
-Every system supplies analytic M, C, f_g, A, Adot, B and, where meaningful,
-the position-level residual Phi and potential energy.  The catalog is chosen
+Every system supplies analytic M, C, f_g, A, B and Adot (constraint_rate is
+a required field) and, where meaningful, the position-level residual Phi
+and potential energy.  The catalog is chosen
 to exercise the hard cases: a kinematic singularity (slider-crank at the
 folded configuration), redundant constraint rows, and a run-time topology
 switch (particle capture).
@@ -9,7 +10,7 @@ switch (particle capture).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,20 +36,18 @@ class MechanicalSystem:
     name: str
     n: int
     m: int
-    k: int
     mass: Callable
     coriolis: Callable
     gravity_force: Callable
     constraint: Callable
+    constraint_rate: Callable
     input_map: Callable
-    constraint_rate: Callable | None = None
     residual: Callable | None = None
     potential: Callable | None = None
     sample_state: Callable | None = None
     default_state: tuple | None = None
     default_initial_active: tuple | None = None   # None = all rows active
     default_events: tuple = ()
-    notes: str = ""
 
     def jacobian(self, q, qdot, active=None) -> ConstraintJacobian:
         """A and Adot at a state, with inactive rows zeroed (fixed dimension):
@@ -64,21 +63,11 @@ class MechanicalSystem:
             np.atleast_2d(np.asarray(self.constraint(q), dtype=float)), active)
 
     def constraint_rate_matrix(self, q, qdot, active=None) -> np.ndarray:
-        """Adot(q, qdot), m x n, with inactive rows zeroed.
-
-        Falls back to a central finite difference of A along qdot when
-        the system omits an analytic Adot.
-        """
+        """Adot(q, qdot), m x n, with inactive rows zeroed."""
         q = np.asarray(q, dtype=float)
         qdot = np.asarray(qdot, dtype=float)
-        if self.constraint_rate is not None:
-            Adot = np.atleast_2d(np.asarray(self.constraint_rate(q, qdot), dtype=float))
-        else:
-            h = 1e-6 * (1.0 + np.linalg.norm(q))
-            Ap = np.atleast_2d(np.asarray(self.constraint(q + h * qdot), dtype=float))
-            Am = np.atleast_2d(np.asarray(self.constraint(q - h * qdot), dtype=float))
-            Adot = (Ap - Am) / (2.0 * h)
-        return self._active_rows(Adot, active)
+        return self._active_rows(
+            np.atleast_2d(np.asarray(self.constraint_rate(q, qdot), dtype=float)), active)
 
     def _active_rows(self, X, active):
         if active is None or tuple(active) == tuple(range(self.m)):
@@ -105,7 +94,7 @@ def pendulum(mass_val=1.0, length=1.0, g=GRAVITY) -> MechanicalSystem:
         return q, qd
 
     return MechanicalSystem(
-        name="pendulum", n=2, m=1, k=2,
+        name="pendulum", n=2, m=1,
         **_constant_plant(mass_val * np.eye(2), np.zeros((2, 2)),
                           [0.0, -mass_val * g], np.eye(2)),
         constraint=lambda q: 2.0 * q[None, :],
@@ -114,7 +103,6 @@ def pendulum(mass_val=1.0, length=1.0, g=GRAVITY) -> MechanicalSystem:
         potential=lambda q: mass_val * g * q[1],
         sample_state=sample,
         default_state=(np.array([length, 0.0]), np.zeros(2)),
-        notes=f"m={mass_val}, L={length}, g={g}",
     )
 
 
@@ -123,7 +111,7 @@ def redundant_pendulum(mass_val=1.0, length=1.0, g=GRAVITY) -> MechanicalSystem:
     base = pendulum(mass_val, length, g)
 
     return MechanicalSystem(
-        name="redundant-pendulum", n=2, m=2, k=2,
+        name="redundant-pendulum", n=2, m=2,
         mass=base.mass, coriolis=base.coriolis, gravity_force=base.gravity_force,
         constraint=lambda q: np.vstack([2.0 * q, 2.0 * q]),
         constraint_rate=lambda q, qd: np.vstack([2.0 * qd, 2.0 * qd]),
@@ -132,7 +120,6 @@ def redundant_pendulum(mass_val=1.0, length=1.0, g=GRAVITY) -> MechanicalSystem:
         potential=base.potential,
         sample_state=base.sample_state,
         default_state=base.default_state,
-        notes=base.notes + ", duplicated constraint row",
     )
 
 
@@ -170,7 +157,7 @@ def double_pendulum(m1=1.0, m2=1.0, l1=1.0, l2=1.0, g=GRAVITY) -> MechanicalSyst
     q0 = np.array([l1, 0.0, l1, -l2])
 
     return MechanicalSystem(
-        name="double-pendulum", n=4, m=2, k=4,
+        name="double-pendulum", n=4, m=2,
         **_constant_plant(np.diag([m1, m1, m2, m2]), np.zeros((4, 4)),
                           [0.0, -m1 * g, 0.0, -m2 * g], np.eye(4)),
         constraint=constraint, constraint_rate=constraint_rate,
@@ -178,7 +165,6 @@ def double_pendulum(m1=1.0, m2=1.0, l1=1.0, l2=1.0, g=GRAVITY) -> MechanicalSyst
         potential=lambda q: g * (m1 * q[1] + m2 * q[3]),
         sample_state=sample,
         default_state=(q0, np.zeros(4)),
-        notes=f"m1={m1}, m2={m2}, L1={l1}, L2={l2}, g={g}",
     )
 
 
@@ -229,7 +215,7 @@ def slider_crank(m1=1.0, m2=1.0, l1=1.0, l2=1.0, g=GRAVITY) -> MechanicalSystem:
         return q, qd
 
     return MechanicalSystem(
-        name="slider-crank", n=4, m=3, k=4,
+        name="slider-crank", n=4, m=3,
         **_constant_plant(np.diag([m1, m1, m2, m2]), np.zeros((4, 4)),
                           [0.0, -m1 * g, 0.0, -m2 * g], np.eye(4)),
         constraint=constraint, constraint_rate=constraint_rate,
@@ -237,7 +223,6 @@ def slider_crank(m1=1.0, m2=1.0, l1=1.0, l2=1.0, g=GRAVITY) -> MechanicalSystem:
         potential=lambda q: g * (m1 * q[1] + m2 * q[3]),
         sample_state=sample,
         default_state=(np.array([l1, 0.0, l1 + l2, 0.0]), np.zeros(4)),
-        notes=f"singular at q = (0, {l1}, 0, 0) when l1 = l2",
     )
 
 
@@ -259,7 +244,7 @@ def switching_particle(mass_val=1.0) -> MechanicalSystem:
         return rng.uniform(-1, 1, size=2), rng.uniform(-1, 1, size=2)
 
     return MechanicalSystem(
-        name="switching-particle", n=2, m=1, k=2,
+        name="switching-particle", n=2, m=1,
         **_constant_plant(mass_val * np.eye(2), np.zeros((2, 2)), np.zeros(2), np.eye(2)),
         constraint=lambda q: np.array([[0.0, 1.0]]),
         constraint_rate=lambda q, qd: np.zeros((1, 2)),
@@ -269,7 +254,6 @@ def switching_particle(mass_val=1.0) -> MechanicalSystem:
         default_state=(np.zeros(2), np.array([1.0, 0.5])),
         default_initial_active=(),
         default_events=((1.0, (0,)),),
-        notes="constraint row activated by the event schedule",
     )
 
 
@@ -309,12 +293,10 @@ def self_test(system: MechanicalSystem, samples=100, rng=None, fd_step=1e-5) -> 
                 - np.asarray(system.mass(q - fd_step * qd), dtype=float)) / (2 * fd_step)
         X = Mdot - 2.0 * C
         worst["skew"] = max(worst["skew"], float(np.linalg.norm(X + X.T)))
-        if system.constraint_rate is not None:
-            jac = system.jacobian(q, qd)
-            Afd = (np.atleast_2d(system.constraint(q + fd_step * qd))
-                   - np.atleast_2d(system.constraint(q - fd_step * qd))) / (2 * fd_step)
-            worst["Adot_fd"] = max(worst["Adot_fd"],
-                                   float(np.linalg.norm(jac.Adot - Afd)))
+        jac = system.jacobian(q, qd)
+        Afd = (np.atleast_2d(system.constraint(q + fd_step * qd))
+               - np.atleast_2d(system.constraint(q - fd_step * qd))) / (2 * fd_step)
+        worst["Adot_fd"] = max(worst["Adot_fd"], float(np.linalg.norm(jac.Adot - Afd)))
     worst["passed"] = (worst["M_asym"] <= 1e-12 and worst["M_min_eig"] > 0.0
                        and worst["skew"] <= 1e-6 and worst["Adot_fd"] <= 1e-6)
     return worst

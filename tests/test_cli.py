@@ -60,7 +60,7 @@ class TestSimulate:
     def test_seed_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["simulate", "--system", "double-pendulum", "--horizon", "0.5",
-                "--dt", "0.001", "--seed", "7"]
+                "--dt", "0.001"]
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -84,6 +84,32 @@ class TestSimulate:
     def test_infinite_horizon_is_usage_error(self, capsys):
         assert main(["simulate", "--system", "pendulum", "--horizon", "inf"]) == 2
         assert "horizon must be a positive finite number" in capsys.readouterr().err
+
+    def test_overflowing_step_count_is_usage_error(self, capsys):
+        assert main(["simulate", "--system", "pendulum", "--horizon", "1e300",
+                     "--dt", "1e-300"]) == 2
+        assert "is not a finite step count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"horizon": None}, "horizon must be a number"),
+        ({"dt": [1]}, "dt must be a number"),
+        ({"controller": {"q_star": [1, 0], "kp": "x"}}, "controller kp must be a number"),
+        ({"controller": {"q_star": [1, 0], "kd": True}}, "controller kd must be a number"),
+        ({"controller": {"q_star": [1, 0], "sigma": None}},
+         "controller sigma must be a number"),
+        ({"controller": [1, 0]}, "controller must be a JSON object"),
+        ([1, 2], "must hold a JSON object"),
+    ], ids=["null-horizon", "list-dt", "text-kp", "bool-kd", "null-sigma",
+            "list-controller", "list-file"])
+    def test_scenario_file_wrong_json_type_is_usage_error(self, tmp_path, capsys,
+                                                          spec, message):
+        if isinstance(spec, dict):
+            spec = {"system": "pendulum", "q0": [1.0, 0.0], "horizon": 0.1,
+                    "dt": 0.01, **spec}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec))
+        assert main(["simulate", "--scenario-file", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_scenario_file_text_rank_tol_is_usage_error(self, tmp_path, capsys):
         spec = {"system": "pendulum", "q0": [0.0, -1.0], "horizon": 0.1, "dt": 0.01,

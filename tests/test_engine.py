@@ -115,6 +115,10 @@ class TestValidation:
             # 3 steps of 0.3 would end the run at 0.9
             Scenario(system=pendulum(), q0=np.zeros(2), qdot0=np.zeros(2),
                      horizon=1.0, dt=0.3)
+        with pytest.raises(ValueError, match=r"^horizon 1e\+300 over dt 1e-300 is not"):
+            # a step count that overflows to infinity
+            Scenario(system=pendulum(), q0=np.zeros(2), qdot0=np.zeros(2),
+                     horizon=1e300, dt=1e-300)
         # active rows must index the system's constraint rows
         for kw, name in (({"initial_active": (5,)}, "initial_active"),
                          ({"initial_active": (-1,)}, "initial_active"),

@@ -181,4 +181,4 @@ class TestLoader:
 
     def test_input_map_column_is_accepted(self):
         system = load_system(dict(PENDULUM_SPEC, input_map=[1, 0]))
-        assert system.k == 1
+        assert system.plant(np.array([1.0, 0.0]), np.zeros(2)).k == 1
