@@ -31,9 +31,32 @@ def _random_jacobian(rng, n=None, m=None):
                               Adot=rng.standard_normal((m, n)))
 
 
-def check_projector_algebra(rng, trials=200):
+def _random_model(rng, proj, B):
+    """Mbar at proj for a random SPD M and then a random mu, with C and f_g
+    zero."""
+    n = proj.n
+    plant = PlantMatrices(M=_random_spd(rng, n), C=np.zeros((n, n)), f_g=np.zeros(n), B=B)
+    return assemble(plant, proj, float(rng.uniform(0.2, 5.0)))
+
+
+def _catalog_states(rng):
+    """Sixty sampled states of each catalog system, each with a random force
+    drawn after the state: yields (jac, model, qd, f), with qd projected onto
+    the constraints and the model at the optimal mu."""
+    for system in catalog():
+        for _ in range(60):
+            q, qd = system.sample_state(rng)
+            f = rng.standard_normal(system.n)
+            jac = system.jacobian(q, qd)
+            proj = build_projectors(jac)
+            qd = proj.P @ qd
+            plant = system.plant(q, qd)
+            yield jac, assemble(plant, proj, optimal_mu(plant, proj)), qd, f
+
+
+def check_projector_algebra(rng):
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(200):
         jac = _random_jacobian(rng)
         proj = build_projectors(jac)
         P, Lam = proj.P, proj.Lambda
@@ -62,9 +85,9 @@ def pdot_fd_check(jac_at, t: float, h: float) -> float:
     return float(np.linalg.norm(fd - center.Pdot))
 
 
-def check_pdot_finite_difference(rng, trials=20):
+def check_pdot_finite_difference(rng):
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(20):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, n))
         A0, A1, A2 = (rng.standard_normal((m, n)) for _ in range(3))
@@ -77,12 +100,13 @@ def check_pdot_finite_difference(rng, trials=20):
     return "pdot-finite-difference", float(worst), 1e-5
 
 
-def check_skew_symmetry(rng, fault=None, h=1e-5, trials=40):
+def check_skew_symmetry(rng, fault=None):
     worst = 0.0
+    h = 1e-5
     # non-unit masses and mu != eig(M) keep Mbar genuinely state-dependent,
     # so a sign error in Cbar cannot hide behind a constant Mbar
     for system in (pendulum(mass_val=1.3), double_pendulum(m1=1.2, m2=0.7)):
-        for _ in range(trials):
+        for _ in range(40):
             q, qd = system.sample_state(rng)
             plant = system.plant(q, qd)
 
@@ -101,48 +125,35 @@ def check_skew_symmetry(rng, fault=None, h=1e-5, trials=40):
     return "mbar-rate-skew-symmetry", worst, 1e-6
 
 
-def check_spectrum_law(rng, trials=100):
+def check_spectrum_law(rng):
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(100):
         n = int(rng.integers(2, 9))
         m = int(rng.integers(1, n))
-        jac = _random_jacobian(rng, n, m)
-        proj = build_projectors(jac)
-        M = _random_spd(rng, n)
-        plant = PlantMatrices(M=M, C=np.zeros((n, n)), f_g=np.zeros(n), B=np.eye(n))
-        mu = float(rng.uniform(0.2, 5.0))
-        spec = assemble(plant, proj, mu).spectrum
-        expected = np.sort(np.concatenate([np.full(proj.rank, mu),
-                                           nonzero_pmp_eigenvalues(plant, proj)]))
-        worst = max(worst, float(np.max(np.abs(np.sort(spec) - expected))))
+        proj = build_projectors(_random_jacobian(rng, n, m))
+        model = _random_model(rng, proj, np.eye(n))
+        expected = np.sort(np.concatenate([np.full(proj.rank, model.mu),
+                                           nonzero_pmp_eigenvalues(model.plant, proj)]))
+        worst = max(worst, float(np.max(np.abs(np.sort(model.spectrum) - expected))))
     return "mbar-spectrum-law", worst, 1e-9
 
 
-def check_oracle_equivalence(rng, trials=60):
+def check_oracle_equivalence(rng):
     worst = 0.0
-    for system in catalog():
-        for _ in range(trials):
-            q, qd = system.sample_state(rng)
-            jac = system.jacobian(q, qd)
-            proj = build_projectors(jac)
-            qd = proj.P @ qd
-            plant = system.plant(q, qd)
-            mu = optimal_mu(plant, proj)
-            model = assemble(plant, proj, mu)
-            f = rng.standard_normal(system.n)
-            qdd = forces.acceleration(model, f, qd)
-            f_c = forces.constraint_force(model, f, qd)
-            qdd_o, lam = forces.kkt_oracle(plant, jac, f, qd)
-            worst = max(worst,
-                        float(np.linalg.norm(qdd - qdd_o)),
-                        float(np.linalg.norm(f_c - (-jac.A.T @ lam))))
+    for jac, model, qd, f in _catalog_states(rng):
+        qdd = forces.acceleration(model, f, qd)
+        f_c = forces.constraint_force(model, f, qd)
+        qdd_o, lam = forces.kkt_oracle(model.plant, jac, f, qd)
+        worst = max(worst,
+                    float(np.linalg.norm(qdd - qdd_o)),
+                    float(np.linalg.norm(f_c - (-jac.A.T @ lam))))
     return "kkt-oracle-equivalence", worst, 1e-8
 
 
-def check_oblique_identities(rng, trials=150):
+def check_oblique_identities(rng):
     worst = 0.0
     done = 0
-    while done < trials:
+    while done < 150:
         n = int(rng.integers(2, 9))
         m = int(rng.integers(1, n))
         jac = _random_jacobian(rng, n, m)
@@ -152,12 +163,9 @@ def check_oblique_identities(rng, trials=150):
         if sv[max(n - proj.rank - 1, 0)] < 0.1:
             continue                     # keep tests away from near-inadmissibility
         done += 1
-        M = _random_spd(rng, n)
-        plant = PlantMatrices(M=M, C=np.zeros((n, n)), f_g=np.zeros(n), B=B)
-        mu = float(rng.uniform(0.2, 5.0))
-        model = assemble(plant, proj, mu)
+        model = _random_model(rng, proj, B)
         R, S, P, Q = model.R, model.S, proj.P, proj.Q
-        PMP = P @ M @ P
+        PMP = P @ model.plant.M @ P
         pmp_pinv, _ = pseudo_inverse(0.5 * (PMP + PMP.T))
         worst = max(worst,
                     np.linalg.norm(R @ R - R), np.linalg.norm(P @ R - P),
@@ -167,19 +175,12 @@ def check_oblique_identities(rng, trials=150):
     return "oblique-identities", float(worst), 1e-10
 
 
-def check_acceleration_routes(rng, trials=60):
+def check_acceleration_routes(rng):
     worst = 0.0
-    for system in catalog():
-        for _ in range(trials):
-            q, qd = system.sample_state(rng)
-            proj = build_projectors(system.jacobian(q, qd))
-            qd = proj.P @ qd
-            plant = system.plant(q, qd)
-            model = assemble(plant, proj, optimal_mu(plant, proj))
-            f = rng.standard_normal(system.n)
-            a1 = forces.acceleration(model, f, qd)
-            a2 = forces.acceleration_nonminimal(model, f, qd)
-            worst = max(worst, float(np.linalg.norm(a1 - a2)))
+    for _, model, qd, f in _catalog_states(rng):
+        a1 = forces.acceleration(model, f, qd)
+        a2 = forces.acceleration_nonminimal(model, f, qd)
+        worst = max(worst, float(np.linalg.norm(a1 - a2)))
     return "acceleration-route-agreement", worst, 1e-9
 
 

@@ -31,8 +31,7 @@ def _build_parser():
     sim.add_argument("--dt", type=float, default=1e-3)
     sim.add_argument("--mu", default="auto",
                      help="virtual mass: positive number or 'auto'")
-    sim.add_argument("--controller", choices=["none", "regulate"], default="none")
-    sim.add_argument("--target", help="comma-separated q* for the regulator")
+    sim.add_argument("--target", help="comma-separated q*: regulate to it")
     sim.add_argument("--kp", type=float, default=10.0)
     sim.add_argument("--kd", type=float, default=10.0)
     sim.add_argument("--sigma", type=float, default=1.5)
@@ -145,9 +144,7 @@ def _scenario_from_args(args) -> Scenario:
     q0, qdot0 = system.default_state
     mu = args.mu if args.mu == "auto" else float(args.mu)
     controller = None
-    if args.controller == "regulate":
-        if not args.target:
-            raise ProjdynError("--controller regulate requires --target")
+    if args.target is not None:
         controller = _regulator(system, args.target, args.kp, args.kd, args.sigma,
                                 "--target")
     return Scenario(

@@ -61,8 +61,12 @@ class Polynomial:
         return Polynomial(terms, self.nvars)
 
 
-def _poly_from_spec(spec, n):
-    return Polynomial([(t["coeff"], t["powers"]) for t in spec["terms"]], n)
+def _poly_from_spec(spec, n, what):
+    try:
+        return Polynomial([(t["coeff"], t["powers"]) for t in spec["terms"]], n)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f'{what} must be {{"terms": [{{"coeff": number, "powers": '
+                         f'[{n} integers]}}, ...]}}, got {spec!r}') from exc
 
 
 def load_system(source) -> MechanicalSystem:
@@ -96,7 +100,10 @@ def load_system(source) -> MechanicalSystem:
     if B.ndim != 2 or B.shape[0] != n:
         raise ValueError(f"input_map must have {n} rows, got shape {B.shape}")
 
-    phis = [_poly_from_spec(c, n) for c in spec.get("constraints", [])]
+    constraints = spec.get("constraints", [])
+    if not isinstance(constraints, list):
+        raise ValueError(f"constraints must be a list of polynomials, got {constraints!r}")
+    phis = [_poly_from_spec(c, n, f"constraints[{i}]") for i, c in enumerate(constraints)]
     m = len(phis)
     grads = [[phi.derivative(j) for j in range(n)] for phi in phis]
     hessians = [[[g.derivative(l) for l in range(n)] for g in row] for row in grads]

@@ -59,7 +59,11 @@ class ConstrainedModel:
     def X(self) -> np.ndarray:
         """Mbar^{-1} P, the state's one solve; it commutes with P and equals
         pinv(P M P)."""
-        return np.linalg.solve(self.Mbar, self.proj.P)
+        try:
+            return np.linalg.solve(self.Mbar, self.proj.P)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"virtual mass mu = {self.mu!r} makes Mbar = P M P + mu Q "
+                             "singular") from exc
 
     @_lazy
     def S(self) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 Every system supplies analytic M, C, f_g, A, B and Adot (constraint_rate is
 a required field) and, where meaningful, the position-level residual Phi
-and potential energy.  The catalog is chosen
-to exercise the hard cases: a kinematic singularity (slider-crank at the
-folded configuration), redundant constraint rows, and a run-time topology
-switch (particle capture).
+and potential energy.  Every link has unit length and gravity is GRAVITY;
+the point masses of the pendulum, the double pendulum and the slider-crank
+are the only keywords.  The catalog is chosen to exercise the hard cases: a
+kinematic singularity (slider-crank at the folded configuration), redundant
+constraint rows, and a run-time topology switch (particle capture).
 """
 
 from __future__ import annotations
@@ -83,146 +84,123 @@ class MechanicalSystem:
                              f_g=self.gravity_force(q), B=self.input_map(q))
 
 
-def pendulum(mass_val=1.0, length=1.0, g=GRAVITY) -> MechanicalSystem:
-    """Point mass on a rigid massless rod, coordinates q = (x, y)."""
+def pendulum(mass_val=1.0) -> MechanicalSystem:
+    """Point mass on a unit rigid massless rod, coordinates q = (x, y)."""
 
     def sample(rng):
         th = rng.uniform(-np.pi, np.pi)
         w = rng.uniform(-2.0, 2.0)
-        q = length * np.array([np.sin(th), -np.cos(th)])
-        qd = w * length * np.array([np.cos(th), np.sin(th)])
+        q = np.array([np.sin(th), -np.cos(th)])
+        qd = w * np.array([np.cos(th), np.sin(th)])
         return q, qd
 
     return MechanicalSystem(
         name="pendulum", n=2, m=1,
         **_constant_plant(mass_val * np.eye(2), np.zeros((2, 2)),
-                          [0.0, -mass_val * g], np.eye(2)),
+                          [0.0, -mass_val * GRAVITY], np.eye(2)),
         constraint=lambda q: 2.0 * q[None, :],
         constraint_rate=lambda q, qd: 2.0 * qd[None, :],
-        residual=lambda q: np.array([q @ q - length ** 2]),
-        potential=lambda q: mass_val * g * q[1],
+        residual=lambda q: np.array([q @ q - 1.0]),
+        potential=lambda q: mass_val * GRAVITY * q[1],
         sample_state=sample,
-        default_state=(np.array([length, 0.0]), np.zeros(2)),
+        default_state=(np.array([1.0, 0.0]), np.zeros(2)),
     )
 
 
-def redundant_pendulum(mass_val=1.0, length=1.0, g=GRAVITY) -> MechanicalSystem:
+def redundant_pendulum() -> MechanicalSystem:
     """Pendulum with its constraint row duplicated: rank(A) = 1 < m = 2."""
-    base = pendulum(mass_val, length, g)
+    base = pendulum()
 
     return MechanicalSystem(
         name="redundant-pendulum", n=2, m=2,
         mass=base.mass, coriolis=base.coriolis, gravity_force=base.gravity_force,
-        constraint=lambda q: np.vstack([2.0 * q, 2.0 * q]),
-        constraint_rate=lambda q, qd: np.vstack([2.0 * qd, 2.0 * qd]),
+        constraint=lambda q: np.array([2.0 * q, 2.0 * q]),
+        constraint_rate=lambda q, qd: np.array([2.0 * qd, 2.0 * qd]),
         input_map=base.input_map,
-        residual=lambda q: np.array([q @ q - length ** 2, q @ q - length ** 2]),
+        residual=lambda q: np.array([q @ q - 1.0, q @ q - 1.0]),
         potential=base.potential,
         sample_state=base.sample_state,
         default_state=base.default_state,
     )
 
 
-def double_pendulum(m1=1.0, m2=1.0, l1=1.0, l2=1.0, g=GRAVITY) -> MechanicalSystem:
-    """Two point masses chained by rigid rods, q = (x1, y1, x2, y2)."""
+def _links(v) -> list:
+    """The rows of two unit links, ground to point 1 and point 1 to point 2,
+    for v = (x1, y1, x2, y2).  They are linear and homogeneous in v: at q
+    they are rows of A, at qdot the same rows of Adot."""
+    x1, y1, x2, y2 = v
+    return [[2 * x1, 2 * y1, 0.0, 0.0],
+            [-2 * (x2 - x1), -2 * (y2 - y1), 2 * (x2 - x1), 2 * (y2 - y1)]]
 
-    def constraint(q):
-        x1, y1, x2, y2 = q
-        return np.array([
-            [2 * x1, 2 * y1, 0.0, 0.0],
-            [-2 * (x2 - x1), -2 * (y2 - y1), 2 * (x2 - x1), 2 * (y2 - y1)],
-        ])
 
-    def constraint_rate(q, qd):
-        dx1, dy1, dx2, dy2 = qd
-        return np.array([
-            [2 * dx1, 2 * dy1, 0.0, 0.0],
-            [-2 * (dx2 - dx1), -2 * (dy2 - dy1), 2 * (dx2 - dx1), 2 * (dy2 - dy1)],
-        ])
+def _link_residuals(q) -> list:
+    """Phi of the two unit links at q = (x1, y1, x2, y2)."""
+    x1, y1, x2, y2 = q
+    return [x1 ** 2 + y1 ** 2 - 1.0, (x2 - x1) ** 2 + (y2 - y1) ** 2 - 1.0]
 
-    def residual(q):
-        x1, y1, x2, y2 = q
-        return np.array([x1 ** 2 + y1 ** 2 - l1 ** 2,
-                         (x2 - x1) ** 2 + (y2 - y1) ** 2 - l2 ** 2])
+
+def _two_links(m1, m2) -> dict:
+    """The constant plant and the potential of point masses m1 and m2 at
+    q = (x1, y1, x2, y2) under gravity."""
+    return dict(**_constant_plant(np.diag([m1, m1, m2, m2]), np.zeros((4, 4)),
+                                  [0.0, -m1 * GRAVITY, 0.0, -m2 * GRAVITY], np.eye(4)),
+                potential=lambda q: GRAVITY * (m1 * q[1] + m2 * q[3]))
+
+
+def double_pendulum(m1=1.0, m2=1.0) -> MechanicalSystem:
+    """Two point masses chained by unit rigid rods, q = (x1, y1, x2, y2)."""
 
     def sample(rng):
         t1, t2 = rng.uniform(-np.pi, np.pi, size=2)
         w1, w2 = rng.uniform(-1.5, 1.5, size=2)
-        p1 = l1 * np.array([np.sin(t1), -np.cos(t1)])
-        p2 = p1 + l2 * np.array([np.sin(t2), -np.cos(t2)])
-        v1 = w1 * l1 * np.array([np.cos(t1), np.sin(t1)])
-        v2 = v1 + w2 * l2 * np.array([np.cos(t2), np.sin(t2)])
+        p1 = np.array([np.sin(t1), -np.cos(t1)])
+        p2 = p1 + np.array([np.sin(t2), -np.cos(t2)])
+        v1 = w1 * np.array([np.cos(t1), np.sin(t1)])
+        v2 = v1 + w2 * np.array([np.cos(t2), np.sin(t2)])
         return np.concatenate([p1, p2]), np.concatenate([v1, v2])
 
-    q0 = np.array([l1, 0.0, l1, -l2])
-
     return MechanicalSystem(
-        name="double-pendulum", n=4, m=2,
-        **_constant_plant(np.diag([m1, m1, m2, m2]), np.zeros((4, 4)),
-                          [0.0, -m1 * g, 0.0, -m2 * g], np.eye(4)),
-        constraint=constraint, constraint_rate=constraint_rate,
-        residual=residual,
-        potential=lambda q: g * (m1 * q[1] + m2 * q[3]),
+        name="double-pendulum", n=4, m=2, **_two_links(m1, m2),
+        constraint=lambda q: np.array(_links(q)),
+        constraint_rate=lambda q, qd: np.array(_links(qd)),
+        residual=lambda q: np.array(_link_residuals(q)),
         sample_state=sample,
-        default_state=(q0, np.zeros(4)),
+        default_state=(np.array([1.0, 0.0, 1.0, -1.0]), np.zeros(4)),
     )
 
 
-def slider_crank(m1=1.0, m2=1.0, l1=1.0, l2=1.0, g=GRAVITY) -> MechanicalSystem:
-    """Planar slider-crank with q = (x1, y1, x2, y2): crank pin and slider.
+def slider_crank(m1=1.0, m2=1.0) -> MechanicalSystem:
+    """Planar slider-crank with q = (x1, y1, x2, y2): crank pin and slider,
+    on a unit crank and a unit rod, the slider held to y2 = 0.
 
-    With l1 = l2 the folded configuration q = (0, l1, 0, 0) drops the
-    constraint rank from 3 to 2 (kinematic singularity).
+    The folded configuration q = (0, 1, 0, 0) drops the constraint rank
+    from 3 to 2 (kinematic singularity).
     """
-
-    def constraint(q):
-        x1, y1, x2, y2 = q
-        return np.array([
-            [2 * x1, 2 * y1, 0.0, 0.0],
-            [-2 * (x2 - x1), -2 * (y2 - y1), 2 * (x2 - x1), 2 * (y2 - y1)],
-            [0.0, 0.0, 0.0, 1.0],
-        ])
-
-    def constraint_rate(q, qd):
-        dx1, dy1, dx2, dy2 = qd
-        return np.array([
-            [2 * dx1, 2 * dy1, 0.0, 0.0],
-            [-2 * (dx2 - dx1), -2 * (dy2 - dy1), 2 * (dx2 - dx1), 2 * (dy2 - dy1)],
-            [0.0, 0.0, 0.0, 0.0],
-        ])
-
-    def residual(q):
-        x1, y1, x2, y2 = q
-        return np.array([x1 ** 2 + y1 ** 2 - l1 ** 2,
-                         (x2 - x1) ** 2 + (y2 - y1) ** 2 - l2 ** 2,
-                         y2])
 
     def sample(rng):
         # crank angles where the slider position is real-valued
         while True:
             th = rng.uniform(-np.pi, np.pi)
-            y1 = l1 * np.sin(th)
-            if abs(y1) < l2 * 0.95:
+            y1 = np.sin(th)
+            if abs(y1) < 0.95:
                 break
-        x1 = l1 * np.cos(th)
-        x2 = x1 + np.sqrt(l2 ** 2 - y1 ** 2)
+        x1 = np.cos(th)
+        x2 = x1 + np.sqrt(1.0 - y1 ** 2)
         q = np.array([x1, y1, x2, 0.0])
         # admissible velocity from the crank rate
         w = rng.uniform(-1.5, 1.5)
-        v1 = w * l1 * np.array([-np.sin(th), np.cos(th)])
-        dx2 = v1[0] - y1 * v1[1] / np.sqrt(l2 ** 2 - y1 ** 2)
+        v1 = w * np.array([-np.sin(th), np.cos(th)])
+        dx2 = v1[0] - y1 * v1[1] / np.sqrt(1.0 - y1 ** 2)
         qd = np.array([v1[0], v1[1], dx2, 0.0])
         return q, qd
 
     return MechanicalSystem(
-        name="slider-crank", n=4, m=3,
-        **_constant_plant(np.diag([m1, m1, m2, m2]), np.zeros((4, 4)),
-                          [0.0, -m1 * g, 0.0, -m2 * g], np.eye(4)),
-        constraint=constraint, constraint_rate=constraint_rate,
-        residual=residual,
-        potential=lambda q: g * (m1 * q[1] + m2 * q[3]),
+        name="slider-crank", n=4, m=3, **_two_links(m1, m2),
+        constraint=lambda q: np.array(_links(q) + [[0.0, 0.0, 0.0, 1.0]]),
+        constraint_rate=lambda q, qd: np.array(_links(qd) + [[0.0, 0.0, 0.0, 0.0]]),
+        residual=lambda q: np.array(_link_residuals(q) + [q[3]]),
         sample_state=sample,
-        default_state=(np.array([l1, 0.0, l1 + l2, 0.0]), np.zeros(4)),
+        default_state=(np.array([1.0, 0.0, 2.0, 0.0]), np.zeros(4)),
     )
 
 
@@ -233,8 +211,9 @@ def singular_configuration(system: MechanicalSystem) -> np.ndarray:
     return np.array([0.0, 1.0, 0.0, 0.0])
 
 
-def switching_particle(mass_val=1.0) -> MechanicalSystem:
-    """Free planar particle that acquires the constraint y = const at t = 1 s.
+def switching_particle() -> MechanicalSystem:
+    """Free unit-mass planar particle that acquires the constraint y = const
+    at t = 1 s.
 
     The constraint row is defined for all time; the event schedule merely
     activates it, so every matrix keeps its dimension through the switch.
@@ -245,7 +224,7 @@ def switching_particle(mass_val=1.0) -> MechanicalSystem:
 
     return MechanicalSystem(
         name="switching-particle", n=2, m=1,
-        **_constant_plant(mass_val * np.eye(2), np.zeros((2, 2)), np.zeros(2), np.eye(2)),
+        **_constant_plant(np.eye(2), np.zeros((2, 2)), np.zeros(2), np.eye(2)),
         constraint=lambda q: np.array([[0.0, 1.0]]),
         constraint_rate=lambda q, qd: np.zeros((1, 2)),
         residual=None,
@@ -270,7 +249,7 @@ def get_system(name: str) -> MechanicalSystem:
                    + ", ".join(s.name for s in catalog()))
 
 
-def self_test(system: MechanicalSystem, samples=100, rng=None, fd_step=1e-5) -> dict:
+def self_test(system: MechanicalSystem, samples=100, rng=None) -> dict:
     """Verify the structural invariants of a system at random reachable states.
 
     Checks M symmetry and positive definiteness, skew-symmetry of
@@ -282,6 +261,7 @@ def self_test(system: MechanicalSystem, samples=100, rng=None, fd_step=1e-5) -> 
     if system.sample_state is None:
         raise ValueError(f"system {system.name!r} has no state sampler")
     worst = {"M_asym": 0.0, "M_min_eig": np.inf, "skew": 0.0, "Adot_fd": 0.0}
+    fd_step = 1e-5
     for _ in range(samples):
         q, qd = system.sample_state(rng)
         M = np.asarray(system.mass(q), dtype=float)

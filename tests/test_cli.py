@@ -52,9 +52,17 @@ class TestSimulate:
 
     def test_regulate_controller(self, capsys):
         rc = main(["simulate", "--system", "pendulum", "--horizon", "2.0",
-                   "--dt", "0.001", "--controller", "regulate",
-                   "--target", "0.84,-0.54"])
+                   "--dt", "0.001", "--target", "0.84,-0.54"])
         assert rc == 0
+        assert "final position error" in capsys.readouterr().out
+
+    def test_target_alone_selects_the_regulator(self, capsys):
+        # the regulator runs exactly when --target is given
+        args = ["simulate", "--system", "double-pendulum", "--horizon", "0.1",
+                "--dt", "0.01"]
+        assert main(args) == 0
+        assert "final position error" not in capsys.readouterr().out
+        assert main(args + ["--target", "0.84,-0.54,1.5,-1"]) == 0
         assert "final position error" in capsys.readouterr().out
 
     def test_seed_determinism(self, tmp_path):
@@ -99,8 +107,10 @@ class TestSimulate:
          "controller sigma must be a number"),
         ({"controller": [1, 0]}, "controller must be a JSON object"),
         ([1, 2], "must hold a JSON object"),
+        ({"system": {"n": 2, "mass": {"diag": [1, 1]}, "constraints": 5}},
+         "constraints must be a list"),
     ], ids=["null-horizon", "list-dt", "text-kp", "bool-kd", "null-sigma",
-            "list-controller", "list-file"])
+            "list-controller", "list-file", "scalar-constraints"])
     def test_scenario_file_wrong_json_type_is_usage_error(self, tmp_path, capsys,
                                                           spec, message):
         if isinstance(spec, dict):
@@ -177,8 +187,7 @@ class TestSimulate:
         a, b = tmp_path / "file.csv", tmp_path / "target.csv"
         assert main(["simulate", "--scenario-file", str(path), "--out", str(a)]) == 0
         assert main(["simulate", "--system", "pendulum", "--horizon", "0.2",
-                     "--dt", "0.01", "--controller", "regulate",
-                     "--target", "1.68,-1.08", "--out", str(b)]) == 0
+                     "--dt", "0.01", "--target", "1.68,-1.08", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_jsonl_format(self, tmp_path):
@@ -206,6 +215,15 @@ class TestSimulate:
         path.write_text(json.dumps(spec))
         assert main(["simulate", "--scenario-file", str(path)]) == 2
         assert "outside the run" in capsys.readouterr().err
+
+    def test_mu_that_makes_mbar_singular_is_named(self, tmp_path, capsys):
+        spec = {"system": "pendulum", "q0": [1, 0], "horizon": 0.1, "dt": 0.01,
+                "mu": 1e-300}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec))
+        assert main(["simulate", "--scenario-file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "mu = 1e-300" in err and "singular" in err
 
     def test_missing_system_is_usage_error(self, capsys):
         assert main(["simulate"]) in (1, 2)

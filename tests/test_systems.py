@@ -179,6 +179,17 @@ class TestLoader:
         with pytest.raises(ValueError, match=f"^{field} must have"):
             load_system(dict(PENDULUM_SPEC, **{field: value}))
 
+    @pytest.mark.parametrize("constraints, field", [
+        (5, r"constraints"),
+        ([{"powers": [2, 0]}], r"constraints\[0\]"),
+        ([PENDULUM_SPEC["constraints"][0], {"terms": [{"coeff": "a", "powers": [2, 0]}]}],
+         r"constraints\[1\]"),
+    ], ids=["scalar", "no-terms", "text-coeff"])
+    def test_rejects_malformed_constraints(self, constraints, field):
+        # the error names the field: the list, or the one constraint at fault
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            load_system(dict(PENDULUM_SPEC, constraints=constraints))
+
     def test_input_map_column_is_accepted(self):
         system = load_system(dict(PENDULUM_SPEC, input_map=[1, 0]))
         assert system.plant(np.array([1.0, 0.0]), np.zeros(2)).k == 1
