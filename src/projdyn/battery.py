@@ -2,18 +2,24 @@
 
 Each check returns (name, max_residual, tolerance); the battery passes when
 every residual is within its tolerance.  All randomness flows from one seed,
-so reports are reproducible.  The optional fault injection flips a sign in
-Cbar before the skew-symmetry check, to prove the harness actually rejects a
-broken model.
+so reports are reproducible.  A check draws its random states one at a time,
+in a fixed order, and then evaluates the states of one shape as one stack;
+each member has the bits it would have alone.  The worst residual keeps NaN,
+so a non-finite residual fails its check.  The optional fault injection
+flips a sign in Cbar before the skew-symmetry check, to prove the harness
+actually rejects a broken model.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from . import forces
-from .kernel import ConstraintJacobian, build_projectors, pseudo_inverse
-from .model import PlantMatrices, assemble, nonzero_pmp_eigenvalues, optimal_mu
+from .kernel import (ConstraintJacobian, _T, build_projectors, configuration_projectors,
+                     pseudo_inverse)
+from .model import PlantMatrices, assemble, optimal_mu, pmp_eigenvalues
 from .systems import catalog, pendulum, double_pendulum
 
 
@@ -31,42 +37,72 @@ def _random_jacobian(rng, n=None, m=None):
                               Adot=rng.standard_normal((m, n)))
 
 
-def _random_model(rng, proj, B):
-    """Mbar at proj for a random SPD M and then a random mu, with C and f_g
-    zero."""
-    n = proj.n
-    plant = PlantMatrices(M=_random_spd(rng, n), C=np.zeros((n, n)), f_g=np.zeros(n), B=B)
-    return assemble(plant, proj, float(rng.uniform(0.2, 5.0)))
+def _random_plant(rng, B):
+    """A random SPD M with C and f_g zero and input map B."""
+    n = len(B)
+    return PlantMatrices(M=_random_spd(rng, n), C=np.zeros((n, n)), f_g=np.zeros(n), B=B)
+
+
+def _stack(items):
+    """One stack of same-shape items: floats, matrices, vectors (stacked as
+    columns), or dataclasses of them, which are stacked field by field."""
+    if dataclasses.is_dataclass(items[0]):
+        cls = type(items[0])
+        return cls(*(_stack([getattr(x, f.name) for x in items])
+                     for f in dataclasses.fields(cls)))
+    stack = np.stack(items)
+    return stack[..., None] if stack.ndim == 2 else stack
+
+
+def _by_shape(draws):
+    """Stack draws, tuples that begin with a ConstraintJacobian, into one
+    tuple of stacks per shape of A."""
+    groups = {}
+    for draw in draws:
+        groups.setdefault(draw[0].A.shape, []).append(draw)
+    return [tuple(map(_stack, zip(*group))) for group in groups.values()]
+
+
+def _norms(X):
+    """The Frobenius norm of each matrix or vector of a stack, bit-equal to
+    np.linalg.norm of each: one dot product per member (norm(axis=...)
+    would sum in another order)."""
+    flat = X.reshape(len(X), -1)
+    return np.sqrt(flat[:, None, :] @ flat[:, :, None])[:, 0, 0]
+
+
+def _worst(residuals):
+    """The largest of the residuals, or NaN if one is NaN (max() drops it)."""
+    return float(np.max(np.concatenate([np.ravel(r) for r in residuals])))
 
 
 def _catalog_states(rng):
     """Sixty sampled states of each catalog system, each with a random force
-    drawn after the state: yields (jac, model, qd, f), with qd projected onto
-    the constraints and the model at the optimal mu."""
+    drawn after the state: yields one stack per system, (jacs, plants, model,
+    qd, f).  qd is projected onto the constraints, the model is at the
+    optimal mu of each state, and jacs and plants are the states' own."""
     for system in catalog():
+        draws = []
         for _ in range(60):
             q, qd = system.sample_state(rng)
-            f = rng.standard_normal(system.n)
-            jac = system.jacobian(q, qd)
-            proj = build_projectors(jac)
-            qd = proj.P @ qd
-            plant = system.plant(q, qd)
-            yield jac, assemble(plant, proj, optimal_mu(plant, proj)), qd, f
+            draws.append((q, qd, rng.standard_normal(system.n)))
+        q, qd, f = (list(x) for x in zip(*draws))
+        jacs = [system.jacobian(*state) for state in zip(q, qd)]
+        proj = build_projectors(_stack(jacs))
+        qd = proj.P @ _stack(qd)
+        plants = [system.plant(q_i, qd_i[:, 0]) for q_i, qd_i in zip(q, qd)]
+        plant = _stack(plants)
+        yield jacs, plants, assemble(plant, proj, optimal_mu(plant, proj)), qd, _stack(f)
 
 
 def check_projector_algebra(rng):
-    worst = 0.0
-    for _ in range(200):
-        jac = _random_jacobian(rng)
+    residuals = []
+    for (jac,) in _by_shape([(_random_jacobian(rng),) for _ in range(200)]):
         proj = build_projectors(jac)
         P, Lam = proj.P, proj.Lambda
-        worst = max(worst,
-                    np.linalg.norm(P @ P - P),
-                    np.linalg.norm(P - P.T),
-                    np.linalg.norm(jac.A @ P),
-                    np.linalg.norm(P @ Lam),
-                    np.linalg.norm(Lam.T @ P))
-    return "projector-algebra", float(worst), 1e-10
+        residuals += [_norms(P @ P - P), _norms(P - _T(P)), _norms(jac.A @ P),
+                      _norms(P @ Lam), _norms(_T(Lam) @ P)]
+    return "projector-algebra", _worst(residuals), 1e-10
 
 
 def pdot_fd_check(jac_at, t: float, h: float) -> float:
@@ -86,7 +122,7 @@ def pdot_fd_check(jac_at, t: float, h: float) -> float:
 
 
 def check_pdot_finite_difference(rng):
-    worst = 0.0
+    residuals = []
     for _ in range(20):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, n))
@@ -96,92 +132,99 @@ def check_pdot_finite_difference(rng):
             return ConstraintJacobian(A=A0 + t * A1 + np.sin(t) * A2,
                                       Adot=A1 + np.cos(t) * A2)
 
-        worst = max(worst, pdot_fd_check(jac_at, 0.3, 1e-4))
-    return "pdot-finite-difference", float(worst), 1e-5
+        residuals.append(pdot_fd_check(jac_at, 0.3, 1e-4))
+    return "pdot-finite-difference", _worst(residuals), 1e-5
 
 
 def check_skew_symmetry(rng, fault=None):
-    worst = 0.0
+    residuals = []
     h = 1e-5
     # non-unit masses and mu != eig(M) keep Mbar genuinely state-dependent,
     # so a sign error in Cbar cannot hide behind a constant Mbar
     for system in (pendulum(mass_val=1.3), double_pendulum(m1=1.2, m2=0.7)):
-        for _ in range(40):
-            q, qd = system.sample_state(rng)
-            plant = system.plant(q, qd)
+        q, qd = map(np.stack, zip(*(system.sample_state(rng) for _ in range(40))))
 
-            def mbar_at(dt_):
-                qq = q + dt_ * qd
-                # first-order state transport is enough for an O(h^2) quotient
-                proj_ = build_projectors(system.jacobian(qq, qd))
-                return assemble(system.plant(qq, qd), proj_, 2.0).Mbar
+        def model_at(qq):
+            states = list(zip(qq, qd))
+            proj = build_projectors(_stack([system.jacobian(*s) for s in states]))
+            return assemble(_stack([system.plant(*s) for s in states]), proj, 2.0)
 
-            proj = build_projectors(system.jacobian(q, qd))
-            Cbar = assemble(plant, proj, 2.0).Cbar
-            if fault == "cbar-sign":
-                Cbar = -Cbar
-            X = (mbar_at(h) - mbar_at(-h)) / (2 * h) - 2.0 * Cbar
-            worst = max(worst, float(np.linalg.norm(X + X.T)))
-    return "mbar-rate-skew-symmetry", worst, 1e-6
+        Cbar = model_at(q).Cbar
+        if fault == "cbar-sign":
+            Cbar = -Cbar
+        # first-order state transport is enough for an O(h^2) quotient
+        X = (model_at(q + h * qd).Mbar - model_at(q - h * qd).Mbar) / (2 * h) - 2.0 * Cbar
+        residuals.append(_norms(X + _T(X)))
+    return "mbar-rate-skew-symmetry", _worst(residuals), 1e-6
 
 
 def check_spectrum_law(rng):
-    worst = 0.0
+    draws = []
     for _ in range(100):
         n = int(rng.integers(2, 9))
         m = int(rng.integers(1, n))
-        proj = build_projectors(_random_jacobian(rng, n, m))
-        model = _random_model(rng, proj, np.eye(n))
-        expected = np.sort(np.concatenate([np.full(proj.rank, model.mu),
-                                           nonzero_pmp_eigenvalues(model.plant, proj)]))
-        worst = max(worst, float(np.max(np.abs(np.sort(model.spectrum) - expected))))
-    return "mbar-spectrum-law", worst, 1e-9
+        jac = _random_jacobian(rng, n, m)
+        draws.append((jac, _random_plant(rng, np.eye(n)), float(rng.uniform(0.2, 5.0))))
+    residuals = []
+    for jac, plant, mu in _by_shape(draws):
+        proj = build_projectors(jac)
+        model = assemble(plant, proj, mu)
+        lam, nonzero = pmp_eigenvalues(plant, proj)
+        # the law: mu rank(A) times, and the nonzero eigenvalues of P M P
+        expected = np.sort(np.where(nonzero, lam, mu[:, None]), axis=-1)
+        residual = np.max(np.abs(np.sort(model.spectrum, axis=-1) - expected), axis=-1)
+        residuals.append(np.where(nonzero.sum(axis=-1) == proj.n - proj.rank,
+                                  residual, np.inf))
+    return "mbar-spectrum-law", _worst(residuals), 1e-9
 
 
 def check_oracle_equivalence(rng):
-    worst = 0.0
-    for jac, model, qd, f in _catalog_states(rng):
+    residuals = []
+    for jacs, plants, model, qd, f in _catalog_states(rng):
         qdd = forces.acceleration(model, f, qd)
         f_c = forces.constraint_force(model, f, qd)
-        qdd_o, lam = forces.kkt_oracle(model.plant, jac, f, qd)
-        worst = max(worst,
-                    float(np.linalg.norm(qdd - qdd_o)),
-                    float(np.linalg.norm(f_c - (-jac.A.T @ lam))))
-    return "kkt-oracle-equivalence", worst, 1e-8
+        # the oracle stays per state: lstsq has no stacked form
+        oracle = [forces.kkt_oracle(*state, f_i[:, 0], qd_i[:, 0])
+                  for *state, f_i, qd_i in zip(plants, jacs, f, qd)]
+        qdd_o = _stack([qdd_i for qdd_i, _ in oracle])
+        f_c_o = _stack([-jac.A.T @ lam for jac, (_, lam) in zip(jacs, oracle)])
+        residuals += [_norms(qdd - qdd_o), _norms(f_c - f_c_o)]
+    return "kkt-oracle-equivalence", _worst(residuals), 1e-8
 
 
 def check_oblique_identities(rng):
-    worst = 0.0
-    done = 0
-    while done < 150:
+    draws = []
+    while len(draws) < 150:
         n = int(rng.integers(2, 9))
         m = int(rng.integers(1, n))
         jac = _random_jacobian(rng, n, m)
-        proj = build_projectors(jac)
+        proj = configuration_projectors(jac.A)
         B = rng.standard_normal((n, n))
+        # the test decides whether the next draw is this state's M: per candidate
         sv = np.linalg.svd(proj.P @ B, compute_uv=False)
         if sv[max(n - proj.rank - 1, 0)] < 0.1:
             continue                     # keep tests away from near-inadmissibility
-        done += 1
-        model = _random_model(rng, proj, B)
+        draws.append((jac, _random_plant(rng, B), float(rng.uniform(0.2, 5.0))))
+    residuals = []
+    for jac, plant, mu in _by_shape(draws):
+        proj = build_projectors(jac)
+        model = assemble(plant, proj, mu)
         R, S, P, Q = model.R, model.S, proj.P, proj.Q
-        PMP = P @ model.plant.M @ P
-        pmp_pinv, _ = pseudo_inverse(0.5 * (PMP + PMP.T))
-        worst = max(worst,
-                    np.linalg.norm(R @ R - R), np.linalg.norm(P @ R - P),
-                    np.linalg.norm(R @ P - R), np.linalg.norm(S @ S - S),
-                    np.linalg.norm(Q @ S - S), np.linalg.norm(S @ Q - Q),
-                    np.linalg.norm(model.X - pmp_pinv))
-    return "oblique-identities", float(worst), 1e-10
+        PMP = P @ plant.M @ P
+        pmp_pinv, _ = pseudo_inverse(0.5 * (PMP + _T(PMP)))
+        residuals += [_norms(R @ R - R), _norms(P @ R - P), _norms(R @ P - R),
+                      _norms(S @ S - S), _norms(Q @ S - S), _norms(S @ Q - Q),
+                      _norms(model.X - pmp_pinv)]
+    return "oblique-identities", _worst(residuals), 1e-10
 
 
 def check_acceleration_routes(rng):
-    worst = 0.0
-    for _, model, qd, f in _catalog_states(rng):
+    residuals = []
+    for _, _, model, qd, f in _catalog_states(rng):
         a1 = forces.acceleration(model, f, qd)
         a2 = forces.acceleration_nonminimal(model, f, qd)
-        worst = max(worst, float(np.linalg.norm(a1 - a2)))
-    return "acceleration-route-agreement", worst, 1e-9
+        residuals.append(_norms(a1 - a2))
+    return "acceleration-route-agreement", _worst(residuals), 1e-9
 
 
 def run_battery(seed=0, fault=None) -> dict:

@@ -139,7 +139,7 @@ def _scenario_from_args(args) -> Scenario:
         )
 
     if not args.system:
-        raise ProjdynError("either --system or --scenario-file is required")
+        raise ValueError("either --system or --scenario-file is required")
     system = get_system(args.system)
     q0, qdot0 = system.default_state
     mu = args.mu if args.mu == "auto" else float(args.mu)

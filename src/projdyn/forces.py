@@ -1,4 +1,5 @@
-"""Accelerations, constraint forces and the force decomposition at one state.
+"""Accelerations, constraint forces and the force decomposition at one state
+(or, for the acceleration and constraint-force routes, at each of a stack).
 
 Sign convention used throughout (it matters): the lumped nonlinear vector is
 
@@ -12,6 +13,7 @@ with S = I - M Mbar^{-1} P the oblique projector whose range is the
 constraint-reaction space.  The constraint force follows without Lagrange
 multipliers as f_c = -S (f + h - M Omega q').  S, and the actuation maps
 Gamma = pinv(P B) and R = B Gamma, live on the ConstrainedModel of the state.
+For a stack of states, forces and velocities are columns, shape (..., n, 1).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidTargetError
+from .kernel import _T
 from .model import ConstrainedModel, PlantMatrices
 
 
@@ -42,7 +45,7 @@ def acceleration(model: ConstrainedModel, f, qdot) -> np.ndarray:
     """q'' = Mbar^{-1} P (f + h) + S^T Omega q'."""
     qdot = np.asarray(qdot, dtype=float)
     return (model.X @ (np.asarray(f, dtype=float) + nonlinear_vector(model.plant, qdot))
-            + model.S.T @ (model.proj.Omega @ qdot))
+            + _T(model.S) @ (model.proj.Omega @ qdot))
 
 
 def acceleration_nonminimal(model: ConstrainedModel, f, qdot) -> np.ndarray:
@@ -93,7 +96,8 @@ def decompose(model: ConstrainedModel, f, qdot) -> ForceDecomposition:
 
 
 def kkt_oracle(plant: PlantMatrices, jac, f, qdot):
-    """Independent ground truth: least-squares solve of the augmented system
+    """Independent ground truth at one state: least-squares solve of the
+    augmented system
 
         [ M  A^T ] [q'']   [ f + f_g - C q' ]
         [ A   0  ] [-lam] = [    -Adot q'    ]

@@ -10,10 +10,18 @@ P onto null(A), its complement Q = I - P, and the rate operators
 All operators keep the fixed dimension n regardless of how many constraint
 rows are active or independent, which is what makes rank drops and topology
 switches unremarkable here.
+
+Every function takes one m x n matrix or a stack of them, shape (..., m, n),
+through the same code: a single matrix is the stack of one, with the same
+bits as each member of a stack.  Only rank changes type, a Python int for one
+matrix and an int array for a stack.  In a stack a vector is a column,
+(..., n, 1), so that M @ v and solve(M, v) keep the form they have for one
+state.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,7 +54,8 @@ class _lazy:
 
 @dataclass(frozen=True)
 class ConstraintJacobian:
-    """Constraint matrix A and its total time derivative Adot, both m x n."""
+    """Constraint matrix A and its total time derivative Adot, both m x n (or
+    stacks of them)."""
 
     A: np.ndarray
     Adot: np.ndarray
@@ -69,24 +78,36 @@ class ProjectorBundle:
     P, Q, rank and pinv(A) depend on q alone (configuration_projectors);
     Lambda and Omega also need qdot and are None until with_adot adds them.
     rank_tol is the relative cutoff the rank was decided with; every later
-    rank decision at this state reads it.
+    rank decision at this state reads it.  For a stack of states every array
+    has the leading batch axes and rank is an int array.
     """
 
     P: np.ndarray
     Q: np.ndarray
     Lambda: np.ndarray
     Omega: np.ndarray
-    rank: int
+    rank: int | np.ndarray
     rank_tol: float
     A_pinv: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.P.shape[0]
+        return self.P.shape[-1]
 
     @_lazy
     def Pdot(self) -> np.ndarray:
-        return self.Lambda @ self.P + self.P @ self.Lambda.T
+        return self.Lambda @ self.P + self.P @ _T(self.Lambda)
+
+
+# The transpose of each matrix of a stack; .mT (numpy 2) costs half of swapaxes.
+_T = (operator.attrgetter("mT") if hasattr(np.ndarray, "mT")
+      else (lambda X: X.swapaxes(-1, -2)))
+
+
+def _per_member(x):
+    """A scalar as it is; an array of one value per member of a stack with two
+    trailing axes, so that it scales each member's matrices."""
+    return x[..., None, None] if isinstance(x, np.ndarray) else x
 
 
 @lru_cache(maxsize=64)
@@ -101,33 +122,37 @@ def pseudo_inverse(A, rank_tol: float = RANK_TOL):
 
     Returns (A_pinv, r) where r counts the singular values above
     rank_tol * sigma_max.  This is the epsilon -> 0 limit of the Tikhonov
-    regularized inverse, realized the numerically standard way.
+    regularized inverse, realized the numerically standard way.  The SVD is
+    not sliced at r: A_pinv = V W^T with W = U / s on the kept singular
+    values and 0 on the cut ones, so every member of a stack has one shape
+    (Golub & Van Loan, Matrix Computations, 2.5).
     """
     if not 0 < rank_tol < np.inf:
         raise ValueError(f"rank_tol must be a positive finite number, got {rank_tol!r}")
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if not np.isfinite(A).all():
         raise NonFiniteInputError("matrix to pseudo-invert must be finite")
-    m, n = A.shape
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    r = int(np.count_nonzero(s > rank_tol * s[0])) if s.size else 0
-    if r == 0:
-        return np.zeros((n, m)), 0
-    return Vt[:r].T @ (U[:, :r] / s[:r]).T, r
+    # s.T[0] is sigma_max: a scalar for one matrix, one per member of a stack
+    keep = (s.T > rank_tol * s.T[0]).T
+    # U / s, not U * (1 / s): the product rounds differently
+    W = np.divide(U, s[..., None, :], out=np.zeros(U.shape), where=keep[..., None, :])
+    r = np.count_nonzero(keep, axis=-1) if keep.ndim > 1 else int(np.count_nonzero(keep))
+    return _T(Vt) @ _T(W), r
 
 
 def configuration_projectors(A, rank_tol: float = RANK_TOL) -> ProjectorBundle:
     """P, Q, pinv(A) and the rank at one configuration, from one SVD of the
-    m x n float array A.
+    m x n float array A (or at each configuration of a stack).
 
     P = I - pinv(A) A is symmetrized explicitly so that downstream identities
     (P^2 = P, P Lambda = 0, ...) hold to round-off rather than to SVD backward
     error in the asymmetric part.  Lambda and Omega are left None.
     """
     Apinv, r = pseudo_inverse(A, rank_tol)
-    eye = _identity(Apinv.shape[0])
+    eye = _identity(Apinv.shape[-2])
     P = eye - Apinv @ A
-    P = 0.5 * (P + P.T)
+    P = 0.5 * (P + _T(P))
     return ProjectorBundle(P, eye - P, None, None, r, rank_tol, Apinv)
 
 
@@ -141,6 +166,6 @@ def with_adot(proj: ProjectorBundle, Adot) -> ProjectorBundle:
     """The bundle of the same A (same q) with another Adot (another velocity):
     only Lambda and Omega are rebuilt, from the stored pinv(A)."""
     Lam = -proj.A_pinv @ Adot
-    return ProjectorBundle(proj.P, proj.Q, Lam, Lam - Lam.T, proj.rank, proj.rank_tol,
+    return ProjectorBundle(proj.P, proj.Q, Lam, Lam - _T(Lam), proj.rank, proj.rank_tol,
                            proj.A_pinv)
 

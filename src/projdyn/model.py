@@ -8,6 +8,9 @@ where Mbar = P M P + mu Q is symmetric positive definite for any mu > 0,
 even when the constraint matrix loses rank.  The scalar mu ("virtual mass")
 never changes the motion; it only moves the mu-eigenvalues of Mbar, so it can
 be picked to minimize the condition number.
+
+Like the kernel, everything here takes one state or a stack of states
+(arrays with leading batch axes) through the same code.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError
-from .kernel import ProjectorBundle, _identity, _lazy, pseudo_inverse
+from .kernel import ProjectorBundle, _T, _identity, _lazy, _per_member, pseudo_inverse
 
 
 @dataclass(frozen=True)
 class PlantMatrices:
-    """Unconstrained plant at one state: M(q), C(q,q'), f_g(q), B(q)."""
+    """Unconstrained plant at one state: M(q), C(q,q'), f_g(q), B(q); or
+    stacks of them, with f_g a column (..., n, 1).  A 1-D B is read as one
+    column only for one state."""
 
     M: np.ndarray
     C: np.ndarray
@@ -41,17 +46,18 @@ class PlantMatrices:
 
     @property
     def k(self) -> int:
-        return self.B.shape[1]
+        return self.B.shape[-1]
 
 
 @dataclass(frozen=True)
 class ConstrainedModel:
     """Mbar at one state.  X = Mbar^{-1} P, S, the spectrum of Mbar, Cbar and
     the actuation maps Gamma and R are built on first access, so a state pays
-    only for what it reads."""
+    only for what it reads.  For a stack of states mu is a float or an array
+    with one value per member."""
 
     Mbar: np.ndarray
-    mu: float
+    mu: float | np.ndarray
     plant: PlantMatrices
     proj: ProjectorBundle
 
@@ -77,21 +83,26 @@ class ConstrainedModel:
         return np.linalg.eigvalsh(self.Mbar)
 
     @_lazy
-    def cond(self) -> float:
-        return float(self.spectrum[-1] / self.spectrum[0])
+    def cond(self) -> float | np.ndarray:
+        cond = self.spectrum.T[-1] / self.spectrum.T[0]
+        return float(cond) if cond.ndim == 0 else cond
 
     @_lazy
     def Cbar(self) -> np.ndarray:
         """Cbar = P C P + P M Pdot - mu Lambda P."""
         P, Lam, plant = self.proj.P, self.proj.Lambda, self.plant
-        return P @ plant.C @ P + P @ plant.M @ self.proj.Pdot - self.mu * (Lam @ P)
+        return (P @ plant.C @ P + P @ plant.M @ self.proj.Pdot
+                - _per_member(self.mu) * (Lam @ P))
 
     @_lazy
     def _pb_pinv(self):
         """(pinv(P B), rank(P B)) from one truncated SVD, cut at the bundle's
         rank_tol; unlike (B^T P B)^{-1} B^T P it stays the minimum-norm map
-        under redundant actuation."""
-        return pseudo_inverse(self.proj.P @ self.plant.B, self.proj.rank_tol)
+        under redundant actuation.  At rank(A) = n, P is 0 up to round-off and
+        there is nothing to actuate, so P B is taken as 0: Gamma = 0 and the
+        state is admissible."""
+        PB = (self.proj.P @ self.plant.B) * _per_member(self.proj.rank < self.proj.n)
+        return pseudo_inverse(PB, self.proj.rank_tol)
 
     @_lazy
     def admissible(self) -> bool:
@@ -101,8 +112,10 @@ class ConstrainedModel:
     @_lazy
     def Gamma(self) -> np.ndarray:
         """Gamma = pinv(P B): u = Gamma f_par is the smallest u with
-        P B u = f_par.  Raises AdmissibilityError unless admissible."""
-        if not self.admissible:
+        P B u = f_par.  Raises AdmissibilityError unless admissible (at every
+        member of a stack)."""
+        ok = self.admissible      # np.all would cost more than the rest on one state
+        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
             raise AdmissibilityError(
                 "range(P B) does not span null(A): rank(P B) = "
                 f"{self._pb_pinv[1]} < rank(P) = {self.proj.n - self.proj.rank}")
@@ -115,22 +128,36 @@ class ConstrainedModel:
         return self.plant.B @ self.Gamma
 
 
-def assemble(plant: PlantMatrices, proj: ProjectorBundle, mu: float) -> ConstrainedModel:
-    """Assemble Mbar = P M P + mu Q."""
-    mu = float(mu)
-    if mu <= 0.0:
+def assemble(plant: PlantMatrices, proj: ProjectorBundle, mu) -> ConstrainedModel:
+    """Assemble Mbar = P M P + mu Q; for a stack, mu is one number or an
+    array of one value per member."""
+    # isinstance, not np.ndim and np.any: those cost more than the rest on one state
+    if isinstance(mu, np.ndarray) and mu.ndim:     # one mu per member of a stack
+        mu = mu.astype(float)
+        bad = (mu <= 0.0).any()
+    else:
+        mu = float(mu)
+        bad = mu <= 0.0
+    if bad:
         raise ValueError("virtual mass mu must be positive")
-    Mbar = proj.P @ plant.M @ proj.P + mu * proj.Q
-    return ConstrainedModel(0.5 * (Mbar + Mbar.T), mu, plant, proj)
+    Mbar = proj.P @ plant.M @ proj.P + _per_member(mu) * proj.Q
+    return ConstrainedModel(0.5 * (Mbar + _T(Mbar)), mu, plant, proj)
+
+
+def pmp_eigenvalues(plant: PlantMatrices, proj: ProjectorBundle):
+    """Eigenvalues of P M P, ascending, and the mask of the nonzero ones: those
+    above the bundle's rank_tol times the largest, cut like the rank.  A
+    largest eigenvalue at or below 0 leaves none."""
+    PMP = proj.P @ plant.M @ proj.P
+    lam = np.linalg.eigvalsh(0.5 * (PMP + _T(PMP)))
+    return lam, (lam.T > proj.rank_tol * lam.T[-1]).T
 
 
 def nonzero_pmp_eigenvalues(plant: PlantMatrices, proj: ProjectorBundle) -> np.ndarray:
-    """Nonzero eigenvalues of P M P, cut at the bundle's rank_tol like the rank."""
-    PMP = proj.P @ plant.M @ proj.P
-    lam = np.linalg.eigvalsh(0.5 * (PMP + PMP.T))
-    if lam.size == 0 or lam[-1] <= 0.0:
-        return np.empty(0)
-    return lam[lam > proj.rank_tol * lam[-1]]
+    """Nonzero eigenvalues of P M P at one state, cut at the bundle's rank_tol
+    like the rank."""
+    lam, nonzero = pmp_eigenvalues(plant, proj)
+    return lam[nonzero]
 
 
 def optimal_mu(plant: PlantMatrices, proj: ProjectorBundle) -> float:
@@ -140,13 +167,18 @@ def optimal_mu(plant: PlantMatrices, proj: ProjectorBundle) -> float:
     Any mu in the interval attains cond(Mbar) = lam_max / lam_min!=0.  When
     P = 0 there is no admissible direction, Mbar = mu Q with Q = I, and the
     choice is arbitrary; the mean eigenvalue of M is returned with a warning.
+    For a stack, one mu per member.
     """
-    lam = nonzero_pmp_eigenvalues(plant, proj)
-    if lam.size == 0:
+    lam, nonzero = pmp_eigenvalues(plant, proj)
+    lam_min = np.min(lam, axis=-1, where=nonzero, initial=np.inf)
+    with np.errstate(invalid="ignore"):   # NaN where P = 0; replaced below
+        mu = np.sqrt(lam_min * lam.T[-1])
+    pinned = ~nonzero.any(axis=-1)
+    if pinned.any():
         warnings.warn("P = 0: fully constrained state, mu is arbitrary; "
                       "using the mean eigenvalue of M")
-        return float(np.mean(np.linalg.eigvalsh(plant.M)))
-    return float(np.sqrt(lam[0] * lam[-1]))
+        mu = np.where(pinned, np.mean(np.linalg.eigvalsh(plant.M), axis=-1), mu)
+    return float(mu) if mu.ndim == 0 else mu
 
 
 def kinetic_energy(model: ConstrainedModel, qdot) -> float:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from projdyn import pendulum
+from projdyn import forces, pendulum
 from projdyn.cli import main
 
 
@@ -226,7 +226,7 @@ class TestSimulate:
         assert "mu = 1e-300" in err and "singular" in err
 
     def test_missing_system_is_usage_error(self, capsys):
-        assert main(["simulate"]) in (1, 2)
+        assert main(["simulate"]) == 2
 
     def test_unknown_system(self, capsys):
         assert main(["simulate", "--system", "teapot"]) == 2
@@ -249,6 +249,17 @@ class TestCheck:
         assert "FAIL" in text
         failing = [l for l in text.splitlines() if l.startswith("FAIL")]
         assert any("skew" in l for l in failing)
+
+    def test_nan_residual_fails_its_check(self, tmp_path, monkeypatch, capsys):
+        """A NaN residual fails its check instead of vanishing into max()."""
+        monkeypatch.setattr(forces, "acceleration",
+                            lambda model, f, qdot: np.full(np.shape(qdot), np.nan))
+        report_path = tmp_path / "report.json"
+        assert main(["check", "--seed", "0", "--report", str(report_path)]) == 1
+        checks = {c["name"]: c for c in json.loads(report_path.read_text())["checks"]}
+        for name in ("acceleration-route-agreement", "kkt-oracle-equivalence"):
+            assert np.isnan(checks[name]["max_residual"]) and not checks[name]["passed"]
+        assert checks["projector-algebra"]["passed"]
 
     def test_seed_reproducible(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

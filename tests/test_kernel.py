@@ -1,13 +1,17 @@
 """Projector construction: examples, Moore-Penrose oracle, rate identities."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from projdyn import (ConstraintJacobian, NonFiniteInputError, ProjectorBundle,
-                     build_projectors, pdot_fd_check, pseudo_inverse)
+from projdyn import (ConstraintJacobian, NonFiniteInputError, PlantMatrices, ProjectorBundle,
+                     acceleration, assemble, build_projectors, constraint_force,
+                     optimal_mu, pdot_fd_check, pseudo_inverse)
+from projdyn.forces import acceleration_nonminimal
 from projdyn.kernel import _lazy
+from projdyn.model import pmp_eigenvalues
 
 
 def mp_residuals(A, Apinv):
@@ -192,3 +196,62 @@ class TestLazyAttribute:
         assert isinstance(ProjectorBundle.Pdot, _lazy)
         monkeypatch.setattr(ProjectorBundle, "Pdot", property(lambda self: "patched"))
         assert build_projectors(jac).Pdot == "patched"
+
+
+def sliced_pinv(A, rank_tol=1e-10):
+    """Reference: the pseudo-inverse from the SVD sliced at the rank."""
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    r = int(np.count_nonzero(s > rank_tol * s[0]))
+    if r == 0:
+        return np.zeros(A.shape[::-1])
+    return Vt[:r].T @ (U[:, :r] / s[:r]).T
+
+
+def test_a_stack_has_the_bits_of_its_members():
+    """Kernel, model and force functions take (..., m, n) stacks, with
+    vectors as (..., n, 1) columns: each member of a stacked call is byte for
+    byte the call on that member alone, for n from 2 to 8, every rank down
+    to 0 and zeroed rows; and one matrix keeps the bits of the SVD sliced at
+    its rank."""
+    rng = np.random.default_rng(21)
+    for n in range(2, 9):
+        for m in sorted({1, n - 1, n, n + 1}):
+            A = []
+            for r in range(min(m, n) + 1):
+                full = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+                zeroed = full.copy()
+                zeroed[rng.integers(m)] = 0.0          # an inactive constraint row
+                A += [full, zeroed]
+            A = np.stack(A)
+            N = len(A)
+            Adot = rng.standard_normal(A.shape)
+            G = rng.standard_normal((N, n, n))
+            M = G @ G.swapaxes(-1, -2) + n * np.eye(n)
+            C, f_g = rng.standard_normal((N, n, n)), rng.standard_normal((N, n))
+            mu = rng.uniform(0.2, 5.0, size=N)
+            f, qdot = rng.standard_normal((N, n)), rng.standard_normal((N, n))
+
+            def outputs(A, Adot, M, C, f_g, mu, f, qdot):
+                Apinv, rank = pseudo_inverse(A)
+                proj = build_projectors(ConstraintJacobian(A=A, Adot=Adot))
+                plant = PlantMatrices(M=M, C=C, f_g=f_g, B=np.eye(n))
+                model = assemble(plant, proj, mu)
+                with warnings.catch_warnings():   # P = 0 at rank n: mu is arbitrary
+                    warnings.simplefilter("ignore", UserWarning)
+                    mu_opt = np.asarray(optimal_mu(plant, proj))
+                return rank, [Apinv, proj.P, proj.Q, proj.Lambda, proj.Omega, proj.Pdot,
+                              *pmp_eigenvalues(plant, proj), mu_opt,
+                              model.Mbar, np.asarray(model.cond), model.X, model.S,
+                              model.Cbar, model.Gamma,
+                              acceleration(model, f, qdot), constraint_force(model, f, qdot),
+                              acceleration_nonminimal(model, f, qdot)]
+
+            ranks, stacked = outputs(A, Adot, M, C, f_g[..., None], mu, f[..., None],
+                                     qdot[..., None])
+            assert ranks.dtype.kind == "i" and ranks.shape == (N,)
+            for i in range(N):
+                rank, alone = outputs(A[i], Adot[i], M[i], C[i], f_g[i], mu[i], f[i], qdot[i])
+                assert type(rank) is int and rank == ranks[i]
+                assert alone[0].tobytes() == sliced_pinv(A[i]).tobytes(), (n, m, i)
+                for k, (x, y) in enumerate(zip(alone, stacked)):
+                    assert x.tobytes() == y[i].tobytes(), (n, m, i, k)
