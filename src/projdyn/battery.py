@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 
 from . import forces
-from .kernel import (ConstraintJacobian, _T, build_projectors, configuration_projectors,
+from .kernel import (ConstraintJacobian, build_projectors, configuration_projectors,
                      pseudo_inverse)
 from .model import PlantMatrices, assemble, optimal_mu, pmp_eigenvalues
 from .systems import catalog, pendulum, double_pendulum
@@ -100,8 +100,8 @@ def check_projector_algebra(rng):
     for (jac,) in _by_shape([(_random_jacobian(rng),) for _ in range(200)]):
         proj = build_projectors(jac)
         P, Lam = proj.P, proj.Lambda
-        residuals += [_norms(P @ P - P), _norms(P - _T(P)), _norms(jac.A @ P),
-                      _norms(P @ Lam), _norms(_T(Lam) @ P)]
+        residuals += [_norms(P @ P - P), _norms(P - P.swapaxes(-1, -2)),
+                      _norms(jac.A @ P), _norms(P @ Lam), _norms(Lam.swapaxes(-1, -2) @ P)]
     return "projector-algebra", _worst(residuals), 1e-10
 
 
@@ -154,7 +154,7 @@ def check_skew_symmetry(rng, fault=None):
             Cbar = -Cbar
         # first-order state transport is enough for an O(h^2) quotient
         X = (model_at(q + h * qd).Mbar - model_at(q - h * qd).Mbar) / (2 * h) - 2.0 * Cbar
-        residuals.append(_norms(X + _T(X)))
+        residuals.append(_norms(X + X.swapaxes(-1, -2)))
     return "mbar-rate-skew-symmetry", _worst(residuals), 1e-6
 
 
@@ -211,7 +211,7 @@ def check_oblique_identities(rng):
         model = assemble(plant, proj, mu)
         R, S, P, Q = model.R, model.S, proj.P, proj.Q
         PMP = P @ plant.M @ P
-        pmp_pinv, _ = pseudo_inverse(0.5 * (PMP + _T(PMP)))
+        pmp_pinv, _ = pseudo_inverse(0.5 * (PMP + PMP.swapaxes(-1, -2)))
         residuals += [_norms(R @ R - R), _norms(P @ R - P), _norms(R @ P - R),
                       _norms(S @ S - S), _norms(Q @ S - S), _norms(S @ Q - Q),
                       _norms(model.X - pmp_pinv)]

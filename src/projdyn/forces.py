@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidTargetError
-from .kernel import _T
 from .model import ConstrainedModel, PlantMatrices
 
 
@@ -45,7 +44,7 @@ def acceleration(model: ConstrainedModel, f, qdot) -> np.ndarray:
     """q'' = Mbar^{-1} P (f + h) + S^T Omega q'."""
     qdot = np.asarray(qdot, dtype=float)
     return (model.X @ (np.asarray(f, dtype=float) + nonlinear_vector(model.plant, qdot))
-            + _T(model.S) @ (model.proj.Omega @ qdot))
+            + model.S.swapaxes(-1, -2) @ (model.proj.Omega @ qdot))
 
 
 def acceleration_nonminimal(model: ConstrainedModel, f, qdot) -> np.ndarray:

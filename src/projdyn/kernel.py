@@ -21,7 +21,6 @@ state.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -96,18 +95,19 @@ class ProjectorBundle:
 
     @_lazy
     def Pdot(self) -> np.ndarray:
-        return self.Lambda @ self.P + self.P @ _T(self.Lambda)
-
-
-# The transpose of each matrix of a stack; .mT (numpy 2) costs half of swapaxes.
-_T = (operator.attrgetter("mT") if hasattr(np.ndarray, "mT")
-      else (lambda X: X.swapaxes(-1, -2)))
+        return self.Lambda @ self.P + self.P @ self.Lambda.swapaxes(-1, -2)
 
 
 def _per_member(x):
     """A scalar as it is; an array of one value per member of a stack with two
     trailing axes, so that it scales each member's matrices."""
     return x[..., None, None] if isinstance(x, np.ndarray) else x
+
+
+def _every(x) -> bool:
+    """A bool as it is; for a stack's bool array, whether every member holds.
+    (np.all would cost more than the rest of a one-state call.)"""
+    return x.all() if isinstance(x, np.ndarray) else x
 
 
 @lru_cache(maxsize=64)
@@ -133,12 +133,13 @@ def pseudo_inverse(A, rank_tol: float = RANK_TOL):
     if not np.isfinite(A).all():
         raise NonFiniteInputError("matrix to pseudo-invert must be finite")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    # s.T[0] is sigma_max: a scalar for one matrix, one per member of a stack
-    keep = (s.T > rank_tol * s.T[0]).T
+    # s.T[0] is sigma_max: a scalar for one matrix, one per member of a stack;
+    # a matrix with no rows or no columns has no singular value to keep
+    keep = (s.T > rank_tol * (s.T[0] if s.shape[-1] else 0.0)).T
     # U / s, not U * (1 / s): the product rounds differently
     W = np.divide(U, s[..., None, :], out=np.zeros(U.shape), where=keep[..., None, :])
     r = np.count_nonzero(keep, axis=-1) if keep.ndim > 1 else int(np.count_nonzero(keep))
-    return _T(Vt) @ _T(W), r
+    return Vt.swapaxes(-1, -2) @ W.swapaxes(-1, -2), r
 
 
 def configuration_projectors(A, rank_tol: float = RANK_TOL) -> ProjectorBundle:
@@ -152,7 +153,7 @@ def configuration_projectors(A, rank_tol: float = RANK_TOL) -> ProjectorBundle:
     Apinv, r = pseudo_inverse(A, rank_tol)
     eye = _identity(Apinv.shape[-2])
     P = eye - Apinv @ A
-    P = 0.5 * (P + _T(P))
+    P = 0.5 * (P + P.swapaxes(-1, -2))
     return ProjectorBundle(P, eye - P, None, None, r, rank_tol, Apinv)
 
 
@@ -166,6 +167,6 @@ def with_adot(proj: ProjectorBundle, Adot) -> ProjectorBundle:
     """The bundle of the same A (same q) with another Adot (another velocity):
     only Lambda and Omega are rebuilt, from the stored pinv(A)."""
     Lam = -proj.A_pinv @ Adot
-    return ProjectorBundle(proj.P, proj.Q, Lam, Lam - _T(Lam), proj.rank, proj.rank_tol,
-                           proj.A_pinv)
+    return ProjectorBundle(proj.P, proj.Q, Lam, Lam - Lam.swapaxes(-1, -2), proj.rank,
+                           proj.rank_tol, proj.A_pinv)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError
-from .kernel import ProjectorBundle, _T, _identity, _lazy, _per_member, pseudo_inverse
+from .kernel import ProjectorBundle, _every, _identity, _lazy, _per_member, pseudo_inverse
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,10 @@ class ConstrainedModel:
         under redundant actuation.  At rank(A) = n, P is 0 up to round-off and
         there is nothing to actuate, so P B is taken as 0: Gamma = 0 and the
         state is admissible."""
-        PB = (self.proj.P @ self.plant.B) * _per_member(self.proj.rank < self.proj.n)
+        PB = self.proj.P @ self.plant.B
+        actuable = self.proj.rank < self.proj.n     # P != 0
+        if not _every(actuable):
+            PB = PB * _per_member(actuable)
         return pseudo_inverse(PB, self.proj.rank_tol)
 
     @_lazy
@@ -114,8 +117,7 @@ class ConstrainedModel:
         """Gamma = pinv(P B): u = Gamma f_par is the smallest u with
         P B u = f_par.  Raises AdmissibilityError unless admissible (at every
         member of a stack)."""
-        ok = self.admissible      # np.all would cost more than the rest on one state
-        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        if not _every(self.admissible):
             raise AdmissibilityError(
                 "range(P B) does not span null(A): rank(P B) = "
                 f"{self._pb_pinv[1]} < rank(P) = {self.proj.n - self.proj.rank}")
@@ -141,7 +143,7 @@ def assemble(plant: PlantMatrices, proj: ProjectorBundle, mu) -> ConstrainedMode
     if bad:
         raise ValueError("virtual mass mu must be positive")
     Mbar = proj.P @ plant.M @ proj.P + _per_member(mu) * proj.Q
-    return ConstrainedModel(0.5 * (Mbar + _T(Mbar)), mu, plant, proj)
+    return ConstrainedModel(0.5 * (Mbar + Mbar.swapaxes(-1, -2)), mu, plant, proj)
 
 
 def pmp_eigenvalues(plant: PlantMatrices, proj: ProjectorBundle):
@@ -149,7 +151,7 @@ def pmp_eigenvalues(plant: PlantMatrices, proj: ProjectorBundle):
     above the bundle's rank_tol times the largest, cut like the rank.  A
     largest eigenvalue at or below 0 leaves none."""
     PMP = proj.P @ plant.M @ proj.P
-    lam = np.linalg.eigvalsh(0.5 * (PMP + _T(PMP)))
+    lam = np.linalg.eigvalsh(0.5 * (PMP + PMP.swapaxes(-1, -2)))
     return lam, (lam.T > proj.rank_tol * lam.T[-1]).T
 
 

@@ -255,3 +255,14 @@ def test_a_stack_has_the_bits_of_its_members():
                 assert alone[0].tobytes() == sliced_pinv(A[i]).tobytes(), (n, m, i)
                 for k, (x, y) in enumerate(zip(alone, stacked)):
                     assert x.tobytes() == y[i].tobytes(), (n, m, i, k)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (2, 0, 3), (2, 3, 0)],
+                         ids=["no-rows", "no-columns", "stack-no-rows", "stack-no-columns"])
+def test_a_matrix_without_rows_or_columns_has_rank_zero(shape):
+    """No singular value to keep: the pseudo-inverse is the zero matrix of
+    the transposed shape, and the rank is 0 (per member of a stack)."""
+    Apinv, rank = pseudo_inverse(np.zeros(shape))
+    assert Apinv.shape == shape[:-2] + shape[-2:][::-1] and not Apinv.any()
+    assert np.array_equal(rank, np.zeros(shape[:-2], dtype=int))
+    assert (type(rank) is int) == (len(shape) == 2)

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from projdyn import (build_projectors, catalog, double_pendulum, get_system,
-                     load_system, pendulum, redundant_pendulum, self_test,
-                     singular_configuration, slider_crank, switching_particle)
+from projdyn import (AdmissibilityError, assemble, build_projectors, catalog,
+                     double_pendulum, get_system, load_system, pendulum, redundant_pendulum,
+                     self_test, singular_configuration, slider_crank, switching_particle)
 
 
 class TestCatalog:
@@ -193,3 +193,12 @@ class TestLoader:
     def test_input_map_column_is_accepted(self):
         system = load_system(dict(PENDULUM_SPEC, input_map=[1, 0]))
         assert system.plant(np.array([1.0, 0.0]), np.zeros(2)).k == 1
+
+    def test_input_map_without_columns_cannot_actuate(self):
+        # a map with no inputs loads, and reading Gamma raises the domain error
+        system = load_system(dict(PENDULUM_SPEC, input_map=[[], []]))
+        q, qdot = np.array([1.0, 0.0]), np.zeros(2)
+        model = assemble(system.plant(q, qdot), build_projectors(system.jacobian(q, qdot)), 1.0)
+        assert not model.admissible
+        with pytest.raises(AdmissibilityError, match="rank\\(P B\\) = 0"):
+            model.Gamma
