@@ -13,7 +13,7 @@ from .control import RegulationGains, SetpointRegulator
 from .engine import Scenario, project_to_constraints, run
 from .errors import ProjdynError
 from .kernel import RANK_TOL, build_projectors
-from .loader import load_system
+from .loader import _required, load_system
 from .model import assemble, nonzero_pmp_eigenvalues
 from .systems import catalog, get_system
 
@@ -32,9 +32,9 @@ def _build_parser():
     sim.add_argument("--mu", default="auto",
                      help="virtual mass: positive number or 'auto'")
     sim.add_argument("--target", help="comma-separated q*: regulate to it")
-    sim.add_argument("--kp", type=float, default=10.0)
-    sim.add_argument("--kd", type=float, default=10.0)
-    sim.add_argument("--sigma", type=float, default=1.5)
+    sim.add_argument("--kp", type=float, help="default 10, needs --target")
+    sim.add_argument("--kd", type=float, help="default 10, needs --target")
+    sim.add_argument("--sigma", type=float, help="default 1.5, needs --target")
     sim.add_argument("--out", help="trace output path")
     sim.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     sim.add_argument("--rank-tol", type=float, default=None)
@@ -53,6 +53,10 @@ def _build_parser():
     ana.add_argument("--out", help="CSV output of the mu/cond sweep")
     ana.add_argument("--rank-tol", type=float, default=RANK_TOL)
     return parser
+
+
+# the regulator's gains when neither the scenario file nor the flags set them
+_GAINS = {"kp": 10.0, "kd": 10.0, "sigma": 1.5}
 
 
 def _parse_vector(values, n, what):
@@ -115,18 +119,19 @@ def _scenario_from_args(args) -> Scenario:
             spec = json.load(fh)
         if not isinstance(spec, dict):
             raise ValueError(f"a scenario file must hold a JSON object, got {spec!r}")
-        system = (get_system(spec["system"]) if isinstance(spec["system"], str)
-                  else load_system(spec["system"]))
+        system = _required(spec, "system", "a scenario file")
+        system = get_system(system) if isinstance(system, str) else load_system(system)
         controller = None
         if c := spec.get("controller"):
             if not isinstance(c, dict):
                 raise ValueError(f"controller must be a JSON object, got {c!r}")
-            kp, kd, sigma = (_number(c, key, default, f"controller {key}") for key, default
-                             in (("kp", 10.0), ("kd", 10.0), ("sigma", 1.5)))
-            controller = _regulator(system, c["q_star"], kp, kd, sigma, "controller q_star")
+            kp, kd, sigma = (_number(c, key, default, f"controller {key}")
+                             for key, default in _GAINS.items())
+            controller = _regulator(system, _required(c, "q_star", "controller"),
+                                    kp, kd, sigma, "controller q_star")
         return Scenario(
             system=system,
-            q0=_parse_vector(spec["q0"], system.n, "q0"),
+            q0=_parse_vector(_required(spec, "q0", "a scenario file"), system.n, "q0"),
             qdot0=_parse_vector(spec.get("qdot0", np.zeros(system.n)), system.n, "qdot0"),
             horizon=_number(spec, "horizon", 10.0),
             dt=_number(spec, "dt", 1e-3),
@@ -140,13 +145,17 @@ def _scenario_from_args(args) -> Scenario:
 
     if not args.system:
         raise ValueError("either --system or --scenario-file is required")
+    gains = {"kp": args.kp, "kd": args.kd, "sigma": args.sigma}
+    given = [f"--{key}" for key, v in gains.items() if v is not None]
+    if given and args.target is None:
+        raise ValueError(f"{', '.join(given)} set the regulator's gains and need --target")
     system = get_system(args.system)
     q0, qdot0 = system.default_state
     mu = args.mu if args.mu == "auto" else float(args.mu)
     controller = None
     if args.target is not None:
-        controller = _regulator(system, args.target, args.kp, args.kd, args.sigma,
-                                "--target")
+        kp, kd, sigma = (_GAINS[key] if v is None else v for key, v in gains.items())
+        controller = _regulator(system, args.target, kp, kd, sigma, "--target")
     return Scenario(
         system=system, q0=q0, qdot0=qdot0, horizon=args.horizon, dt=args.dt,
         mu=mu, controller=controller,

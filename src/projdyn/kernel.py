@@ -51,6 +51,14 @@ class _lazy:
         return value
 
 
+def _float_array(x) -> np.ndarray:
+    """x as a float array with at least two axes; a float ndarray that has
+    them already is returned as it is, not converted again."""
+    if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim > 1:
+        return x
+    return np.atleast_2d(np.asarray(x, dtype=float))
+
+
 @dataclass(frozen=True)
 class ConstraintJacobian:
     """Constraint matrix A and its total time derivative Adot, both m x n (or
@@ -60,8 +68,7 @@ class ConstraintJacobian:
     Adot: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        Adot = np.atleast_2d(np.asarray(self.Adot, dtype=float))
+        A, Adot = _float_array(self.A), _float_array(self.Adot)
         if A.shape != Adot.shape:
             raise ValueError(f"A {A.shape} and Adot {Adot.shape} differ in shape")
         if not (np.isfinite(A).all() and np.isfinite(Adot).all()):
@@ -117,6 +124,19 @@ def _identity(n: int) -> np.ndarray:   # built once per n, read-only
     return eye
 
 
+def _check_rank_tol(rank_tol):
+    if not 0 < rank_tol < np.inf:
+        raise ValueError(f"rank_tol must be a positive finite number, got {rank_tol!r}")
+
+
+def _checked(A) -> np.ndarray:
+    """A as a float array (..., m, n), checked finite."""
+    A = _float_array(A)
+    if not np.isfinite(A).all():
+        raise NonFiniteInputError("matrix to pseudo-invert must be finite")
+    return A
+
+
 def pseudo_inverse(A, rank_tol: float = RANK_TOL):
     """Moore-Penrose pseudo-inverse by rank-truncated SVD.
 
@@ -127,46 +147,62 @@ def pseudo_inverse(A, rank_tol: float = RANK_TOL):
     values and 0 on the cut ones, so every member of a stack has one shape
     (Golub & Van Loan, Matrix Computations, 2.5).
     """
-    if not 0 < rank_tol < np.inf:
-        raise ValueError(f"rank_tol must be a positive finite number, got {rank_tol!r}")
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if not np.isfinite(A).all():
-        raise NonFiniteInputError("matrix to pseudo-invert must be finite")
+    _check_rank_tol(rank_tol)
+    return _pinv(_checked(A), rank_tol)
+
+
+def _pinv(A, rank_tol):
+    """pseudo_inverse of a float array (..., m, n) that its caller has
+    checked finite, at a checked rank_tol."""
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    # s.T[0] is sigma_max: a scalar for one matrix, one per member of a stack;
-    # a matrix with no rows or no columns has no singular value to keep
-    keep = (s.T > rank_tol * (s.T[0] if s.shape[-1] else 0.0)).T
+    # s[..., :1] is sigma_max, empty where a matrix has no rows or no columns
+    keep = s > rank_tol * s[..., :1]
     # U / s, not U * (1 / s): the product rounds differently
     W = np.divide(U, s[..., None, :], out=np.zeros(U.shape), where=keep[..., None, :])
     r = np.count_nonzero(keep, axis=-1) if keep.ndim > 1 else int(np.count_nonzero(keep))
     return Vt.swapaxes(-1, -2) @ W.swapaxes(-1, -2), r
 
 
-def configuration_projectors(A, rank_tol: float = RANK_TOL) -> ProjectorBundle:
-    """P, Q, pinv(A) and the rank at one configuration, from one SVD of the
-    m x n float array A (or at each configuration of a stack).
+def _configuration(A, rank_tol):
+    """pinv(A), its rank, P and Q of a checked float array A at a checked
+    rank_tol, from one SVD.
 
     P = I - pinv(A) A is symmetrized explicitly so that downstream identities
     (P^2 = P, P Lambda = 0, ...) hold to round-off rather than to SVD backward
-    error in the asymmetric part.  Lambda and Omega are left None.
+    error in the asymmetric part.
     """
-    Apinv, r = pseudo_inverse(A, rank_tol)
+    Apinv, r = _pinv(A, rank_tol)
     eye = _identity(Apinv.shape[-2])
     P = eye - Apinv @ A
     P = 0.5 * (P + P.swapaxes(-1, -2))
-    return ProjectorBundle(P, eye - P, None, None, r, rank_tol, Apinv)
+    return Apinv, r, P, eye - P
+
+
+def configuration_projectors(A, rank_tol: float = RANK_TOL) -> ProjectorBundle:
+    """P, Q, pinv(A) and the rank at one configuration, from one SVD of the
+    m x n array A (or at each configuration of a stack).  Lambda and Omega
+    are left None."""
+    _check_rank_tol(rank_tol)
+    Apinv, r, P, Q = _configuration(_checked(A), rank_tol)
+    return ProjectorBundle(P, Q, None, None, r, rank_tol, Apinv)
+
+
+def _rates(Apinv, Adot):
+    """Lambda = -pinv(A) Adot and Omega = Lambda - Lambda^T."""
+    Lam = -Apinv @ Adot
+    return Lam, Lam - Lam.swapaxes(-1, -2)
 
 
 def build_projectors(jac: ConstraintJacobian, rank_tol: float = RANK_TOL) -> ProjectorBundle:
     """Build P, Q, Lambda and Omega at one state: the configuration part of
-    jac.A plus the rates of jac.Adot."""
-    return with_adot(configuration_projectors(jac.A, rank_tol), jac.Adot)
+    jac.A plus the rates of jac.Adot, both checked by ConstraintJacobian."""
+    _check_rank_tol(rank_tol)
+    Apinv, r, P, Q = _configuration(jac.A, rank_tol)
+    return ProjectorBundle(P, Q, *_rates(Apinv, jac.Adot), r, rank_tol, Apinv)
 
 
 def with_adot(proj: ProjectorBundle, Adot) -> ProjectorBundle:
     """The bundle of the same A (same q) with another Adot (another velocity):
     only Lambda and Omega are rebuilt, from the stored pinv(A)."""
-    Lam = -proj.A_pinv @ Adot
-    return ProjectorBundle(proj.P, proj.Q, Lam, Lam - Lam.swapaxes(-1, -2), proj.rank,
+    return ProjectorBundle(proj.P, proj.Q, *_rates(proj.A_pinv, Adot), proj.rank,
                            proj.rank_tol, proj.A_pinv)
-

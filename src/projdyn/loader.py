@@ -18,7 +18,9 @@ The schema covers constant-matrix plants with polynomial position constraints:
 Each constraint is a polynomial Phi_i(q) = sum coeff * prod q_j^powers[j];
 the constraint matrix A = dPhi/dq and its rate Adot are differentiated
 analytically, so loaded systems get exact Jacobians like the built-in ones.
-C is zero (constant mass matrix), consistent with the schema's scope.
+Phi, its gradients and its Hessians are each one compiled Polynomial, so
+Phi, A and Adot take a few numpy calls per state.  C is zero (constant
+mass matrix), consistent with the schema's scope.
 """
 
 from __future__ import annotations
@@ -31,42 +33,76 @@ from .systems import MechanicalSystem, _constant_plant
 
 
 class Polynomial:
-    """Multivariate polynomial as a list of (coeff, exponent-tuple) terms."""
+    """Polynomials p_0 ... p_{K-1} in n variables, evaluated together.
 
-    def __init__(self, terms, nvars):
+    Each p_k is a list of (coeff, exponent-tuple) terms.  They are compiled
+    to arrays: every term's coefficient, the indices of its factors and the
+    k it belongs to.  At q a term is its coefficient times one factor per
+    variable with a nonzero exponent, left to right: q_j for exponent 1 and
+    the scalar q_j ** p for any other p, padded with 1.0 to the longest
+    term, which changes no bit.  np.bincount then adds each polynomial's
+    terms in order, starting from 0.0.  So each value has the bits of
+    summing that polynomial's terms one by one in Python scalars.
+    """
+
+    def __init__(self, polys, nvars):
         self.nvars = nvars
-        self.terms = [(float(c), tuple(int(p) for p in pw)) for c, pw in terms]
-        for _, pw in self.terms:
-            if len(pw) != nvars:
-                raise ValueError("powers length must equal n")
+        self.polys = [[(float(c), tuple(int(p) for p in pw)) for c, pw in terms]
+                      for terms in polys]
+        terms = [(k, c, pw) for k, poly in enumerate(self.polys) for c, pw in poly]
+        if any(len(pw) != nvars for _, _, pw in terms):
+            raise ValueError("powers length must equal n")
+        # the scalar powers q_j ** p, p not 0 or 1, that some term takes; a
+        # factor is an index into (q, 1.0, those powers)
+        self.powers = sorted({(j, p) for _, _, pw in terms for j, p in enumerate(pw)
+                              if p not in (0, 1)})
+        slot = {jp: nvars + 1 + i for i, jp in enumerate(self.powers)}
+        factors = [[j if p == 1 else slot[j, p] for j, p in enumerate(pw) if p]
+                   for _, _, pw in terms]
+        depth = max(map(len, factors), default=0)
+        self.gather = np.array([f + [nvars] * (depth - len(f)) for f in factors],
+                               dtype=np.intp).reshape(len(terms), depth).T
+        self.coeff = np.array([c for _, c, _ in terms], dtype=float)
+        self.index = np.array([k for k, _, _ in terms], dtype=np.intp)
 
     def __call__(self, q):
-        total = 0.0
-        for c, pw in self.terms:
-            val = c
-            for j, p in enumerate(pw):
-                if p:
-                    val *= q[j] ** p
-            total += val
-        return total
+        """The values p_0(q) ... p_{K-1}(q)."""
+        q = np.asarray(q, dtype=float)
+        powers = [q[j] ** p for j, p in self.powers]
+        values = np.concatenate((q, _ONE, powers) if powers else (q, _ONE))
+        terms = self.coeff
+        for index in self.gather:
+            terms = terms * values[index]
+        return np.bincount(self.index, weights=terms, minlength=len(self.polys))
 
-    def derivative(self, var):
-        terms = []
-        for c, pw in self.terms:
-            p = pw[var]
-            if p:
-                new = list(pw)
-                new[var] = p - 1
-                terms.append((c * p, tuple(new)))
-        return Polynomial(terms, self.nvars)
+    def jacobian(self):
+        """The polynomials dp_k/dq_j, for each k the n of them in order of j."""
+        return Polynomial([[(c * pw[j], pw[:j] + (pw[j] - 1,) + pw[j + 1:])
+                            for c, pw in terms if pw[j]]
+                           for terms in self.polys for j in range(self.nvars)], self.nvars)
 
 
-def _poly_from_spec(spec, n, what):
+_ONE = np.ones(1)
+
+
+def _terms_from_spec(spec, n, what):
+    """The (coeff, powers) terms of one constraint of a definition, checked
+    as Polynomial checks them, so that an error names the constraint."""
     try:
-        return Polynomial([(t["coeff"], t["powers"]) for t in spec["terms"]], n)
+        terms = [(t["coeff"], t["powers"]) for t in spec["terms"]]
+        Polynomial([terms], n)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f'{what} must be {{"terms": [{{"coeff": number, "powers": '
                          f'[{n} integers]}}, ...]}}, got {spec!r}') from exc
+    return terms
+
+
+def _required(spec, key, what):
+    """spec[key], or a ValueError that names the missing field."""
+    try:
+        return spec[key]
+    except KeyError:
+        raise ValueError(f"{what} is missing the required field {key!r}") from None
 
 
 def load_system(source) -> MechanicalSystem:
@@ -81,8 +117,8 @@ def load_system(source) -> MechanicalSystem:
             with open(text) as fh:
                 spec = json.load(fh)
 
-    n = int(spec["n"])
-    mass_spec = spec["mass"]
+    n = int(_required(spec, "n", "a system definition"))
+    mass_spec = _required(spec, "mass", "a system definition")
     if isinstance(mass_spec, dict) and "diag" in mass_spec:
         M = np.diag(np.asarray(mass_spec["diag"], dtype=float))
     else:
@@ -103,27 +139,25 @@ def load_system(source) -> MechanicalSystem:
     constraints = spec.get("constraints", [])
     if not isinstance(constraints, list):
         raise ValueError(f"constraints must be a list of polynomials, got {constraints!r}")
-    phis = [_poly_from_spec(c, n, f"constraints[{i}]") for i, c in enumerate(constraints)]
-    m = len(phis)
-    grads = [[phi.derivative(j) for j in range(n)] for phi in phis]
-    hessians = [[[g.derivative(l) for l in range(n)] for g in row] for row in grads]
+    phi = Polynomial([_terms_from_spec(c, n, f"constraints[{i}]")
+                      for i, c in enumerate(constraints)], n)
+    m = len(constraints)
+    # A[i, j] = dPhi_i/dq_j; Adot[i, j] is the sum over l of H[i, j, l] qd_l,
+    # added in order of l by a second bincount
+    gradient = phi.jacobian()
+    hessian = gradient.jacobian()
+    rows = np.repeat(np.arange(m * n), n)
 
     def constraint(q):
         if m == 0:
             return np.zeros((1, n))
-        return np.array([[g(q) for g in row] for row in grads])
+        return gradient(q).reshape(m, n)
 
     def constraint_rate(q, qd):
         if m == 0:
             return np.zeros((1, n))
-        out = np.zeros((m, n))
-        for i in range(m):
-            for j in range(n):
-                out[i, j] = sum(hessians[i][j][l](q) * qd[l] for l in range(n))
-        return out
-
-    def residual(q):
-        return np.array([phi(q) for phi in phis])
+        H = hessian(q).reshape(m * n, n) * np.asarray(qd, dtype=float)
+        return np.bincount(rows, weights=H.ravel(), minlength=m * n).reshape(m, n)
 
     # potential consistent with a constant conservative force: U = -f_g . q
     def potential(q):
@@ -135,6 +169,6 @@ def load_system(source) -> MechanicalSystem:
         **_constant_plant(M, np.zeros((n, n)), f_g, B),
         constraint=constraint,
         constraint_rate=constraint_rate,
-        residual=residual if m else None,
+        residual=phi if m else None,
         potential=potential,
     )

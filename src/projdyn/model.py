@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError
-from .kernel import ProjectorBundle, _every, _identity, _lazy, _per_member, pseudo_inverse
+from .kernel import (ProjectorBundle, _check_rank_tol, _checked, _every, _identity, _lazy,
+                     _per_member, _pinv)
 
 
 @dataclass(frozen=True)
@@ -101,11 +102,12 @@ class ConstrainedModel:
         under redundant actuation.  At rank(A) = n, P is 0 up to round-off and
         there is nothing to actuate, so P B is taken as 0: Gamma = 0 and the
         state is admissible."""
-        PB = self.proj.P @ self.plant.B
+        _check_rank_tol(self.proj.rank_tol)
+        PB = _checked(self.proj.P @ self.plant.B)   # P is finite: this checks B
         actuable = self.proj.rank < self.proj.n     # P != 0
         if not _every(actuable):
             PB = PB * _per_member(actuable)
-        return pseudo_inverse(PB, self.proj.rank_tol)
+        return _pinv(PB, self.proj.rank_tol)
 
     @_lazy
     def admissible(self) -> bool:

@@ -16,20 +16,33 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import ConstraintJacobian
+from .kernel import ConstraintJacobian, _float_array
 from .model import PlantMatrices
 
 GRAVITY = 9.81
 
 
+class _PlantPart:
+    """One part of a constant plant: the same read-only array at every state.
+    It keeps the PlantMatrices that it and the other three parts make up."""
+
+    def __init__(self, value, plant):
+        self.value, self.plant = value, plant
+
+    def __call__(self, *state):
+        return self.value
+
+
 def _constant_plant(M, C, f_g, B) -> dict:
     """The plant callables of a system whose M, C, f_g and B do not depend on
-    the state: each array is built once, read-only, and shared by every state."""
-    M, C, f_g, B = (np.array(x, dtype=float) for x in (M, C, f_g, B))
-    for x in (M, C, f_g, B):
+    the state: each array is built once, read-only, and shared by every
+    state, and MechanicalSystem.plant returns one PlantMatrices of them."""
+    arrays = [np.array(x, dtype=float) for x in (M, C, f_g, B)]
+    for x in arrays:
         x.flags.writeable = False
-    return dict(mass=lambda q: M, coriolis=lambda q, qd: C,
-                gravity_force=lambda q: f_g, input_map=lambda q: B)
+    plant = PlantMatrices(*arrays)
+    return {name: _PlantPart(getattr(plant, part), plant) for name, part in
+            (("mass", "M"), ("coriolis", "C"), ("gravity_force", "f_g"), ("input_map", "B"))}
 
 
 @dataclass(frozen=True)
@@ -50,6 +63,14 @@ class MechanicalSystem:
     default_initial_active: tuple | None = None   # None = all rows active
     default_events: tuple = ()
 
+    def __post_init__(self):
+        # a constant plant: its four parts share one PlantMatrices, which
+        # plant returns at every state
+        plants = [f.plant if isinstance(f, _PlantPart) else None
+                  for f in (self.mass, self.coriolis, self.gravity_force, self.input_map)]
+        constant = all(p is plants[0] for p in plants)
+        object.__setattr__(self, "_plant", plants[0] if constant else None)
+
     def jacobian(self, q, qdot, active=None) -> ConstraintJacobian:
         """A and Adot at a state, with inactive rows zeroed (fixed dimension):
         the configuration part constraint_matrix and the rate part
@@ -60,15 +81,13 @@ class MechanicalSystem:
     def constraint_matrix(self, q, active=None) -> np.ndarray:
         """A(q), m x n, with inactive rows zeroed."""
         q = np.asarray(q, dtype=float)
-        return self._active_rows(
-            np.atleast_2d(np.asarray(self.constraint(q), dtype=float)), active)
+        return self._active_rows(_float_array(self.constraint(q)), active)
 
     def constraint_rate_matrix(self, q, qdot, active=None) -> np.ndarray:
         """Adot(q, qdot), m x n, with inactive rows zeroed."""
         q = np.asarray(q, dtype=float)
         qdot = np.asarray(qdot, dtype=float)
-        return self._active_rows(
-            np.atleast_2d(np.asarray(self.constraint_rate(q, qdot), dtype=float)), active)
+        return self._active_rows(_float_array(self.constraint_rate(q, qdot)), active)
 
     def _active_rows(self, X, active):
         if active is None or tuple(active) == tuple(range(self.m)):
@@ -78,6 +97,8 @@ class MechanicalSystem:
         return np.where(mask[:, None], X, 0.0)
 
     def plant(self, q, qdot):
+        if self._plant is not None:
+            return self._plant
         q = np.asarray(q, dtype=float)
         qdot = np.asarray(qdot, dtype=float)
         return PlantMatrices(M=self.mass(q), C=self.coriolis(q, qdot),

@@ -65,6 +65,13 @@ class TestSimulate:
         assert main(args + ["--target", "0.84,-0.54,1.5,-1"]) == 0
         assert "final position error" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--kp", "--kd", "--sigma"])
+    def test_gain_without_target_is_usage_error(self, capsys, flag):
+        # without --target there is no regulator for the gain to set
+        assert main(["simulate", "--system", "pendulum", flag, "50", "--horizon", "0.1",
+                     "--dt", "0.01"]) == 2
+        assert f"{flag} set the regulator's gains and need --target" in capsys.readouterr().err
+
     def test_seed_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["simulate", "--system", "double-pendulum", "--horizon", "0.5",
@@ -116,6 +123,26 @@ class TestSimulate:
         if isinstance(spec, dict):
             spec = {"system": "pendulum", "q0": [1.0, 0.0], "horizon": 0.1,
                     "dt": 0.01, **spec}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec))
+        assert main(["simulate", "--scenario-file", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("drop, message", [
+        ("system", "a scenario file is missing the required field 'system'"),
+        ("q0", "a scenario file is missing the required field 'q0'"),
+        ("controller.q_star", "controller is missing the required field 'q_star'"),
+        ("system.n", "a system definition is missing the required field 'n'"),
+        ("system.mass", "a system definition is missing the required field 'mass'"),
+    ])
+    def test_scenario_file_missing_key_is_usage_error(self, tmp_path, capsys, drop, message):
+        spec = {"system": {"n": 2, "mass": {"diag": [1, 1]}}, "q0": [1.0, 0.0],
+                "horizon": 0.1, "dt": 0.01, "controller": {"q_star": [0.0, -1.0], "kp": 5.0}}
+        *parents, key = drop.split(".")
+        part = spec
+        for name in parents:
+            part = part[name]
+        del part[key]
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(spec))
         assert main(["simulate", "--scenario-file", str(path)]) == 2

@@ -1,5 +1,6 @@
 """Projector construction: examples, Moore-Penrose oracle, rate identities."""
 
+import dataclasses
 import warnings
 from fractions import Fraction
 
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 
 from projdyn import (ConstraintJacobian, NonFiniteInputError, PlantMatrices, ProjectorBundle,
-                     acceleration, assemble, build_projectors, constraint_force,
-                     optimal_mu, pdot_fd_check, pseudo_inverse)
+                     Scenario, SetpointRegulator, RegulationGains, acceleration, assemble,
+                     build_projectors, constraint_force, optimal_mu, pdot_fd_check,
+                     pendulum, pseudo_inverse, run)
 from projdyn.forces import acceleration_nonminimal
-from projdyn.kernel import _lazy
+from projdyn.kernel import _lazy, configuration_projectors, with_adot
 from projdyn.model import pmp_eigenvalues
 
 
@@ -207,12 +209,25 @@ def sliced_pinv(A, rank_tol=1e-10):
     return Vt[:r].T @ (U[:, :r] / s[:r]).T
 
 
+def assert_one_bundle_is_the_split_one(jac):
+    """build_projectors(jac) has the bits of the configuration bundle of jac.A
+    with the rates of jac.Adot added by with_adot."""
+    one = build_projectors(jac)
+    split = with_adot(configuration_projectors(jac.A), jac.Adot)
+    for name in ("P", "Q", "Lambda", "Omega", "A_pinv"):
+        assert getattr(one, name).tobytes() == getattr(split, name).tobytes(), name
+    assert np.array_equal(one.rank, split.rank) and type(one.rank) is type(split.rank)
+    assert one.rank_tol == split.rank_tol
+
+
 def test_a_stack_has_the_bits_of_its_members():
     """Kernel, model and force functions take (..., m, n) stacks, with
     vectors as (..., n, 1) columns: each member of a stacked call is byte for
     byte the call on that member alone, for n from 2 to 8, every rank down
     to 0 and zeroed rows; and one matrix keeps the bits of the SVD sliced at
-    its rank."""
+    its rank.  build_projectors has the bits of configuration_projectors plus
+    with_adot, for one matrix, for stacks and for matrices without rows or
+    columns."""
     rng = np.random.default_rng(21)
     for n in range(2, 9):
         for m in sorted({1, n - 1, n, n + 1}):
@@ -234,6 +249,7 @@ def test_a_stack_has_the_bits_of_its_members():
             def outputs(A, Adot, M, C, f_g, mu, f, qdot):
                 Apinv, rank = pseudo_inverse(A)
                 proj = build_projectors(ConstraintJacobian(A=A, Adot=Adot))
+                assert_one_bundle_is_the_split_one(ConstraintJacobian(A=A, Adot=Adot))
                 plant = PlantMatrices(M=M, C=C, f_g=f_g, B=np.eye(n))
                 model = assemble(plant, proj, mu)
                 with warnings.catch_warnings():   # P = 0 at rank n: mu is arbitrary
@@ -255,6 +271,9 @@ def test_a_stack_has_the_bits_of_its_members():
                 assert alone[0].tobytes() == sliced_pinv(A[i]).tobytes(), (n, m, i)
                 for k, (x, y) in enumerate(zip(alone, stacked)):
                     assert x.tobytes() == y[i].tobytes(), (n, m, i, k)
+    for shape in [(0, 3), (3, 0), (2, 0, 3), (2, 3, 0)]:
+        assert_one_bundle_is_the_split_one(ConstraintJacobian(A=np.zeros(shape),
+                                                              Adot=np.zeros(shape)))
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (2, 0, 3), (2, 3, 0)],
@@ -266,3 +285,31 @@ def test_a_matrix_without_rows_or_columns_has_rank_zero(shape):
     assert Apinv.shape == shape[:-2] + shape[-2:][::-1] and not Apinv.any()
     assert np.array_equal(rank, np.zeros(shape[:-2], dtype=int))
     assert (type(rank) is int) == (len(shape) == 2)
+
+
+def _nan_pendulum(part):
+    """The pendulum with A, Adot or the input map all NaN."""
+    field, nan = {"A": ("constraint", lambda q: np.full((1, 2), np.nan)),
+                  "Adot": ("constraint_rate", lambda q, qd: np.full((1, 2), np.nan)),
+                  "B": ("input_map", lambda q: np.full((2, 2), np.nan))}[part]
+    return dataclasses.replace(pendulum(), **{field: nan})
+
+
+@pytest.mark.parametrize("part", ["A", "Adot", "B"])
+def test_a_nonfinite_part_raises_on_every_route(part):
+    """Each array is checked once, where it enters: A and Adot at
+    ConstraintJacobian or configuration_projectors, the input map at P B.
+    A non-finite one raises NonFiniteInputError through build_projectors (or
+    model.Gamma for the input map) and through a regulated run."""
+    system = _nan_pendulum(part)
+    q, qdot = np.array([1.0, 0.0]), np.array([0.0, 0.5])
+    with pytest.raises(NonFiniteInputError):
+        if part == "B":
+            assemble(system.plant(q, qdot), build_projectors(system.jacobian(q, qdot)),
+                     1.0).Gamma
+        else:
+            build_projectors(system.jacobian(q, qdot))
+    gains = RegulationGains(Kp=10 * np.eye(2), Kd=10 * np.eye(2), sigma=1.5)
+    with pytest.raises(NonFiniteInputError):
+        run(Scenario(system=system, q0=q, qdot0=qdot, horizon=0.02, dt=0.01,
+                     controller=SetpointRegulator(np.array([0.0, -1.0]), gains)))

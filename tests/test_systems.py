@@ -8,6 +8,7 @@ import pytest
 from projdyn import (AdmissibilityError, assemble, build_projectors, catalog,
                      double_pendulum, get_system, load_system, pendulum, redundant_pendulum,
                      self_test, singular_configuration, slider_crank, switching_particle)
+from test_engine import LOADED_SLIDER_CRANK
 
 
 class TestCatalog:
@@ -29,6 +30,7 @@ class TestCatalog:
         rng = np.random.default_rng(2)
         a = system.plant(*system.sample_state(rng))
         b = system.plant(*system.sample_state(rng))
+        assert a is b      # one PlantMatrices per constant system
         for part in ("M", "C", "f_g", "B"):
             x = getattr(a, part)
             assert x is getattr(b, part)
@@ -89,6 +91,38 @@ class TestCatalog:
                                    atol=1e-12)
 
 
+def term_by_term(spec):
+    """Phi, A and Adot of a loaded spec, each entry summed one term at a time
+    in Python scalars, with each derivative taken term by term."""
+    n = spec["n"]
+    phis = [[(float(t["coeff"]), tuple(t["powers"])) for t in c["terms"]]
+            for c in spec["constraints"]]
+
+    def d(terms, j):
+        return [(c * pw[j], pw[:j] + (pw[j] - 1,) + pw[j + 1:]) for c, pw in terms if pw[j]]
+
+    def value(terms, q):
+        total = 0.0
+        for c, pw in terms:
+            val = c
+            for j, p in enumerate(pw):
+                if p:
+                    val *= q[j] ** p
+            total += val
+        return total
+
+    def Phi(q):
+        return np.array([value(phi, q) for phi in phis])
+
+    def A(q):
+        return np.array([[value(d(phi, j), q) for j in range(n)] for phi in phis])
+
+    def Adot(q, qd):
+        return np.array([[sum(value(d(d(phi, j), l), q) * qd[l] for l in range(n))
+                          for j in range(n)] for phi in phis])
+    return Phi, A, Adot
+
+
 PENDULUM_SPEC = {
     "name": "loaded-pendulum",
     "n": 2,
@@ -122,6 +156,7 @@ class TestLoader:
         system = load_system(PENDULUM_SPEC)
         a = system.plant(np.array([0.6, -0.8]), np.zeros(2))
         b = system.plant(np.zeros(2), np.ones(2))
+        assert a is b      # one PlantMatrices per constant system
         for part in ("M", "C", "f_g", "B"):
             assert getattr(a, part) is getattr(b, part)
             with pytest.raises(ValueError):
@@ -155,6 +190,23 @@ class TestLoader:
         Afd = (system.constraint(q + h * qd) - system.constraint(q - h * qd)) / (2 * h)
         np.testing.assert_allclose(system.constraint_rate(q, qd), Afd,
                                    atol=1e-7)
+
+    @pytest.mark.parametrize("spec", [
+        PENDULUM_SPEC, LOADED_SLIDER_CRANK,
+        # q2^3: A keeps q2^2, which numpy's array ** would round unlike pow()
+        {"n": 3, "mass": {"diag": [1, 2, 3]},
+         "constraints": [{"terms": [{"coeff": 2, "powers": [1, 1, 0]},
+                                    {"coeff": -1, "powers": [0, 0, 3]}]}]},
+    ], ids=["pendulum", "slider-crank", "cubic"])
+    def test_compiled_polynomials_have_the_term_by_term_bits(self, spec):
+        system = load_system(spec)
+        Phi, A, Adot = term_by_term(spec)
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            q, qd = rng.standard_normal((2, spec["n"]))
+            assert system.residual(q).tobytes() == Phi(q).tobytes()
+            assert system.constraint(q).tobytes() == A(q).tobytes()
+            assert system.constraint_rate(q, qd).tobytes() == Adot(q, qd).tobytes()
 
     def test_potential_matches_gravity(self):
         system = load_system(PENDULUM_SPEC)
