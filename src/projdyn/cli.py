@@ -14,8 +14,14 @@ from .engine import Scenario, project_to_constraints, run
 from .errors import ProjdynError
 from .kernel import RANK_TOL, build_projectors
 from .loader import _required, load_system
-from .model import assemble, nonzero_pmp_eigenvalues
+from .model import assemble, pmp_eigenvalues
 from .systems import catalog, get_system
+
+
+# a run's settings and the regulator's gains when neither the scenario file
+# nor the flags set them; mu and rank_tol default as in Scenario
+_RUN = {"horizon": 10.0, "dt": 1e-3, "mu": Scenario.mu, "rank_tol": Scenario.rank_tol}
+_GAINS = {"kp": 10.0, "kd": 10.0, "sigma": 1.5}
 
 
 def _build_parser():
@@ -27,17 +33,16 @@ def _build_parser():
     sim = sub.add_parser("simulate", help="integrate a scenario and dump the trace")
     sim.add_argument("--system", help="catalog system name")
     sim.add_argument("--scenario-file", help="JSON scenario description")
-    sim.add_argument("--horizon", type=float, default=10.0)
-    sim.add_argument("--dt", type=float, default=1e-3)
-    sim.add_argument("--mu", default="auto",
-                     help="virtual mass: positive number or 'auto'")
+    sim.add_argument("--horizon", type=float, help=f"default {_RUN['horizon']:g}")
+    sim.add_argument("--dt", type=float, help=f"default {_RUN['dt']:g}")
+    sim.add_argument("--mu", help="virtual mass: positive number or 'auto'; "
+                                  f"default {_RUN['mu']}")
     sim.add_argument("--target", help="comma-separated q*: regulate to it")
-    sim.add_argument("--kp", type=float, help="default 10, needs --target")
-    sim.add_argument("--kd", type=float, help="default 10, needs --target")
-    sim.add_argument("--sigma", type=float, help="default 1.5, needs --target")
+    for gain, default in _GAINS.items():
+        sim.add_argument(f"--{gain}", type=float, help=f"default {default:g}, needs --target")
     sim.add_argument("--out", help="trace output path")
     sim.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-    sim.add_argument("--rank-tol", type=float, default=None)
+    sim.add_argument("--rank-tol", type=float, help=f"default {_RUN['rank_tol']:g}")
 
     chk = sub.add_parser("check", help="run the invariant property battery")
     chk.add_argument("--seed", type=int, default=0)
@@ -55,10 +60,6 @@ def _build_parser():
     return parser
 
 
-# the regulator's gains when neither the scenario file nor the flags set them
-_GAINS = {"kp": 10.0, "kd": 10.0, "sigma": 1.5}
-
-
 def _parse_vector(values, n, what):
     """n floats from comma-separated text or a list."""
     try:
@@ -72,9 +73,9 @@ def _parse_vector(values, n, what):
     return vals
 
 
-def _number(spec, key, default, what=None):
+def _number(spec, key, defaults, what=None):
     """A scenario file's numeric field: a JSON number, as a float."""
-    value = spec.get(key, default)
+    value = spec.get(key, defaults[key])
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what or key} must be a number, got {value!r}")
     return float(value)
@@ -115,6 +116,11 @@ def _regulator(system, q_star, kp, kd, sigma, what) -> SetpointRegulator:
 
 def _scenario_from_args(args) -> Scenario:
     if args.scenario_file:
+        given = [f"--{key.replace('_', '-')}" for key in ("system", "target", *_GAINS, *_RUN)
+                 if getattr(args, key) is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)} cannot be combined with --scenario-file; "
+                             "set them in the file")
         with open(args.scenario_file) as fh:
             spec = json.load(fh)
         if not isinstance(spec, dict):
@@ -122,48 +128,53 @@ def _scenario_from_args(args) -> Scenario:
         system = _required(spec, "system", "a scenario file")
         system = get_system(system) if isinstance(system, str) else load_system(system)
         controller = None
-        if c := spec.get("controller"):
+        if (c := spec.get("controller")) is not None:
             if not isinstance(c, dict):
                 raise ValueError(f"controller must be a JSON object, got {c!r}")
-            kp, kd, sigma = (_number(c, key, default, f"controller {key}")
-                             for key, default in _GAINS.items())
+            kp, kd, sigma = (_number(c, key, _GAINS, f"controller {key}") for key in _GAINS)
             controller = _regulator(system, _required(c, "q_star", "controller"),
                                     kp, kd, sigma, "controller q_star")
         return Scenario(
             system=system,
             q0=_parse_vector(_required(spec, "q0", "a scenario file"), system.n, "q0"),
             qdot0=_parse_vector(spec.get("qdot0", np.zeros(system.n)), system.n, "qdot0"),
-            horizon=_number(spec, "horizon", 10.0),
-            dt=_number(spec, "dt", 1e-3),
-            mu=spec.get("mu", "auto"),
+            horizon=_number(spec, "horizon", _RUN),
+            dt=_number(spec, "dt", _RUN),
+            mu=spec.get("mu", _RUN["mu"]),
             controller=controller,
             events=_events(spec.get("events", [])),
             initial_active=(_rows(spec["initial_active"], "initial_active")
                             if "initial_active" in spec else None),
-            rank_tol=spec.get("rank_tol"),
+            rank_tol=spec.get("rank_tol", _RUN["rank_tol"]),
         )
 
     if not args.system:
         raise ValueError("either --system or --scenario-file is required")
-    gains = {"kp": args.kp, "kd": args.kd, "sigma": args.sigma}
-    given = [f"--{key}" for key, v in gains.items() if v is not None]
+    given = [f"--{key}" for key in _GAINS if getattr(args, key) is not None]
     if given and args.target is None:
         raise ValueError(f"{', '.join(given)} set the regulator's gains and need --target")
+    settings = _flags(args, _RUN)
+    if settings["mu"] != "auto":
+        settings["mu"] = float(settings["mu"])
     system = get_system(args.system)
     q0, qdot0 = system.default_state
-    mu = args.mu if args.mu == "auto" else float(args.mu)
     controller = None
     if args.target is not None:
-        kp, kd, sigma = (_GAINS[key] if v is None else v for key, v in gains.items())
-        controller = _regulator(system, args.target, kp, kd, sigma, "--target")
+        controller = _regulator(system, args.target, *_flags(args, _GAINS).values(),
+                                "--target")
     return Scenario(
-        system=system, q0=q0, qdot0=qdot0, horizon=args.horizon, dt=args.dt,
-        mu=mu, controller=controller,
+        system=system, q0=q0, qdot0=qdot0, controller=controller,
         # catalog defaults beyond the horizon were not asked for; drop them
-        events=tuple(e for e in system.default_events if e[0] <= args.horizon),
-        initial_active=system.default_initial_active,
-        rank_tol=args.rank_tol,
+        events=tuple(e for e in system.default_events if e[0] <= settings["horizon"]),
+        initial_active=system.default_initial_active, **settings,
     )
+
+
+def _flags(args, defaults) -> dict:
+    """The values of the flags named by the keys of defaults, each flag not
+    given taking its default."""
+    return {key: default if (v := getattr(args, key)) is None else v
+            for key, default in defaults.items()}
 
 
 def cmd_simulate(args) -> int:
@@ -216,7 +227,8 @@ def cmd_analyze(args) -> int:
         q0 = _parse_vector(args.state, system.n, "--state")
     proj = build_projectors(system.jacobian(q0, qd0), args.rank_tol)
     plant = system.plant(q0, qd0)
-    lam = nonzero_pmp_eigenvalues(plant, proj)
+    lam, nonzero = pmp_eigenvalues(plant, proj)
+    lam = lam[nonzero]
     if lam.size == 0:
         print("P = 0 at this state: no admissible direction, cond(Mbar) = 1 "
               "for every mu")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AdmissibilityError
 from .kernel import ProjectorBundle
-from .model import ConstrainedModel
+from .model import ConstrainedModel, kinetic_energy
 
 EPS_V = 0.3   # speed below which eta tapers linearly to zero
 
@@ -99,7 +99,7 @@ def lyapunov_value(q, qdot, q_star, gains: RegulationGains,
     """V = 0.5 q'^T Mbar q' + 0.5 e^T Kp e; zero only at the target at rest."""
     qdot = np.asarray(qdot, dtype=float)
     e = np.asarray(q, dtype=float) - np.asarray(q_star, dtype=float)
-    return 0.5 * float(qdot @ model.Mbar @ qdot) + 0.5 * float(e @ gains.Kp @ e)
+    return kinetic_energy(model.Mbar, qdot) + 0.5 * float(e @ gains.Kp @ e)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .control import SetpointRegulator, control_force, lyapunov_value
 from .errors import DivergenceError, InconsistentStateError
 from .kernel import (RANK_TOL, ConstraintJacobian, _lazy, build_projectors,
                      configuration_projectors, pseudo_inverse, with_adot)
-from .model import assemble, optimal_mu
+from .model import assemble, kinetic_energy, optimal_mu
 from .systems import MechanicalSystem
 
 
@@ -53,7 +53,7 @@ class Scenario:
     force_schedule: object = None        # callable (t, q, qdot) -> f
     events: tuple = ()                   # ((time, active-row-tuple), ...)
     initial_active: tuple | None = None  # None = all rows active
-    rank_tol: float | None = None
+    rank_tol: float = RANK_TOL
     drift_tol: float = 1e-12
 
     def __post_init__(self):
@@ -64,9 +64,8 @@ class Scenario:
         for name in ("dt", "horizon"):
             if not _positive_finite(v := getattr(self, name)):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
-        if not (self.rank_tol is None or _positive_finite(self.rank_tol)):
-            raise ValueError("rank_tol must be None or a positive finite number, "
-                             f"got {self.rank_tol!r}")
+        if not _positive_finite(self.rank_tol):
+            raise ValueError(f"rank_tol must be a positive finite number, got {self.rank_tol!r}")
         steps = self.horizon / self.dt
         if steps == np.inf:
             raise ValueError(f"horizon {self.horizon:g} over dt {self.dt:g} is not a "
@@ -192,7 +191,7 @@ class _Eval:
 
     @_lazy
     def proj(self):
-        return build_projectors(self.jac, self.runner.rank_tol)
+        return build_projectors(self.jac, self.runner.sc.rank_tol)
 
     @_lazy
     def plant(self):
@@ -231,7 +230,6 @@ class _Runner:
         self.active = (tuple(range(self.system.m)) if sc.initial_active is None
                        else tuple(sc.initial_active))
         self.mu_value = None
-        self.rank_tol = RANK_TOL if sc.rank_tol is None else sc.rank_tol
 
     # --- model evaluation -------------------------------------------------
 
@@ -244,7 +242,7 @@ class _Runner:
         both velocities; the projected state adds only Adot."""
         system, active = self.system, self.active
         A = system.constraint_matrix(q, active)
-        config = configuration_projectors(A, self.rank_tol)
+        config = configuration_projectors(A, self.sc.rank_tol)
         ev = _Eval(self, t, q, config.P @ qdot)
         ev.jac = ConstraintJacobian(A, system.constraint_rate_matrix(q, ev.qdot, active))
         ev.proj = with_adot(config, ev.jac.Adot)
@@ -267,11 +265,10 @@ class _Runner:
 
     def _apply_event(self, ev, new_active):
         rank_before = ev.proj.rank
-        M = np.asarray(self.system.mass(ev.q), dtype=float)
-        ke_before = 0.5 * float(ev.qdot @ M @ ev.qdot)
+        ke_before = kinetic_energy(ev.plant.M, ev.qdot)
         self.active = tuple(new_active)
         ev = self._projected(ev.t, ev.q, ev.qdot)   # inelastic capture
-        ke_after = 0.5 * float(ev.qdot @ M @ ev.qdot)
+        ke_after = kinetic_energy(ev.plant.M, ev.qdot)
         self._select_mu(ev)                     # mu re-selected only at events
         return ev, {
             "time": float(ev.t),
@@ -304,10 +301,10 @@ class _Runner:
         """The trace row of ev at time t.  t is stamped on ev first: t + h in
         advance and (i + 1) dt in run can differ in the last bit."""
         ev.t = t
-        q, qdot, plant = ev.q, ev.qdot, ev.plant
+        q, qdot = ev.q, ev.qdot
         f, u = ev.force
         f_c = forces.constraint_force(ev.model, f, qdot)
-        ke = 0.5 * float(qdot @ plant.M @ qdot)
+        ke = kinetic_energy(ev.plant.M, qdot)
         pe = float(self.system.potential(q)) if self.system.potential else 0.0
         c, V = self.sc.controller, np.nan
         if c is not None:

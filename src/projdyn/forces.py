@@ -1,5 +1,5 @@
-"""Accelerations, constraint forces and the force decomposition at one state
-(or, for the acceleration and constraint-force routes, at each of a stack).
+"""Accelerations and constraint forces at one state (or, for the acceleration
+and constraint-force routes, at each of a stack).
 
 Sign convention used throughout (it matters): the lumped nonlinear vector is
 
@@ -18,20 +18,10 @@ For a stack of states, forces and velocities are columns, shape (..., n, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidTargetError
 from .model import ConstrainedModel, PlantMatrices
-
-
-@dataclass(frozen=True)
-class ForceDecomposition:
-    f_par: np.ndarray
-    f_perp: np.ndarray
-    f_c: np.ndarray
-    u: np.ndarray
 
 
 def nonlinear_vector(plant: PlantMatrices, qdot) -> np.ndarray:
@@ -79,19 +69,6 @@ def force_split_for_control(f_par, f_c_desired, model: ConstrainedModel,
         raise InvalidTargetError(
             f"desired constraint force has a motion-space component |P f_c| = {leak:.3e}")
     return constraint_force(model, f_par, qdot) - fc_d
-
-
-def decompose(model: ConstrainedModel, f, qdot) -> ForceDecomposition:
-    """Split an applied force into motion/normal parts, reaction and the
-    minimum-norm actuation u = Gamma f_par."""
-    f = np.asarray(f, dtype=float)
-    f_par = model.proj.P @ f
-    return ForceDecomposition(
-        f_par=f_par,
-        f_perp=model.proj.Q @ f,
-        f_c=constraint_force(model, f, qdot),
-        u=model.Gamma @ f_par,
-    )
 
 
 def kkt_oracle(plant: PlantMatrices, jac, f, qdot):

@@ -106,17 +106,10 @@ def _required(spec, key, what):
 
 
 def load_system(source) -> MechanicalSystem:
-    """Build a MechanicalSystem from a definition dict, JSON string, or path."""
-    if isinstance(source, dict):
-        spec = source
-    else:
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            spec = json.loads(text)
-        else:
-            with open(text) as fh:
-                spec = json.load(fh)
-
+    """Build a MechanicalSystem from a definition: a dict or its JSON text."""
+    spec = json.loads(source) if isinstance(source, str) else source
+    if not isinstance(spec, dict):
+        raise ValueError(f"a system definition must be a JSON object, got {spec!r}")
     n = int(_required(spec, "n", "a system definition"))
     mass_spec = _required(spec, "mass", "a system definition")
     if isinstance(mass_spec, dict) and "diag" in mass_spec:

@@ -157,13 +157,6 @@ def pmp_eigenvalues(plant: PlantMatrices, proj: ProjectorBundle):
     return lam, (lam.T > proj.rank_tol * lam.T[-1]).T
 
 
-def nonzero_pmp_eigenvalues(plant: PlantMatrices, proj: ProjectorBundle) -> np.ndarray:
-    """Nonzero eigenvalues of P M P at one state, cut at the bundle's rank_tol
-    like the rank."""
-    lam, nonzero = pmp_eigenvalues(plant, proj)
-    return lam[nonzero]
-
-
 def optimal_mu(plant: PlantMatrices, proj: ProjectorBundle) -> float:
     """The geometric mean of the condition-optimal interval [lam_min!=0, lam_max]
     of P M P.
@@ -185,17 +178,7 @@ def optimal_mu(plant: PlantMatrices, proj: ProjectorBundle) -> float:
     return float(mu) if mu.ndim == 0 else mu
 
 
-def kinetic_energy(model: ConstrainedModel, qdot) -> float:
-    """Kinetic energy 0.5 q'^T Mbar q'.
-
-    For admissible velocities (Q q' = 0) this equals 0.5 q'^T M q' for every
-    mu.  An inadmissible q' (|Q q'| above 1e-8 (1 + |q'|)) is flagged with a
-    warning, not rejected: the two quadratic forms then differ by the
-    mu-weighted normal component.
-    """
-    qdot = np.asarray(qdot, dtype=float)
-    perp = np.linalg.norm(model.proj.Q @ qdot)
-    if perp > 1e-8 * (1.0 + np.linalg.norm(qdot)):
-        warnings.warn(f"velocity has a normal component |Q qdot| = {perp:.3e}; "
-                      "kinetic energy is mu-dependent here")
-    return 0.5 * float(qdot @ model.Mbar @ qdot)
+def kinetic_energy(M, qdot) -> float:
+    """Kinetic energy 0.5 q'^T M q' under the inertia M: the plant's M, or
+    Mbar, which gives the same value for an admissible q' (Q q' = 0)."""
+    return 0.5 * float(qdot @ M @ qdot)

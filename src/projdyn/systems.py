@@ -225,13 +225,6 @@ def slider_crank(m1=1.0, m2=1.0) -> MechanicalSystem:
     )
 
 
-def singular_configuration(system: MechanicalSystem) -> np.ndarray:
-    """The rank-drop configuration of the slider-crank catalog entry."""
-    if system.name != "slider-crank":
-        raise ValueError("only the slider-crank entry has a tabulated singularity")
-    return np.array([0.0, 1.0, 0.0, 0.0])
-
-
 def switching_particle() -> MechanicalSystem:
     """Free unit-mass planar particle that acquires the constraint y = const
     at t = 1 s.

@@ -1,21 +1,26 @@
 """End-to-end acceptance suite.
 
-Ten numbered criteria covering projector algebra, the always-invertible
+Eleven numbered criteria covering projector algebra, the always-invertible
 constrained inertia matrix, virtual-mass conditioning, the KKT ground-truth
 oracle, oblique-projection identities, energy behavior, setpoint regulation,
-topology switching, and an analytic tension check.  Each test prints a
+topology switching, an analytic tension check, and constraint-force control.  Each test prints a
 one-line PASS/FAIL verdict with the measured figure of merit.
 """
 
 import numpy as np
 import pytest
 
-from projdyn import (ConstraintJacobian, PlantMatrices, RegulationGains,
+from projdyn import (ConstraintJacobian, InvalidTargetError, PlantMatrices, RegulationGains,
                      Scenario, SetpointRegulator, acceleration, assemble,
                      build_projectors, catalog,
-                     constraint_force, double_pendulum, kkt_oracle,
-                     nonzero_pmp_eigenvalues, optimal_mu, pdot_fd_check, pendulum, pseudo_inverse, run,
-                     singular_configuration, slider_crank, switching_particle)
+                     constraint_force, double_pendulum, force_split_for_control,
+                     kkt_oracle, optimal_mu, pendulum, pseudo_inverse, run,
+                     slider_crank, switching_particle)
+from projdyn.battery import pdot_fd_check
+from projdyn.model import pmp_eigenvalues
+
+# the slider-crank's fold, where rank(A) drops from 3 to 2
+FOLD = np.array([0.0, 1.0, 0.0, 0.0])
 
 
 def verdict(num, ok, detail):
@@ -64,13 +69,14 @@ def test_criterion_01_projector_algebra():
 
 def test_criterion_02_inertia_invertible_at_singularity():
     system = slider_crank()
-    q = singular_configuration(system)
+    q = FOLD
     proj = build_projectors(system.jacobian(q, np.zeros(4)))
     assert proj.rank == 2  # rank drop from the generic 3
     plant = system.plant(q, np.zeros(4))
     mu = optimal_mu(plant, proj)
     model = assemble(plant, proj, mu)
-    lam = nonzero_pmp_eigenvalues(plant, proj)
+    lam, nonzero = pmp_eigenvalues(plant, proj)
+    lam = lam[nonzero]
     bound = min(mu, float(lam[0]))
     min_eig = float(np.linalg.eigvalsh(model.Mbar)[0])
     inv_res = float(np.linalg.norm(
@@ -115,7 +121,8 @@ def test_criterion_04_conditioning_sweep():
             A=rng.standard_normal((m, n)), Adot=np.zeros((m, n))))
         plant = PlantMatrices(M=random_spd(rng, n), C=np.zeros((n, n)),
                               f_g=np.zeros(n), B=np.eye(n))
-        lam = nonzero_pmp_eigenvalues(plant, proj)
+        lam, nonzero = pmp_eigenvalues(plant, proj)
+        lam = lam[nonzero]
         if lam.size == 0:
             continue
         lo, hi = float(lam[0]), float(lam[-1])
@@ -160,7 +167,7 @@ def test_criterion_05_kkt_oracle_equivalence():
                         float(np.linalg.norm(f_c - (-jac.A.T @ lam))))
     # the singular slider-crank configuration, explicitly
     system = slider_crank()
-    q = singular_configuration(system)
+    q = FOLD
     jac = system.jacobian(q, np.zeros(4))
     proj = build_projectors(jac)
     rng = np.random.default_rng(1055)
@@ -295,3 +302,39 @@ def test_criterion_10_pendulum_tension():
         worst = max(worst, abs(float(np.linalg.norm(f_c)) - analytic))
     ok = worst <= 1e-8
     verdict(10, ok, f"max tension error vs m(g + w^2 L): {worst:.3e} (tol 1e-8)")
+
+
+def test_criterion_11_constraint_force_control():
+    # the paper's second oblique projector at work: a normal-space input
+    # f_perp sets the constraint reaction while f_par sets the motion
+    worst_natural = worst_realized = 0.0
+    rejected = states = 0
+    for system in (double_pendulum(), slider_crank()):
+        rng = np.random.default_rng(111)
+        for _ in range(50):
+            q, qd = system.sample_state(rng)
+            proj = build_projectors(system.jacobian(q, qd))
+            qd = proj.P @ qd
+            proj = build_projectors(system.jacobian(q, qd))
+            plant = system.plant(q, qd)
+            model = assemble(plant, proj, optimal_mu(plant, proj))
+            f_par = proj.P @ rng.standard_normal(system.n)
+            natural = constraint_force(model, f_par, qd)
+            worst_natural = max(worst_natural, float(np.linalg.norm(
+                force_split_for_control(f_par, natural, model, qd)))
+                / (1 + float(np.linalg.norm(natural))))
+            fc_d = proj.Q @ rng.standard_normal(system.n)
+            f_perp = force_split_for_control(f_par, fc_d, model, qd)
+            realized = constraint_force(model, f_par + f_perp, qd)
+            worst_realized = max(worst_realized, float(np.linalg.norm(realized - fc_d))
+                                 / (1 + float(np.linalg.norm(fc_d))))
+            try:
+                force_split_for_control(f_par, proj.P @ rng.standard_normal(system.n),
+                                        model, qd)
+            except InvalidTargetError:
+                rejected += 1
+            states += 1
+    ok = worst_natural <= 1e-8 and worst_realized <= 1e-8 and rejected == states
+    verdict(11, ok, f"natural reaction needs input {worst_natural:.3e}, requested "
+                    f"reaction error {worst_realized:.3e} (tol 1e-8 relative), "
+                    f"motion-space targets rejected at {rejected}/{states} states")

@@ -113,11 +113,21 @@ class TestSimulate:
         ({"controller": {"q_star": [1, 0], "sigma": None}},
          "controller sigma must be a number"),
         ({"controller": [1, 0]}, "controller must be a JSON object"),
+        # only an absent or null controller means an uncontrolled run
+        ({"controller": {}}, "controller is missing the required field 'q_star'"),
+        ({"controller": []}, "controller must be a JSON object, got []"),
+        ({"controller": 0}, "controller must be a JSON object, got 0"),
+        ({"controller": False}, "controller must be a JSON object, got False"),
+        # an absent rank_tol reads RANK_TOL; null is not a tolerance
+        ({"rank_tol": None}, "rank_tol must be a positive finite number, got None"),
+        ({"system": [1, 0]}, "a system definition must be a JSON object"),
         ([1, 2], "must hold a JSON object"),
         ({"system": {"n": 2, "mass": {"diag": [1, 1]}, "constraints": 5}},
          "constraints must be a list"),
     ], ids=["null-horizon", "list-dt", "text-kp", "bool-kd", "null-sigma",
-            "list-controller", "list-file", "scalar-constraints"])
+            "list-controller", "empty-controller", "empty-list-controller",
+            "zero-controller", "false-controller", "null-rank-tol", "list-system",
+            "list-file", "scalar-constraints"])
     def test_scenario_file_wrong_json_type_is_usage_error(self, tmp_path, capsys,
                                                           spec, message):
         if isinstance(spec, dict):
@@ -154,7 +164,22 @@ class TestSimulate:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(spec))
         assert main(["simulate", "--scenario-file", str(path)]) == 2
-        assert "rank_tol must be None or a positive finite number" in capsys.readouterr().err
+        assert "rank_tol must be a positive finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--system", "pendulum"], ["--target", "0.84,-0.54"], ["--kp", "50"], ["--kd", "50"],
+        ["--sigma", "2"], ["--horizon", "5"], ["--dt", "0.001"], ["--mu", "3"],
+        ["--rank-tol", "1e-8"], ["--kp", "50", "--horizon", "5", "--mu", "3"]],
+        ids=["system", "target", "kp", "kd", "sigma", "horizon", "dt", "mu", "rank-tol",
+             "three"])
+    def test_flag_beside_scenario_file_is_usage_error(self, tmp_path, capsys, flags):
+        # the file sets the run; a flag beside it would be silently ignored
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"system": "pendulum", "q0": [1.0, 0.0],
+                                    "horizon": 0.1, "dt": 0.01}))
+        assert main(["simulate", "--scenario-file", str(path), *flags]) == 2
+        named = ", ".join(f for f in flags if f.startswith("--"))
+        assert f"{named} cannot be combined with --scenario-file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("q_star, message", [([0.5], "must have 2 components"),
                                                  ({"x": 0.5}, "list of numbers")])

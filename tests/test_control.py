@@ -5,9 +5,8 @@ import pytest
 
 from projdyn import (AdmissibilityError, ConstraintJacobian, PlantMatrices,
                      RegulationGains, Scenario, SetpointRegulator, assemble,
-                     build_projectors, control_force, fallback_direction,
-                     lyapunov_value, pendulum, run, velocity_direction)
-from projdyn.control import EPS_V
+                     build_projectors, control_force, lyapunov_value, pendulum, run)
+from projdyn.control import EPS_V, fallback_direction, velocity_direction
 
 
 def free_scalar_proj():

@@ -131,7 +131,7 @@ class TestValidation:
         for name, value in (("dt", float("nan")), ("dt", -1e-3), ("horizon", float("inf")),
                             ("horizon", 0.0), ("rank_tol", "1e-8"), ("rank_tol", 0.0),
                             ("rank_tol", float("nan")), ("rank_tol", float("inf")),
-                            ("rank_tol", True)):
+                            ("rank_tol", True), ("rank_tol", None)):
             with pytest.raises(ValueError, match=f"^{name} must be"):
                 Scenario(system=pendulum(), q0=np.zeros(2), qdot0=np.zeros(2),
                          **{"horizon": 1.0, "dt": 1e-3, name: value})

@@ -6,7 +6,7 @@ import pytest
 
 from projdyn import (AdmissibilityError, ConstraintJacobian, InvalidTargetError,
                      PlantMatrices, acceleration, acceleration_nonminimal,
-                     assemble, build_projectors, constraint_force, decompose,
+                     assemble, build_projectors, constraint_force,
                      force_split_for_control, kkt_oracle, pseudo_inverse)
 
 
@@ -267,15 +267,3 @@ class TestForceSplit:
         with pytest.raises(InvalidTargetError):
             force_split_for_control(np.zeros(2), np.array([1.0, 0.0]),
                                     pendulum_model(), np.zeros(2))
-
-    def test_decompose_consistency(self):
-        rng = np.random.default_rng(53)
-        plant, proj, model = random_instance(rng, n=4, m=2, k=4)
-        sv = np.linalg.svd(proj.P @ plant.B, compute_uv=False)
-        assert sv[proj.n - proj.rank - 1] > 1e-6
-        f = rng.standard_normal(4)
-        qd = proj.P @ rng.standard_normal(4)
-        dec = decompose(model, f, qd)
-        np.testing.assert_allclose(dec.f_par + dec.f_perp, f, atol=1e-10)
-        np.testing.assert_allclose(proj.P @ plant.B @ dec.u, dec.f_par,
-                                   atol=1e-8)

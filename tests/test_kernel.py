@@ -9,8 +9,9 @@ import pytest
 
 from projdyn import (ConstraintJacobian, NonFiniteInputError, PlantMatrices, ProjectorBundle,
                      Scenario, SetpointRegulator, RegulationGains, acceleration, assemble,
-                     build_projectors, constraint_force, optimal_mu, pdot_fd_check,
-                     pendulum, pseudo_inverse, run)
+                     build_projectors, constraint_force, optimal_mu, pendulum,
+                     pseudo_inverse, run)
+from projdyn.battery import pdot_fd_check
 from projdyn.forces import acceleration_nonminimal
 from projdyn.kernel import _lazy, configuration_projectors, with_adot
 from projdyn.model import pmp_eigenvalues

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from projdyn import (ConstraintJacobian, PlantMatrices, assemble, build_projectors,
-                     kinetic_energy, nonzero_pmp_eigenvalues, optimal_mu, pseudo_inverse)
+                     kinetic_energy, optimal_mu, pseudo_inverse)
+from projdyn.model import pmp_eigenvalues
 
 
 def pendulum_proj(q=(0.0, -1.0), qd=(0.0, 0.0)):
@@ -101,9 +102,8 @@ class TestSpectrum:
                 A=rng.standard_normal((m, n)), Adot=np.zeros((m, n))))
             mu = float(rng.uniform(0.1, 10.0))
             model = assemble(plant, proj, mu=mu)
-            predicted = np.sort(np.concatenate(
-                [np.full(proj.rank, mu),
-                 nonzero_pmp_eigenvalues(plant, proj)]))
+            lam, nonzero = pmp_eigenvalues(plant, proj)
+            predicted = np.sort(np.concatenate([np.full(proj.rank, mu), lam[nonzero]]))
             direct = np.sort(np.linalg.eigvalsh(model.Mbar))
             np.testing.assert_allclose(direct, predicted,
                                        rtol=1e-9, atol=1e-9)
@@ -139,7 +139,8 @@ class TestOptimalMu:
                                   B=np.eye(n))
             proj = build_projectors(ConstraintJacobian(
                 A=rng.standard_normal((m, n)), Adot=np.zeros((m, n))))
-            lam = nonzero_pmp_eigenvalues(plant, proj)
+            lam, nonzero = pmp_eigenvalues(plant, proj)
+            lam = lam[nonzero]
             if lam.size == 0:
                 continue
             mu_star = optimal_mu(plant, proj)
@@ -164,18 +165,13 @@ class TestKineticEnergy:
         w = 1.4
         proj = pendulum_proj(qd=(w, 0.0))
         qd = np.array([w, 0.0])
-        values = [kinetic_energy(assemble(plant, proj, mu), qd)
+        values = [kinetic_energy(assemble(plant, proj, mu).Mbar, qd)
                   for mu in (0.1, 1.0, 10.0)]
         np.testing.assert_allclose(values, 0.5 * w ** 2, atol=1e-12)
 
     def test_zero_velocity(self):
-        assert kinetic_energy(assemble(pendulum_plant(), pendulum_proj(), 1.0),
+        assert kinetic_energy(assemble(pendulum_plant(), pendulum_proj(), 1.0).Mbar,
                               np.zeros(2)) == 0.0
-
-    def test_inadmissible_velocity_warns(self):
-        with pytest.warns(UserWarning):
-            kinetic_energy(assemble(pendulum_plant(), pendulum_proj(), 1.0),
-                           np.array([0.0, 1.0]))
 
 
 def test_lazy_pdot_and_cbar_equal_the_eager_formulas():
