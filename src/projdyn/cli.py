@@ -155,7 +155,11 @@ def _scenario_from_args(args) -> Scenario:
         raise ValueError(f"{', '.join(given)} set the regulator's gains and need --target")
     settings = _flags(args, _RUN)
     if settings["mu"] != "auto":
-        settings["mu"] = float(settings["mu"])
+        try:
+            settings["mu"] = float(settings["mu"])
+        except ValueError:
+            raise ValueError("--mu must be a positive number or 'auto', "
+                             f"got {settings['mu']!r}") from None
     system = get_system(args.system)
     q0, qdot0 = system.default_state
     controller = None

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError
-from .kernel import ProjectorBundle
+from .kernel import ProjectorBundle, _norm
 from .model import ConstrainedModel, kinetic_energy
 
 EPS_V = 0.3   # speed below which eta tapers linearly to zero
@@ -69,10 +69,10 @@ def velocity_direction(qdot, e, proj: ProjectorBundle) -> np.ndarray:
     """
     qdot = np.asarray(qdot, dtype=float)
     e = np.asarray(e, dtype=float)
-    speed = np.linalg.norm(qdot)
+    speed = _norm(qdot)
     if speed <= 1e-15:
-        err = np.linalg.norm(e)
-        if err > 0.0 and np.linalg.norm(proj.P @ e) <= 1e-9 * (1.0 + err):
+        err = _norm(e)
+        if err > 0.0 and _norm(proj.P @ e) <= 1e-9 * (1.0 + err):
             return fallback_direction(proj)
         return np.zeros_like(qdot)
     return qdot / max(speed, EPS_V)
@@ -88,18 +88,22 @@ def control_force(q, qdot, q_star, gains: RegulationGains, model: ConstrainedMod
     qdot = np.asarray(qdot, dtype=float)
     e = q - np.asarray(q_star, dtype=float)
     eta = velocity_direction(qdot, e, model.proj)
-    inner = model.plant.f_g + gains.Kp @ (e + gains.sigma * np.linalg.norm(e) * eta) \
+    inner = model.plant.f_g + gains.Kp @ (e + gains.sigma * _norm(e) * eta) \
         + gains.Kd @ qdot
     u = -(model.Gamma @ inner)
     return model.plant.B @ u, u
 
 
-def lyapunov_value(q, qdot, q_star, gains: RegulationGains,
-                   model: ConstrainedModel) -> float:
-    """V = 0.5 q'^T Mbar q' + 0.5 e^T Kp e; zero only at the target at rest."""
+def lyapunov_value(q, qdot, q_star, gains: RegulationGains, Mbar) -> float | np.ndarray:
+    """V = 0.5 q'^T Mbar q' + 0.5 e^T Kp e; zero only at the target at rest.
+
+    For a stack of states q and qdot are columns (..., n, 1), Mbar is the
+    stack of the states' Mbar, and V is one value per member."""
     qdot = np.asarray(qdot, dtype=float)
-    e = np.asarray(q, dtype=float) - np.asarray(q_star, dtype=float)
-    return kinetic_energy(model.Mbar, qdot) + 0.5 * float(e @ gains.Kp @ e)
+    q = np.asarray(q, dtype=float)
+    e = q - np.asarray(q_star, dtype=float).reshape(q.shape[-2:])
+    # 0.5 e^T Kp e is the quadratic form of kinetic_energy, under Kp
+    return kinetic_energy(Mbar, qdot) + kinetic_energy(gains.Kp, e)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ import numpy as np
 from . import forces
 from .control import SetpointRegulator, control_force, lyapunov_value
 from .errors import DivergenceError, InconsistentStateError
-from .kernel import (RANK_TOL, ConstraintJacobian, _lazy, build_projectors,
-                     configuration_projectors, pseudo_inverse, with_adot)
-from .model import assemble, kinetic_energy, optimal_mu
+from .kernel import (RANK_TOL, _lazy, _norm, build_projectors, configuration_projectors,
+                     pseudo_inverse, with_adot)
+from .model import PlantMatrices, _condition, assemble, kinetic_energy, optimal_mu
 from .systems import MechanicalSystem
 
 
@@ -179,7 +179,8 @@ def project_to_constraints(q_raw, system: MechanicalSystem, tol=1e-10,
 
 class _Eval:
     """One state (t, q, qdot) of a run; each part is computed once, when first
-    asked for.  The active set is fixed at creation, mu read at first use."""
+    asked for.  The active set is fixed at creation, mu read at first use.
+    A state made by _Runner._projected also carries its drift |A qdot|."""
 
     def __init__(self, runner, t, q, qdot):
         self.runner, self.t, self.q, self.qdot = runner, t, q, qdot
@@ -216,10 +217,6 @@ class _Eval:
         f, _ = self.force
         return forces.acceleration(self.model, f, self.qdot)
 
-    @_lazy
-    def drift(self):   # |A qdot|
-        return float(np.linalg.norm(self.jac.A @ self.qdot))
-
 
 class _Runner:
     """One simulation run; owns the phase state (active set, mu)."""
@@ -238,14 +235,16 @@ class _Runner:
                          if self.sc.mu == "auto" else float(self.sc.mu))
 
     def _projected(self, t, q, qdot):
-        """The state with qdot projected through P(q).  A(q) and its SVD serve
-        both velocities; the projected state adds only Adot."""
+        """The state with qdot projected through P(q), and its drift |A qdot|.
+        A(q) and its SVD serve both velocities; the projected state adds only
+        Adot.  configuration_projectors checks A and with_adot checks Adot,
+        each once."""
         system, active = self.system, self.active
         A = system.constraint_matrix(q, active)
         config = configuration_projectors(A, self.sc.rank_tol)
         ev = _Eval(self, t, q, config.P @ qdot)
-        ev.jac = ConstraintJacobian(A, system.constraint_rate_matrix(q, ev.qdot, active))
-        ev.proj = with_adot(config, ev.jac.Adot)
+        ev.proj = with_adot(config, system.constraint_rate_matrix(q, ev.qdot, active))
+        ev.drift = _norm(A @ ev.qdot)
         return ev
 
     # --- stepping ---------------------------------------------------------
@@ -290,7 +289,7 @@ class _Runner:
             logs.append(log)
         q, qdot = self._rk4(ev, t_end - ev.t) if t_end > ev.t else (ev.q, ev.qdot)
         end = self._projected(t_end, q, qdot)   # drift control
-        if end.drift > self.sc.drift_tol * (1.0 + np.linalg.norm(end.qdot)):
+        if end.drift > self.sc.drift_tol * (1.0 + _norm(end.qdot)):
             raise DivergenceError(f"velocity drift {end.drift:.3e} exceeds tolerance",
                                   last_state=GeneralizedState(t_end, q, end.qdot))
         return end, logs
@@ -298,19 +297,15 @@ class _Runner:
     # --- recording --------------------------------------------------------
 
     def record(self, t, ev):
-        """The trace row of ev at time t.  t is stamped on ev first: t + h in
-        advance and (i + 1) dt in run can differ in the last bit."""
+        """The inputs of ev's trace row at time t, all computed by the step:
+        (t, q, qdot, qdd, f, u, S, Omega, Mbar, plant, rank, drift).  _pack
+        evaluates the rest of the row on the stack of them.  t is stamped on
+        ev first: t + h in advance and (i + 1) dt in run can differ in the
+        last bit."""
         ev.t = t
-        q, qdot = ev.q, ev.qdot
-        f, u = ev.force
-        f_c = forces.constraint_force(ev.model, f, qdot)
-        ke = kinetic_energy(ev.plant.M, qdot)
-        pe = float(self.system.potential(q)) if self.system.potential else 0.0
-        c, V = self.sc.controller, np.nan
-        if c is not None:
-            V = lyapunov_value(q, qdot, c.q_star, c.gains, ev.model)
-        return dict(zip(TRACE_KEYS, (t, q, qdot, ev.qdd, f, u, f_c, ke, pe, ke + pe, V,
-                                     ev.proj.rank, ev.model.cond, ev.drift), strict=True))
+        model, (f, u) = ev.model, ev.force
+        return (t, ev.q, ev.qdot, ev.qdd, f, u, model.S, ev.proj.Omega, model.Mbar,
+                ev.plant, ev.proj.rank, ev.drift)
 
 
 def step(state: GeneralizedState, scenario: Scenario) -> GeneralizedState:
@@ -358,7 +353,29 @@ def run(scenario: Scenario) -> SimulationTrace:
 
 
 def _pack(records, logs, sc: Scenario) -> SimulationTrace:
-    trace = SimulationTrace(n=sc.system.n, k=records[0]["u"].shape[0], events=logs)
-    for key in TRACE_KEYS:   # rank holds Python ints, so its array is int
-        setattr(trace, key, np.array([r[key] for r in records]))
+    """The trace of a run's records (_Runner.record).  The columns the step
+    does not read are evaluated here, once, on the stack of recorded states;
+    a stack gives each member the bits it has alone."""
+    t, q, qdot, qdd, f, u, S, Omega, Mbar, plants, rank, drift = zip(*records)
+    trace = SimulationTrace(n=sc.system.n, k=u[0].shape[0], events=logs)
+    # rank holds Python ints, so its array is int
+    trace.t, trace.q, trace.qdot, trace.qdd, trace.f, trace.u, trace.rank, trace.drift = (
+        np.array(rows) for rows in (t, q, qdot, qdd, f, u, rank, drift))
+    S, Omega, Mbar = np.array(S), np.array(Omega), np.array(Mbar)
+    # a constant plant is one object: a stack of one, broadcast over the rows
+    if all(p is plants[0] for p in plants):
+        plants = plants[:1]
+    M, C, f_g, B = (np.stack([getattr(p, x) for p in plants]) for x in ("M", "C", "f_g", "B"))
+    q, qdot = trace.q[..., None], trace.qdot[..., None]
+    trace.f_c = forces._constraint_force(S, PlantMatrices(M, C, f_g[..., None], B), Omega,
+                                         trace.f[..., None], qdot)[..., 0]
+    trace.kinetic = kinetic_energy(M, qdot)
+    potential = sc.system.potential
+    trace.potential = (np.array([float(potential(x)) for x in trace.q]) if potential
+                       else np.zeros(len(trace.t)))
+    trace.energy = trace.kinetic + trace.potential
+    c = sc.controller
+    trace.lyapunov = (lyapunov_value(q, qdot, c.q_star, c.gains, Mbar) if c is not None
+                      else np.full(len(trace.t), np.nan))
+    trace.cond_mbar = _condition(np.linalg.eigvalsh(Mbar))
     return trace

@@ -47,10 +47,15 @@ def acceleration_nonminimal(model: ConstrainedModel, f, qdot) -> np.ndarray:
 
 def constraint_force(model: ConstrainedModel, f, qdot) -> np.ndarray:
     """f_c = -S (f + h - M Omega q'); always lies in the reaction space."""
+    return _constraint_force(model.S, model.plant, model.proj.Omega, f, qdot)
+
+
+def _constraint_force(S, plant: PlantMatrices, Omega, f, qdot) -> np.ndarray:
+    """constraint_force from the parts of the model it reads: S, the plant
+    and Omega (or stacks of them, which may broadcast a constant plant)."""
     qdot = np.asarray(qdot, dtype=float)
-    plant = model.plant
-    return -model.S @ (np.asarray(f, dtype=float) + nonlinear_vector(plant, qdot)
-                       - plant.M @ (model.proj.Omega @ qdot))
+    return -S @ (np.asarray(f, dtype=float) + nonlinear_vector(plant, qdot)
+                 - plant.M @ (Omega @ qdot))
 
 
 def force_split_for_control(f_par, f_c_desired, model: ConstrainedModel,

@@ -21,6 +21,7 @@ state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,6 +50,12 @@ class _lazy:
             return self
         value = obj.__dict__[self.name] = self.fn(obj)
         return value
+
+
+def _norm(v) -> float:
+    """|v| of a 1-D float array: the sqrt(v . v) that np.linalg.norm computes
+    for such a vector, without its dispatch."""
+    return math.sqrt(v.dot(v))
 
 
 def _float_array(x) -> np.ndarray:
@@ -133,7 +140,7 @@ def _checked(A) -> np.ndarray:
     """A as a float array (..., m, n), checked finite."""
     A = _float_array(A)
     if not np.isfinite(A).all():
-        raise NonFiniteInputError("matrix to pseudo-invert must be finite")
+        raise NonFiniteInputError("constraint and input matrices must be finite")
     return A
 
 
@@ -202,7 +209,8 @@ def build_projectors(jac: ConstraintJacobian, rank_tol: float = RANK_TOL) -> Pro
 
 
 def with_adot(proj: ProjectorBundle, Adot) -> ProjectorBundle:
-    """The bundle of the same A (same q) with another Adot (another velocity):
-    only Lambda and Omega are rebuilt, from the stored pinv(A)."""
-    return ProjectorBundle(proj.P, proj.Q, *_rates(proj.A_pinv, Adot), proj.rank,
+    """The bundle of the same A (same q) with another Adot (another velocity),
+    checked finite: only Lambda and Omega are rebuilt, from the stored
+    pinv(A)."""
+    return ProjectorBundle(proj.P, proj.Q, *_rates(proj.A_pinv, _checked(Adot)), proj.rank,
                            proj.rank_tol, proj.A_pinv)

@@ -85,8 +85,7 @@ class ConstrainedModel:
 
     @_lazy
     def cond(self) -> float | np.ndarray:
-        cond = self.spectrum.T[-1] / self.spectrum.T[0]
-        return float(cond) if cond.ndim == 0 else cond
+        return _condition(self.spectrum)
 
     @_lazy
     def Cbar(self) -> np.ndarray:
@@ -130,6 +129,13 @@ class ConstrainedModel:
         """R = B Gamma, the oblique projector that maps a desired motion-space
         force to the realizable one B u."""
         return self.plant.B @ self.Gamma
+
+
+def _condition(spectrum) -> float | np.ndarray:
+    """cond = lam_max / lam_min of ascending eigenvalues (..., n) of a
+    positive definite matrix: a float for one, an array for a stack."""
+    cond = spectrum[..., -1] / spectrum[..., 0]
+    return float(cond) if cond.ndim == 0 else cond
 
 
 def assemble(plant: PlantMatrices, proj: ProjectorBundle, mu) -> ConstrainedModel:
@@ -178,7 +184,12 @@ def optimal_mu(plant: PlantMatrices, proj: ProjectorBundle) -> float:
     return float(mu) if mu.ndim == 0 else mu
 
 
-def kinetic_energy(M, qdot) -> float:
+def kinetic_energy(M, qdot) -> float | np.ndarray:
     """Kinetic energy 0.5 q'^T M q' under the inertia M: the plant's M, or
-    Mbar, which gives the same value for an admissible q' (Q q' = 0)."""
-    return 0.5 * float(qdot @ M @ qdot)
+    Mbar, which gives the same value for an admissible q' (Q q' = 0).  For a
+    stack of states q' is a column (..., n, 1) and the result one value per
+    member."""
+    qdot = np.asarray(qdot, dtype=float)
+    if qdot.ndim == 1:
+        return 0.5 * float(qdot @ M @ qdot)
+    return 0.5 * (qdot.swapaxes(-1, -2) @ M @ qdot)[..., 0, 0]

@@ -100,6 +100,10 @@ class TestSimulate:
         assert main(["simulate", "--system", "pendulum", "--horizon", "inf"]) == 2
         assert "horizon must be a positive finite number" in capsys.readouterr().err
 
+    def test_text_mu_is_usage_error(self, capsys):
+        assert main(["simulate", "--system", "pendulum", "--mu", "abc"]) == 2
+        assert "--mu must be a positive number or 'auto', got 'abc'" in capsys.readouterr().err
+
     def test_overflowing_step_count_is_usage_error(self, capsys):
         assert main(["simulate", "--system", "pendulum", "--horizon", "1e300",
                      "--dt", "1e-300"]) == 2

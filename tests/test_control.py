@@ -127,9 +127,9 @@ class TestLyapunov:
         model = assemble(plant, proj, mu=1.0)
         gains = RegulationGains(Kp=2 * np.eye(2), Kd=np.eye(2), sigma=2.0)
         q_star = np.array([1.0, 2.0])
-        assert lyapunov_value(q_star, np.zeros(2), q_star, gains, model) == 0.0
+        assert lyapunov_value(q_star, np.zeros(2), q_star, gains, model.Mbar) == 0.0
         v = lyapunov_value(q_star + [0.1, 0.0], np.zeros(2), q_star, gains,
-                           model)
+                           model.Mbar)
         assert v == pytest.approx(0.5 * 2 * 0.01)
 
     def test_closed_loop_descent(self):

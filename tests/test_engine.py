@@ -12,8 +12,8 @@ from projdyn import (ConstrainedModel, DivergenceError, GeneralizedState,
                      InconsistentStateError, ProjectorBundle, RegulationGains,
                      Scenario, SetpointRegulator, acceleration,
                      assemble, build_projectors, constraint_force, control_force,
-                     double_pendulum, load_system, lyapunov_value, optimal_mu,
-                     pendulum, project_to_constraints, redundant_pendulum, run,
+                     double_pendulum, kinetic_energy, load_system, lyapunov_value,
+                     optimal_mu, pendulum, project_to_constraints, redundant_pendulum, run,
                      slider_crank, step, switching_particle)
 
 
@@ -301,6 +301,12 @@ def _case(name):
         return Scenario(system=redundant_pendulum(),
                         q0=np.array([np.sin(0.4), -np.cos(0.4)]),
                         qdot0=np.array([0.3, 0.1]), horizon=0.5, dt=5e-3)
+    if name == "state-dependent-plant":
+        # every catalog plant is constant; this one is built at each state
+        system = dataclasses.replace(pendulum(), potential=None,
+                                     mass=lambda q: (1.0 + 0.5 * q[0] ** 2) * np.eye(2))
+        return Scenario(system=system, q0=np.array([np.sin(0.4), -np.cos(0.4)]),
+                        qdot0=np.array([0.3, 0.1]), horizon=0.5, dt=5e-3)
     q, qd = slider_crank().sample_state(rng)
     return Scenario(system=load_system(LOADED_SLIDER_CRANK), q0=q, qdot0=qd,
                     horizon=0.5, dt=5e-3)
@@ -308,7 +314,7 @@ def _case(name):
 
 @pytest.mark.parametrize("name", ["free-double-pendulum", "regulated-pendulum",
                                   "switching-particle", "redundant-pendulum",
-                                  "loaded-slider-crank"])
+                                  "loaded-slider-crank", "state-dependent-plant"])
 def test_record_equals_a_fresh_evaluation(name):
     """Every row equals a fresh evaluation of its recorded (q, qdot) through
     the public functions, bit for bit: the engine's per-state cache cannot
@@ -333,9 +339,12 @@ def test_record_equals_a_fresh_evaluation(name):
         V = np.nan
         if reg is not None:
             f, u = control_force(q, qdot, reg.q_star, reg.gains, model)
-            V = lyapunov_value(q, qdot, reg.q_star, reg.gains, model)
+            V = lyapunov_value(q, qdot, reg.q_star, reg.gains, model.Mbar)
         elif sc.force_schedule is not None:
             f = sc.force_schedule(t, q, qdot)
+        ke = kinetic_energy(plant.M, qdot)
+        pe = float(system.potential(q)) if system.potential else 0.0
+        assert (trace.kinetic[i], trace.potential[i], trace.energy[i]) == (ke, pe, ke + pe)
         np.testing.assert_array_equal(trace.qdd[i], acceleration(model, f, qdot))
         np.testing.assert_array_equal(trace.f_c[i], constraint_force(model, f, qdot))
         np.testing.assert_array_equal(trace.f[i], f)
@@ -346,7 +355,8 @@ def test_record_equals_a_fresh_evaluation(name):
 
 def _per_step_linalg_calls(monkeypatch, scenario):
     """(SVDs, solves, eigvalsh) per step: the difference of a 20-step and a
-    10-step run, so calls made once per run do not count."""
+    10-step run, so calls made once per run do not count; and the eigvalsh
+    calls of each of the two runs."""
     counts = {"svd": 0, "solve": 0, "eigvalsh": 0}
     for name in counts:
         original = getattr(np.linalg, name)
@@ -360,18 +370,21 @@ def _per_step_linalg_calls(monkeypatch, scenario):
         counts.update(dict.fromkeys(counts, 0))
         run(dataclasses.replace(scenario, horizon=steps * scenario.dt))
         totals.append(dict(counts))
-    return [(totals[1][k] - totals[0][k]) / 10 for k in counts]
+    return ([(totals[1][k] - totals[0][k]) / 10 for k in counts],
+            [total["eigvalsh"] for total in totals])
 
 
 def test_per_step_linalg_cost(monkeypatch):
-    """4 state evaluations per RK4 step, one SVD per A and one per P B; the
-    spectrum of Mbar only for the recorded state's cond_mbar."""
+    """4 state evaluations per RK4 step, one SVD per A and one per P B.  No
+    step takes a spectrum: a run takes two, optimal_mu's of P M P and the
+    recorded states' Mbar for cond_mbar, as one stack."""
     free = Scenario(system=pendulum(), q0=np.array([1.0, 0.0]), qdot0=np.zeros(2),
                     horizon=0.05, dt=5e-3)
-    svd, solve, eig = _per_step_linalg_calls(monkeypatch, free)
-    assert svd <= 4 and solve <= 4 and eig == 1
-    svd, solve, eig = _per_step_linalg_calls(monkeypatch, _case("regulated-pendulum"))
-    assert svd <= 8 and solve <= 4 and eig == 1
+    (svd, solve, eig), eig_runs = _per_step_linalg_calls(monkeypatch, free)
+    assert svd <= 4 and solve <= 4 and eig == 0 and eig_runs == [2, 2]
+    (svd, solve, eig), eig_runs = _per_step_linalg_calls(monkeypatch,
+                                                         _case("regulated-pendulum"))
+    assert svd <= 8 and solve <= 4 and eig == 0 and eig_runs == [2, 2]
 
 
 def test_a_step_evaluates_a_and_adot_four_times():

@@ -9,11 +9,11 @@ import pytest
 
 from projdyn import (ConstraintJacobian, NonFiniteInputError, PlantMatrices, ProjectorBundle,
                      Scenario, SetpointRegulator, RegulationGains, acceleration, assemble,
-                     build_projectors, constraint_force, optimal_mu, pendulum,
-                     pseudo_inverse, run)
+                     build_projectors, constraint_force, kinetic_energy, lyapunov_value,
+                     optimal_mu, pendulum, pseudo_inverse, run)
 from projdyn.battery import pdot_fd_check
 from projdyn.forces import acceleration_nonminimal
-from projdyn.kernel import _lazy, configuration_projectors, with_adot
+from projdyn.kernel import _lazy, _norm, configuration_projectors, with_adot
 from projdyn.model import pmp_eigenvalues
 
 
@@ -222,7 +222,7 @@ def assert_one_bundle_is_the_split_one(jac):
 
 
 def test_a_stack_has_the_bits_of_its_members():
-    """Kernel, model and force functions take (..., m, n) stacks, with
+    """Kernel, model, force and energy functions take (..., m, n) stacks, with
     vectors as (..., n, 1) columns: each member of a stacked call is byte for
     byte the call on that member alone, for n from 2 to 8, every rank down
     to 0 and zeroed rows; and one matrix keeps the bits of the SVD sliced at
@@ -246,6 +246,7 @@ def test_a_stack_has_the_bits_of_its_members():
             C, f_g = rng.standard_normal((N, n, n)), rng.standard_normal((N, n))
             mu = rng.uniform(0.2, 5.0, size=N)
             f, qdot = rng.standard_normal((N, n)), rng.standard_normal((N, n))
+            gains, q_star = RegulationGains(Kp=M[0], Kd=M[0], sigma=2.0), f[0]
 
             def outputs(A, Adot, M, C, f_g, mu, f, qdot):
                 Apinv, rank = pseudo_inverse(A)
@@ -261,7 +262,9 @@ def test_a_stack_has_the_bits_of_its_members():
                               model.Mbar, np.asarray(model.cond), model.X, model.S,
                               model.Cbar, model.Gamma,
                               acceleration(model, f, qdot), constraint_force(model, f, qdot),
-                              acceleration_nonminimal(model, f, qdot)]
+                              acceleration_nonminimal(model, f, qdot),
+                              np.asarray(kinetic_energy(M, qdot)),
+                              np.asarray(lyapunov_value(f, qdot, q_star, gains, model.Mbar))]
 
             ranks, stacked = outputs(A, Adot, M, C, f_g[..., None], mu, f[..., None],
                                      qdot[..., None])
@@ -299,9 +302,10 @@ def _nan_pendulum(part):
 @pytest.mark.parametrize("part", ["A", "Adot", "B"])
 def test_a_nonfinite_part_raises_on_every_route(part):
     """Each array is checked once, where it enters: A and Adot at
-    ConstraintJacobian or configuration_projectors, the input map at P B.
-    A non-finite one raises NonFiniteInputError through build_projectors (or
-    model.Gamma for the input map) and through a regulated run."""
+    ConstraintJacobian, A at configuration_projectors, Adot at with_adot, the
+    input map at P B.  A non-finite one raises NonFiniteInputError through
+    build_projectors (or model.Gamma for the input map), through with_adot
+    and through a regulated run."""
     system = _nan_pendulum(part)
     q, qdot = np.array([1.0, 0.0]), np.array([0.0, 0.5])
     with pytest.raises(NonFiniteInputError):
@@ -310,7 +314,22 @@ def test_a_nonfinite_part_raises_on_every_route(part):
                      1.0).Gamma
         else:
             build_projectors(system.jacobian(q, qdot))
+    if part == "Adot":
+        with pytest.raises(NonFiniteInputError):
+            with_adot(configuration_projectors(system.constraint_matrix(q)),
+                      system.constraint_rate_matrix(q, qdot))
     gains = RegulationGains(Kp=10 * np.eye(2), Kd=10 * np.eye(2), sigma=1.5)
     with pytest.raises(NonFiniteInputError):
         run(Scenario(system=system, q0=q, qdot0=qdot, horizon=0.02, dt=0.01,
                      controller=SetpointRegulator(np.array([0.0, -1.0]), gains)))
+
+
+def test_norm_has_the_bits_of_np_linalg_norm():
+    """kernel._norm is np.linalg.norm of a 1-D float vector, bit for bit, at
+    every size a catalog state has and far from unit scale."""
+    rng = np.random.default_rng(14)
+    for size in range(1, 9):
+        for scale in 10.0 ** np.arange(-8, 9):
+            for _ in range(20):
+                v = scale * rng.standard_normal(size)
+                assert _norm(v) == np.linalg.norm(v)

@@ -212,6 +212,23 @@ def test_lazy_pdot_and_cbar_equal_the_eager_formulas():
             np.testing.assert_array_equal(model.R, np.zeros((n, n)))
 
 
+def test_cond_of_a_stack_with_two_batch_axes():
+    """cond is each member's lam_max / lam_min, in the stack's own shape, also
+    with two leading axes."""
+    rng = np.random.default_rng(13)
+    shape, n = (2, 3), 4
+    proj = build_projectors(ConstraintJacobian(A=rng.standard_normal(shape + (1, n)),
+                                               Adot=rng.standard_normal(shape + (1, n))))
+    G = rng.standard_normal(shape + (n, n))
+    plant = PlantMatrices(M=G @ G.swapaxes(-1, -2) + n * np.eye(n), C=np.zeros((n, n)),
+                          f_g=np.zeros((n, 1)), B=np.eye(n))
+    model = assemble(plant, proj, 1.0)
+    assert model.cond.shape == shape
+    for i in np.ndindex(shape):
+        spectrum = np.linalg.eigvalsh(model.Mbar[i])
+        assert model.cond[i] == spectrum[-1] / spectrum[0]
+
+
 def test_admissible_and_the_actuation_maps_share_one_svd(monkeypatch):
     """model.admissible, model.Gamma and model.R all come from one SVD of P B."""
     rng = np.random.default_rng(12)
