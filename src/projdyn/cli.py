@@ -12,16 +12,19 @@ from . import battery
 from .control import RegulationGains, SetpointRegulator
 from .engine import Scenario, project_to_constraints, run
 from .errors import ProjdynError
-from .kernel import RANK_TOL, build_projectors
-from .loader import _required, load_system
+from .kernel import build_projectors
+from .loader import _known, _required, load_system
 from .model import assemble, pmp_eigenvalues
 from .systems import catalog, get_system
 
 
 # a run's settings and the regulator's gains when neither the scenario file
-# nor the flags set them; mu and rank_tol default as in Scenario
-_RUN = {"horizon": 10.0, "dt": 1e-3, "mu": Scenario.mu, "rank_tol": Scenario.rank_tol}
+# nor the flags set them; mu defaults as in Scenario
+_RUN = {"horizon": 10.0, "dt": 1e-3, "mu": Scenario.mu}
 _GAINS = {"kp": 10.0, "kd": 10.0, "sigma": 1.5}
+# the keys a scenario file and its controller object may hold
+_FILE_KEYS = ("system", "q0", "qdot0", *_RUN, "controller", "events", "initial_active")
+_CONTROLLER_KEYS = ("q_star", *_GAINS)
 
 
 def _build_parser():
@@ -42,7 +45,6 @@ def _build_parser():
         sim.add_argument(f"--{gain}", type=float, help=f"default {default:g}, needs --target")
     sim.add_argument("--out", help="trace output path")
     sim.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-    sim.add_argument("--rank-tol", type=float, help=f"default {_RUN['rank_tol']:g}")
 
     chk = sub.add_parser("check", help="run the invariant property battery")
     chk.add_argument("--seed", type=int, default=0)
@@ -56,7 +58,6 @@ def _build_parser():
                                      "system's reference configuration)")
     ana.add_argument("--grid-points", type=int, default=61)
     ana.add_argument("--out", help="CSV output of the mu/cond sweep")
-    ana.add_argument("--rank-tol", type=float, default=RANK_TOL)
     return parser
 
 
@@ -73,12 +74,24 @@ def _parse_vector(values, n, what):
     return vals
 
 
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number (JSON true and false are not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(spec, key, defaults, what=None):
     """A scenario file's numeric field: a JSON number, as a float."""
     value = spec.get(key, defaults[key])
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ValueError(f"{what or key} must be a number, got {value!r}")
     return float(value)
+
+
+def _numbers(value, n, what):
+    """A scenario file's vector field: a JSON list of n numbers."""
+    if not (isinstance(value, list) and all(map(_is_number, value))):
+        raise ValueError(f"{what} must be a list of numbers, got {value!r}")
+    return _parse_vector(value, n, what)
 
 
 def _rows(values, what):
@@ -96,18 +109,18 @@ def _events(values):
     for i, event in enumerate(values):
         try:
             t, rows = event
-            t = float(t)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"events[{i}] must be a [time, rows] pair, "
                              f"got {event!r}") from exc
-        events.append((t, _rows(rows, f"events[{i}] active set")))
+        if not _is_number(t):
+            raise ValueError(f"events[{i}] time must be a number, got {t!r}")
+        events.append((float(t), _rows(rows, f"events[{i}] active set")))
     return tuple(events)
 
 
-def _regulator(system, q_star, kp, kd, sigma, what) -> SetpointRegulator:
-    """The regulator to q_star, retracted onto the constraint manifold when
-    the system has a position residual."""
-    q_star = _parse_vector(q_star, system.n, what)
+def _regulator(system, q_star, kp, kd, sigma) -> SetpointRegulator:
+    """The regulator to q_star (n floats), retracted onto the constraint
+    manifold when the system has a position residual."""
     if system.residual is not None:
         q_star = project_to_constraints(q_star, system)
     eye = np.eye(system.n)
@@ -125,19 +138,23 @@ def _scenario_from_args(args) -> Scenario:
             spec = json.load(fh)
         if not isinstance(spec, dict):
             raise ValueError(f"a scenario file must hold a JSON object, got {spec!r}")
+        _known(spec, _FILE_KEYS, "a scenario file")
         system = _required(spec, "system", "a scenario file")
         system = get_system(system) if isinstance(system, str) else load_system(system)
         controller = None
         if (c := spec.get("controller")) is not None:
             if not isinstance(c, dict):
                 raise ValueError(f"controller must be a JSON object, got {c!r}")
+            _known(c, _CONTROLLER_KEYS, "controller")
             kp, kd, sigma = (_number(c, key, _GAINS, f"controller {key}") for key in _GAINS)
-            controller = _regulator(system, _required(c, "q_star", "controller"),
-                                    kp, kd, sigma, "controller q_star")
+            q_star = _numbers(_required(c, "q_star", "controller"), system.n,
+                              "controller q_star")
+            controller = _regulator(system, q_star, kp, kd, sigma)
         return Scenario(
             system=system,
-            q0=_parse_vector(_required(spec, "q0", "a scenario file"), system.n, "q0"),
-            qdot0=_parse_vector(spec.get("qdot0", np.zeros(system.n)), system.n, "qdot0"),
+            q0=_numbers(_required(spec, "q0", "a scenario file"), system.n, "q0"),
+            qdot0=(_numbers(spec["qdot0"], system.n, "qdot0") if "qdot0" in spec
+                   else np.zeros(system.n)),
             horizon=_number(spec, "horizon", _RUN),
             dt=_number(spec, "dt", _RUN),
             mu=spec.get("mu", _RUN["mu"]),
@@ -145,7 +162,6 @@ def _scenario_from_args(args) -> Scenario:
             events=_events(spec.get("events", [])),
             initial_active=(_rows(spec["initial_active"], "initial_active")
                             if "initial_active" in spec else None),
-            rank_tol=spec.get("rank_tol", _RUN["rank_tol"]),
         )
 
     if not args.system:
@@ -164,8 +180,8 @@ def _scenario_from_args(args) -> Scenario:
     q0, qdot0 = system.default_state
     controller = None
     if args.target is not None:
-        controller = _regulator(system, args.target, *_flags(args, _GAINS).values(),
-                                "--target")
+        controller = _regulator(system, _parse_vector(args.target, system.n, "--target"),
+                                *_flags(args, _GAINS).values())
     return Scenario(
         system=system, q0=q0, qdot0=qdot0, controller=controller,
         # catalog defaults beyond the horizon were not asked for; drop them
@@ -229,7 +245,7 @@ def cmd_analyze(args) -> int:
     q0, qd0 = system.default_state
     if args.state:
         q0 = _parse_vector(args.state, system.n, "--state")
-    proj = build_projectors(system.jacobian(q0, qd0), args.rank_tol)
+    proj = build_projectors(system.jacobian(q0, qd0))
     plant = system.plant(q0, qd0)
     lam, nonzero = pmp_eigenvalues(plant, proj)
     lam = lam[nonzero]

@@ -18,7 +18,7 @@ import numpy as np
 from . import forces
 from .control import SetpointRegulator, control_force, lyapunov_value
 from .errors import DivergenceError, InconsistentStateError
-from .kernel import (RANK_TOL, _lazy, _norm, build_projectors, configuration_projectors,
+from .kernel import (_lazy, _norm, build_projectors, configuration_projectors,
                      pseudo_inverse, with_adot)
 from .model import PlantMatrices, _condition, assemble, kinetic_energy, optimal_mu
 from .systems import MechanicalSystem
@@ -53,7 +53,6 @@ class Scenario:
     force_schedule: object = None        # callable (t, q, qdot) -> f
     events: tuple = ()                   # ((time, active-row-tuple), ...)
     initial_active: tuple | None = None  # None = all rows active
-    rank_tol: float = RANK_TOL
     drift_tol: float = 1e-12
 
     def __post_init__(self):
@@ -64,8 +63,6 @@ class Scenario:
         for name in ("dt", "horizon"):
             if not _positive_finite(v := getattr(self, name)):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
-        if not _positive_finite(self.rank_tol):
-            raise ValueError(f"rank_tol must be a positive finite number, got {self.rank_tol!r}")
         steps = self.horizon / self.dt
         if steps == np.inf:
             raise ValueError(f"horizon {self.horizon:g} over dt {self.dt:g} is not a "
@@ -192,7 +189,7 @@ class _Eval:
 
     @_lazy
     def proj(self):
-        return build_projectors(self.jac, self.runner.sc.rank_tol)
+        return build_projectors(self.jac)
 
     @_lazy
     def plant(self):
@@ -241,7 +238,7 @@ class _Runner:
         each once."""
         system, active = self.system, self.active
         A = system.constraint_matrix(q, active)
-        config = configuration_projectors(A, self.sc.rank_tol)
+        config = configuration_projectors(A)
         ev = _Eval(self, t, q, config.P @ qdot)
         ev.proj = with_adot(config, system.constraint_rate_matrix(q, ev.qdot, active))
         ev.drift = _norm(A @ ev.qdot)

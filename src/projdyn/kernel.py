@@ -30,7 +30,7 @@ import numpy as np
 from .errors import NonFiniteInputError
 
 
-RANK_TOL = 1e-10   # default relative singular-value cutoff of every rank decision
+RANK_TOL = 1e-10   # relative singular-value cutoff of every rank decision
 
 
 class _lazy:
@@ -90,9 +90,8 @@ class ProjectorBundle:
 
     P, Q, rank and pinv(A) depend on q alone (configuration_projectors);
     Lambda and Omega also need qdot and are None until with_adot adds them.
-    rank_tol is the relative cutoff the rank was decided with; every later
-    rank decision at this state reads it.  For a stack of states every array
-    has the leading batch axes and rank is an int array.
+    For a stack of states every array has the leading batch axes and rank is
+    an int array.
     """
 
     P: np.ndarray
@@ -100,7 +99,6 @@ class ProjectorBundle:
     Lambda: np.ndarray
     Omega: np.ndarray
     rank: int | np.ndarray
-    rank_tol: float
     A_pinv: np.ndarray
 
     @property
@@ -131,11 +129,6 @@ def _identity(n: int) -> np.ndarray:   # built once per n, read-only
     return eye
 
 
-def _check_rank_tol(rank_tol):
-    if not 0 < rank_tol < np.inf:
-        raise ValueError(f"rank_tol must be a positive finite number, got {rank_tol!r}")
-
-
 def _checked(A) -> np.ndarray:
     """A as a float array (..., m, n), checked finite."""
     A = _float_array(A)
@@ -144,54 +137,51 @@ def _checked(A) -> np.ndarray:
     return A
 
 
-def pseudo_inverse(A, rank_tol: float = RANK_TOL):
+def pseudo_inverse(A):
     """Moore-Penrose pseudo-inverse by rank-truncated SVD.
 
     Returns (A_pinv, r) where r counts the singular values above
-    rank_tol * sigma_max.  This is the epsilon -> 0 limit of the Tikhonov
+    RANK_TOL * sigma_max.  This is the epsilon -> 0 limit of the Tikhonov
     regularized inverse, realized the numerically standard way.  The SVD is
     not sliced at r: A_pinv = V W^T with W = U / s on the kept singular
     values and 0 on the cut ones, so every member of a stack has one shape
     (Golub & Van Loan, Matrix Computations, 2.5).
     """
-    _check_rank_tol(rank_tol)
-    return _pinv(_checked(A), rank_tol)
+    return _pinv(_checked(A))
 
 
-def _pinv(A, rank_tol):
+def _pinv(A):
     """pseudo_inverse of a float array (..., m, n) that its caller has
-    checked finite, at a checked rank_tol."""
+    checked finite."""
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     # s[..., :1] is sigma_max, empty where a matrix has no rows or no columns
-    keep = s > rank_tol * s[..., :1]
+    keep = s > RANK_TOL * s[..., :1]
     # U / s, not U * (1 / s): the product rounds differently
     W = np.divide(U, s[..., None, :], out=np.zeros(U.shape), where=keep[..., None, :])
     r = np.count_nonzero(keep, axis=-1) if keep.ndim > 1 else int(np.count_nonzero(keep))
     return Vt.swapaxes(-1, -2) @ W.swapaxes(-1, -2), r
 
 
-def _configuration(A, rank_tol):
-    """pinv(A), its rank, P and Q of a checked float array A at a checked
-    rank_tol, from one SVD.
+def _configuration(A):
+    """pinv(A), its rank, P and Q of a checked float array A, from one SVD.
 
     P = I - pinv(A) A is symmetrized explicitly so that downstream identities
     (P^2 = P, P Lambda = 0, ...) hold to round-off rather than to SVD backward
     error in the asymmetric part.
     """
-    Apinv, r = _pinv(A, rank_tol)
+    Apinv, r = _pinv(A)
     eye = _identity(Apinv.shape[-2])
     P = eye - Apinv @ A
     P = 0.5 * (P + P.swapaxes(-1, -2))
     return Apinv, r, P, eye - P
 
 
-def configuration_projectors(A, rank_tol: float = RANK_TOL) -> ProjectorBundle:
+def configuration_projectors(A) -> ProjectorBundle:
     """P, Q, pinv(A) and the rank at one configuration, from one SVD of the
     m x n array A (or at each configuration of a stack).  Lambda and Omega
     are left None."""
-    _check_rank_tol(rank_tol)
-    Apinv, r, P, Q = _configuration(_checked(A), rank_tol)
-    return ProjectorBundle(P, Q, None, None, r, rank_tol, Apinv)
+    Apinv, r, P, Q = _configuration(_checked(A))
+    return ProjectorBundle(P, Q, None, None, r, Apinv)
 
 
 def _rates(Apinv, Adot):
@@ -200,12 +190,11 @@ def _rates(Apinv, Adot):
     return Lam, Lam - Lam.swapaxes(-1, -2)
 
 
-def build_projectors(jac: ConstraintJacobian, rank_tol: float = RANK_TOL) -> ProjectorBundle:
+def build_projectors(jac: ConstraintJacobian) -> ProjectorBundle:
     """Build P, Q, Lambda and Omega at one state: the configuration part of
     jac.A plus the rates of jac.Adot, both checked by ConstraintJacobian."""
-    _check_rank_tol(rank_tol)
-    Apinv, r, P, Q = _configuration(jac.A, rank_tol)
-    return ProjectorBundle(P, Q, *_rates(Apinv, jac.Adot), r, rank_tol, Apinv)
+    Apinv, r, P, Q = _configuration(jac.A)
+    return ProjectorBundle(P, Q, *_rates(Apinv, jac.Adot), r, Apinv)
 
 
 def with_adot(proj: ProjectorBundle, Adot) -> ProjectorBundle:
@@ -213,4 +202,4 @@ def with_adot(proj: ProjectorBundle, Adot) -> ProjectorBundle:
     checked finite: only Lambda and Omega are rebuilt, from the stored
     pinv(A)."""
     return ProjectorBundle(proj.P, proj.Q, *_rates(proj.A_pinv, _checked(Adot)), proj.rank,
-                           proj.rank_tol, proj.A_pinv)
+                           proj.A_pinv)

@@ -4,7 +4,7 @@ The schema covers constant-matrix plants with polynomial position constraints:
 
     {
       "name": "my-pendulum",
-      "n": 2,
+      "n": 2,                            # a positive integer
       "mass": [[1, 0], [0, 1]],          # or {"diag": [1, 1]}
       "gravity_force": [0, -9.81],
       "input_map": [[1, 0], [0, 1]],     # optional, n rows, default identity
@@ -15,12 +15,13 @@ The schema covers constant-matrix plants with polynomial position constraints:
       ]
     }
 
-Each constraint is a polynomial Phi_i(q) = sum coeff * prod q_j^powers[j];
-the constraint matrix A = dPhi/dq and its rate Adot are differentiated
-analytically, so loaded systems get exact Jacobians like the built-in ones.
-Phi, its gradients and its Hessians are each one compiled Polynomial, so
-Phi, A and Adot take a few numpy calls per state.  C is zero (constant
-mass matrix), consistent with the schema's scope.
+A key outside this schema is an error, not ignored.  Each constraint is a
+polynomial Phi_i(q) = sum coeff * prod q_j^powers[j]; the constraint
+matrix A = dPhi/dq and its rate Adot are differentiated analytically, so
+loaded systems get exact Jacobians like the built-in ones.  Phi, its
+gradients and its Hessians are each one compiled Polynomial, so Phi, A and
+Adot take a few numpy calls per state.  C is zero (constant mass matrix),
+consistent with the schema's scope.
 """
 
 from __future__ import annotations
@@ -105,12 +106,26 @@ def _required(spec, key, what):
         raise ValueError(f"{what} is missing the required field {key!r}") from None
 
 
+def _known(spec, keys, what):
+    """A ValueError that names each key of spec outside keys, if there is one."""
+    if unknown := [key for key in spec if key not in keys]:
+        raise ValueError(f"unknown key{'s' * (len(unknown) > 1)} "
+                         f"{', '.join(map(repr, unknown))} in {what}; "
+                         f"known: {', '.join(keys)}")
+
+
+_SYSTEM_KEYS = ("name", "n", "mass", "gravity_force", "input_map", "constraints")
+
+
 def load_system(source) -> MechanicalSystem:
     """Build a MechanicalSystem from a definition: a dict or its JSON text."""
     spec = json.loads(source) if isinstance(source, str) else source
     if not isinstance(spec, dict):
         raise ValueError(f"a system definition must be a JSON object, got {spec!r}")
-    n = int(_required(spec, "n", "a system definition"))
+    _known(spec, _SYSTEM_KEYS, "a system definition")
+    n = _required(spec, "n", "a system definition")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     mass_spec = _required(spec, "mass", "a system definition")
     if isinstance(mass_spec, dict) and "diag" in mass_spec:
         M = np.diag(np.asarray(mass_spec["diag"], dtype=float))
@@ -159,7 +174,7 @@ def load_system(source) -> MechanicalSystem:
     return MechanicalSystem(
         name=str(spec.get("name", "user-system")),
         n=n, m=max(m, 1),
-        **_constant_plant(M, np.zeros((n, n)), f_g, B),
+        plant_at=_constant_plant(M, np.zeros((n, n)), f_g, B),
         constraint=constraint,
         constraint_rate=constraint_rate,
         residual=phi if m else None,

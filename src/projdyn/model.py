@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError
-from .kernel import (ProjectorBundle, _check_rank_tol, _checked, _every, _identity, _lazy,
+from .kernel import (RANK_TOL, ProjectorBundle, _checked, _every, _identity, _lazy,
                      _per_member, _pinv)
 
 
@@ -96,17 +96,16 @@ class ConstrainedModel:
 
     @_lazy
     def _pb_pinv(self):
-        """(pinv(P B), rank(P B)) from one truncated SVD, cut at the bundle's
-        rank_tol; unlike (B^T P B)^{-1} B^T P it stays the minimum-norm map
+        """(pinv(P B), rank(P B)) from one truncated SVD, cut at RANK_TOL like
+        rank(A); unlike (B^T P B)^{-1} B^T P it stays the minimum-norm map
         under redundant actuation.  At rank(A) = n, P is 0 up to round-off and
         there is nothing to actuate, so P B is taken as 0: Gamma = 0 and the
         state is admissible."""
-        _check_rank_tol(self.proj.rank_tol)
         PB = _checked(self.proj.P @ self.plant.B)   # P is finite: this checks B
         actuable = self.proj.rank < self.proj.n     # P != 0
         if not _every(actuable):
             PB = PB * _per_member(actuable)
-        return _pinv(PB, self.proj.rank_tol)
+        return _pinv(PB)
 
     @_lazy
     def admissible(self) -> bool:
@@ -156,11 +155,11 @@ def assemble(plant: PlantMatrices, proj: ProjectorBundle, mu) -> ConstrainedMode
 
 def pmp_eigenvalues(plant: PlantMatrices, proj: ProjectorBundle):
     """Eigenvalues of P M P, ascending, and the mask of the nonzero ones: those
-    above the bundle's rank_tol times the largest, cut like the rank.  A
-    largest eigenvalue at or below 0 leaves none."""
+    above RANK_TOL times the largest, cut like the rank.  A largest
+    eigenvalue at or below 0 leaves none."""
     PMP = proj.P @ plant.M @ proj.P
     lam = np.linalg.eigvalsh(0.5 * (PMP + PMP.swapaxes(-1, -2)))
-    return lam, (lam.T > proj.rank_tol * lam.T[-1]).T
+    return lam, lam > RANK_TOL * lam[..., -1:]
 
 
 def optimal_mu(plant: PlantMatrices, proj: ProjectorBundle) -> float:
@@ -175,7 +174,7 @@ def optimal_mu(plant: PlantMatrices, proj: ProjectorBundle) -> float:
     lam, nonzero = pmp_eigenvalues(plant, proj)
     lam_min = np.min(lam, axis=-1, where=nonzero, initial=np.inf)
     with np.errstate(invalid="ignore"):   # NaN where P = 0; replaced below
-        mu = np.sqrt(lam_min * lam.T[-1])
+        mu = np.sqrt(lam_min * lam[..., -1])
     pinned = ~nonzero.any(axis=-1)
     if pinned.any():
         warnings.warn("P = 0: fully constrained state, mu is arbitrary; "

@@ -1,7 +1,8 @@
 """Benchmark mechanical systems in Cartesian (dependent) coordinates.
 
-Every system supplies analytic M, C, f_g, A, B and Adot (constraint_rate is
-a required field) and, where meaningful, the position-level residual Phi
+Every system supplies its plant M, C, f_g and B at a state as one
+PlantMatrices (plant_at), analytic A and Adot (constraint_rate is a required
+field) and, where meaningful, the position-level residual Phi
 and potential energy.  Every link has unit length and gravity is GRAVITY;
 the point masses of the pendulum, the double pendulum and the slider-crank
 are the only keywords.  The catalog is chosen to exercise the hard cases: a
@@ -22,27 +23,15 @@ from .model import PlantMatrices
 GRAVITY = 9.81
 
 
-class _PlantPart:
-    """One part of a constant plant: the same read-only array at every state.
-    It keeps the PlantMatrices that it and the other three parts make up."""
-
-    def __init__(self, value, plant):
-        self.value, self.plant = value, plant
-
-    def __call__(self, *state):
-        return self.value
-
-
-def _constant_plant(M, C, f_g, B) -> dict:
-    """The plant callables of a system whose M, C, f_g and B do not depend on
-    the state: each array is built once, read-only, and shared by every
-    state, and MechanicalSystem.plant returns one PlantMatrices of them."""
+def _constant_plant(M, C, f_g, B) -> Callable:
+    """The plant_at of a system whose M, C, f_g and B do not depend on the
+    state: one PlantMatrices of read-only arrays, built once and returned at
+    every state."""
     arrays = [np.array(x, dtype=float) for x in (M, C, f_g, B)]
     for x in arrays:
         x.flags.writeable = False
     plant = PlantMatrices(*arrays)
-    return {name: _PlantPart(getattr(plant, part), plant) for name, part in
-            (("mass", "M"), ("coriolis", "C"), ("gravity_force", "f_g"), ("input_map", "B"))}
+    return lambda q, qdot: plant
 
 
 @dataclass(frozen=True)
@@ -50,26 +39,15 @@ class MechanicalSystem:
     name: str
     n: int
     m: int
-    mass: Callable
-    coriolis: Callable
-    gravity_force: Callable
+    plant_at: Callable       # (q, qdot) -> PlantMatrices
     constraint: Callable
     constraint_rate: Callable
-    input_map: Callable
     residual: Callable | None = None
     potential: Callable | None = None
     sample_state: Callable | None = None
     default_state: tuple | None = None
     default_initial_active: tuple | None = None   # None = all rows active
     default_events: tuple = ()
-
-    def __post_init__(self):
-        # a constant plant: its four parts share one PlantMatrices, which
-        # plant returns at every state
-        plants = [f.plant if isinstance(f, _PlantPart) else None
-                  for f in (self.mass, self.coriolis, self.gravity_force, self.input_map)]
-        constant = all(p is plants[0] for p in plants)
-        object.__setattr__(self, "_plant", plants[0] if constant else None)
 
     def jacobian(self, q, qdot, active=None) -> ConstraintJacobian:
         """A and Adot at a state, with inactive rows zeroed (fixed dimension):
@@ -96,13 +74,9 @@ class MechanicalSystem:
         mask[list(active)] = True
         return np.where(mask[:, None], X, 0.0)
 
-    def plant(self, q, qdot):
-        if self._plant is not None:
-            return self._plant
-        q = np.asarray(q, dtype=float)
-        qdot = np.asarray(qdot, dtype=float)
-        return PlantMatrices(M=self.mass(q), C=self.coriolis(q, qdot),
-                             f_g=self.gravity_force(q), B=self.input_map(q))
+    def plant(self, q, qdot) -> PlantMatrices:
+        """M, C, f_g and B at a state."""
+        return self.plant_at(q, qdot)
 
 
 def pendulum(mass_val=1.0) -> MechanicalSystem:
@@ -117,8 +91,8 @@ def pendulum(mass_val=1.0) -> MechanicalSystem:
 
     return MechanicalSystem(
         name="pendulum", n=2, m=1,
-        **_constant_plant(mass_val * np.eye(2), np.zeros((2, 2)),
-                          [0.0, -mass_val * GRAVITY], np.eye(2)),
+        plant_at=_constant_plant(mass_val * np.eye(2), np.zeros((2, 2)),
+                                 [0.0, -mass_val * GRAVITY], np.eye(2)),
         constraint=lambda q: 2.0 * q[None, :],
         constraint_rate=lambda q, qd: 2.0 * qd[None, :],
         residual=lambda q: np.array([q @ q - 1.0]),
@@ -134,10 +108,9 @@ def redundant_pendulum() -> MechanicalSystem:
 
     return MechanicalSystem(
         name="redundant-pendulum", n=2, m=2,
-        mass=base.mass, coriolis=base.coriolis, gravity_force=base.gravity_force,
+        plant_at=base.plant_at,
         constraint=lambda q: np.array([2.0 * q, 2.0 * q]),
         constraint_rate=lambda q, qd: np.array([2.0 * qd, 2.0 * qd]),
-        input_map=base.input_map,
         residual=lambda q: np.array([q @ q - 1.0, q @ q - 1.0]),
         potential=base.potential,
         sample_state=base.sample_state,
@@ -163,8 +136,9 @@ def _link_residuals(q) -> list:
 def _two_links(m1, m2) -> dict:
     """The constant plant and the potential of point masses m1 and m2 at
     q = (x1, y1, x2, y2) under gravity."""
-    return dict(**_constant_plant(np.diag([m1, m1, m2, m2]), np.zeros((4, 4)),
-                                  [0.0, -m1 * GRAVITY, 0.0, -m2 * GRAVITY], np.eye(4)),
+    return dict(plant_at=_constant_plant(np.diag([m1, m1, m2, m2]), np.zeros((4, 4)),
+                                         [0.0, -m1 * GRAVITY, 0.0, -m2 * GRAVITY],
+                                         np.eye(4)),
                 potential=lambda q: GRAVITY * (m1 * q[1] + m2 * q[3]))
 
 
@@ -238,7 +212,7 @@ def switching_particle() -> MechanicalSystem:
 
     return MechanicalSystem(
         name="switching-particle", n=2, m=1,
-        **_constant_plant(np.eye(2), np.zeros((2, 2)), np.zeros(2), np.eye(2)),
+        plant_at=_constant_plant(np.eye(2), np.zeros((2, 2)), np.zeros(2), np.eye(2)),
         constraint=lambda q: np.array([[0.0, 1.0]]),
         constraint_rate=lambda q, qd: np.zeros((1, 2)),
         residual=None,
@@ -278,13 +252,13 @@ def self_test(system: MechanicalSystem, samples=100, rng=None) -> dict:
     fd_step = 1e-5
     for _ in range(samples):
         q, qd = system.sample_state(rng)
-        M = np.asarray(system.mass(q), dtype=float)
-        C = np.asarray(system.coriolis(q, qd), dtype=float)
+        plant = system.plant(q, qd)
+        M, C = plant.M, plant.C
         worst["M_asym"] = max(worst["M_asym"], float(np.linalg.norm(M - M.T)))
         worst["M_min_eig"] = min(worst["M_min_eig"],
                                  float(np.linalg.eigvalsh(0.5 * (M + M.T))[0]))
-        Mdot = (np.asarray(system.mass(q + fd_step * qd), dtype=float)
-                - np.asarray(system.mass(q - fd_step * qd), dtype=float)) / (2 * fd_step)
+        Mdot = (system.plant(q + fd_step * qd, qd).M
+                - system.plant(q - fd_step * qd, qd).M) / (2 * fd_step)
         X = Mdot - 2.0 * C
         worst["skew"] = max(worst["skew"], float(np.linalg.norm(X + X.T)))
         jac = system.jacobian(q, qd)

@@ -122,16 +122,32 @@ class TestSimulate:
         ({"controller": []}, "controller must be a JSON object, got []"),
         ({"controller": 0}, "controller must be a JSON object, got 0"),
         ({"controller": False}, "controller must be a JSON object, got False"),
-        # an absent rank_tol reads RANK_TOL; null is not a tolerance
-        ({"rank_tol": None}, "rank_tol must be a positive finite number, got None"),
+        # rank decisions use the constant RANK_TOL; a file cannot set it
+        ({"rank_tol": None}, "unknown key 'rank_tol' in a scenario file"),
         ({"system": [1, 0]}, "a system definition must be a JSON object"),
         ([1, 2], "must hold a JSON object"),
         ({"system": {"n": 2, "mass": {"diag": [1, 1]}, "constraints": 5}},
          "constraints must be a list"),
+        # n is a positive JSON integer, not one after rounding or parsing
+        ({"system": {"n": 2.7, "mass": {"diag": [1, 1]}}}, "n must be a positive integer"),
+        ({"system": {"n": True, "mass": {"diag": [1, 1]}}}, "n must be a positive integer"),
+        ({"system": {"n": "2", "mass": {"diag": [1, 1]}}}, "n must be a positive integer"),
+        ({"system": {"n": 0, "mass": []}}, "n must be a positive integer, got 0"),
+        ({"initial_active": [], "events": [["0.05", [0]]]},
+         "events[0] time must be a number, got '0.05'"),
+        ({"initial_active": [], "events": [[True, [0]]]},
+         "events[0] time must be a number, got True"),
+        # the flags' comma text is not a JSON list
+        ({"q0": "1,0"}, "q0 must be a list of numbers, got '1,0'"),
+        ({"qdot0": "0,0"}, "qdot0 must be a list of numbers, got '0,0'"),
+        ({"controller": {"q_star": "1,0"}}, "controller q_star must be a list of numbers"),
+        ({"q0": ["1", "0"]}, "q0 must be a list of numbers"),
     ], ids=["null-horizon", "list-dt", "text-kp", "bool-kd", "null-sigma",
             "list-controller", "empty-controller", "empty-list-controller",
             "zero-controller", "false-controller", "null-rank-tol", "list-system",
-            "list-file", "scalar-constraints"])
+            "list-file", "scalar-constraints", "fractional-n", "bool-n", "text-n", "zero-n",
+            "text-event-time", "bool-event-time", "text-q0", "text-qdot0", "text-q-star",
+            "text-entries-q0"])
     def test_scenario_file_wrong_json_type_is_usage_error(self, tmp_path, capsys,
                                                           spec, message):
         if isinstance(spec, dict):
@@ -168,14 +184,29 @@ class TestSimulate:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(spec))
         assert main(["simulate", "--scenario-file", str(path)]) == 2
-        assert "rank_tol must be a positive finite number" in capsys.readouterr().err
+        assert "unknown key 'rank_tol' in a scenario file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"rank_tol": 1e-8}, "unknown key 'rank_tol' in a scenario file"),
+        ({"horizn": 0.1}, "unknown key 'horizn' in a scenario file"),
+        ({"controller": {"q_star": [1, 0], "Kp": 5}}, "unknown key 'Kp' in controller"),
+        ({"system": {"n": 2, "mass": {"diag": [1, 1]}, "coriolis": [[0, 1], [-1, 0]]}},
+         "unknown key 'coriolis' in a system definition"),
+        ({"horizn": 0.1, "seed": 1}, "unknown keys 'horizn', 'seed' in a scenario file"),
+    ], ids=["rank-tol", "misspelt-horizon", "controller", "system", "two"])
+    def test_scenario_file_unknown_key_is_usage_error(self, tmp_path, capsys, extra, message):
+        # a key nothing reads would be silently ignored
+        spec = {"system": "pendulum", "q0": [1.0, 0.0], "horizon": 0.1, "dt": 0.01, **extra}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec))
+        assert main(["simulate", "--scenario-file", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
         ["--system", "pendulum"], ["--target", "0.84,-0.54"], ["--kp", "50"], ["--kd", "50"],
         ["--sigma", "2"], ["--horizon", "5"], ["--dt", "0.001"], ["--mu", "3"],
-        ["--rank-tol", "1e-8"], ["--kp", "50", "--horizon", "5", "--mu", "3"]],
-        ids=["system", "target", "kp", "kd", "sigma", "horizon", "dt", "mu", "rank-tol",
-             "three"])
+        ["--kp", "50", "--horizon", "5", "--mu", "3"]],
+        ids=["system", "target", "kp", "kd", "sigma", "horizon", "dt", "mu", "three"])
     def test_flag_beside_scenario_file_is_usage_error(self, tmp_path, capsys, flags):
         # the file sets the run; a flag beside it would be silently ignored
         path = tmp_path / "scenario.json"
@@ -197,7 +228,7 @@ class TestSimulate:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("state, message", [
-        ({"q0": 5}, "q0 must have 2 components, got 1"),
+        ({"q0": 5}, "q0 must be a list of numbers, got 5"),
         ({"q0": [1, 0, 0]}, "q0 must have 2 components, got 3"),
         ({"q0": [1, 0], "qdot0": [0.1]}, "qdot0 must have 2 components, got 1"),
         ({"q0": ["a", "b"]}, "q0 must be a list of numbers")],
@@ -358,3 +389,11 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--system", "pendulum", "--frobnicate"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_rank_tol_is_not_an_argument(self, capsys, command):
+        # rank decisions use the constant RANK_TOL
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--system", "pendulum", "--rank-tol", "1e-8"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --rank-tol" in capsys.readouterr().err

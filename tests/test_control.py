@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from projdyn import (AdmissibilityError, ConstraintJacobian, PlantMatrices,
+from projdyn import (RANK_TOL, AdmissibilityError, ConstraintJacobian, PlantMatrices,
                      RegulationGains, Scenario, SetpointRegulator, assemble,
                      build_projectors, control_force, lyapunov_value, pendulum, run)
 from projdyn.control import EPS_V, fallback_direction, velocity_direction
@@ -100,22 +100,24 @@ class TestControlForce:
                              rng.standard_normal(n), gains, assemble(plant, proj, mu=1.0))
         np.testing.assert_allclose(f, plant.B @ u, atol=1e-12)
 
-    def test_admissibility_cutoff_follows_the_bundle(self):
-        # sigma_min(P B) / sigma_max = 1e-5 lies between the default cutoff
-        # 1e-10 and a bundle's rank_tol = 1e-3: the law runs on the first
-        # bundle and finds P B rank-deficient on the second
-        plant = PlantMatrices(M=np.eye(2), C=np.zeros((2, 2)), f_g=np.zeros(2),
-                              B=np.diag([1.0, 1e-5]))
-        jac = ConstraintJacobian(A=np.zeros((1, 2)), Adot=np.zeros((1, 2)))
-        sv = np.linalg.svd(build_projectors(jac).P @ plant.B, compute_uv=False)
-        assert 1e-10 < sv[-1] / sv[0] < 1e-3
+    def test_admissibility_cutoff_is_rank_tol(self):
+        # P B is cut like rank(A), at RANK_TOL: the law runs where
+        # sigma_min(P B) / sigma_max = 1e-5 and finds P B rank-deficient
+        # where it is 1e-12
+        proj = build_projectors(ConstraintJacobian(A=np.zeros((1, 2)), Adot=np.zeros((1, 2))))
         gains = RegulationGains(Kp=np.eye(2), Kd=np.eye(2), sigma=1.5)
         state = (np.ones(2), np.zeros(2), np.zeros(2), gains)
-        control_force(*state, assemble(plant, build_projectors(jac), mu=1.0))
-        coarse = build_projectors(jac, rank_tol=1e-3)
-        assert coarse.rank_tol == 1e-3
-        with pytest.raises(AdmissibilityError):
-            control_force(*state, assemble(plant, coarse, mu=1.0))
+        for ratio in (1e-5, 1e-12):
+            plant = PlantMatrices(M=np.eye(2), C=np.zeros((2, 2)), f_g=np.zeros(2),
+                                  B=np.diag([1.0, ratio]))
+            sv = np.linalg.svd(proj.P @ plant.B, compute_uv=False)
+            assert sv[-1] / sv[0] == ratio
+            model = assemble(plant, proj, mu=1.0)
+            if ratio > RANK_TOL:
+                control_force(*state, model)
+            else:
+                with pytest.raises(AdmissibilityError):
+                    control_force(*state, model)
 
 
 class TestLyapunov:

@@ -69,10 +69,6 @@ class TestPseudoInverse:
         with pytest.raises(NonFiniteInputError):
             pseudo_inverse(np.array([[np.nan, 1.0]]))
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            pseudo_inverse(np.eye(2), rank_tol=0.0)
-
     def test_random_moore_penrose(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
@@ -218,7 +214,6 @@ def assert_one_bundle_is_the_split_one(jac):
     for name in ("P", "Q", "Lambda", "Omega", "A_pinv"):
         assert getattr(one, name).tobytes() == getattr(split, name).tobytes(), name
     assert np.array_equal(one.rank, split.rank) and type(one.rank) is type(split.rank)
-    assert one.rank_tol == split.rank_tol
 
 
 def test_a_stack_has_the_bits_of_its_members():
@@ -295,7 +290,8 @@ def _nan_pendulum(part):
     """The pendulum with A, Adot or the input map all NaN."""
     field, nan = {"A": ("constraint", lambda q: np.full((1, 2), np.nan)),
                   "Adot": ("constraint_rate", lambda q, qd: np.full((1, 2), np.nan)),
-                  "B": ("input_map", lambda q: np.full((2, 2), np.nan))}[part]
+                  "B": ("plant_at", lambda q, qd: dataclasses.replace(
+                      pendulum().plant(q, qd), B=np.full((2, 2), np.nan)))}[part]
     return dataclasses.replace(pendulum(), **{field: nan})
 
 

@@ -213,20 +213,29 @@ def test_lazy_pdot_and_cbar_equal_the_eager_formulas():
 
 
 def test_cond_of_a_stack_with_two_batch_axes():
-    """cond is each member's lam_max / lam_min, in the stack's own shape, also
-    with two leading axes."""
+    """cond is each member's lam_max / lam_min, and optimal_mu each member's
+    own call bit for bit, in the stack's own shape, also with two leading
+    axes: (2, 3), and (3, 3), where pairing one member's eigenvalues with
+    another's would broadcast without an error."""
     rng = np.random.default_rng(13)
-    shape, n = (2, 3), 4
-    proj = build_projectors(ConstraintJacobian(A=rng.standard_normal(shape + (1, n)),
-                                               Adot=rng.standard_normal(shape + (1, n))))
-    G = rng.standard_normal(shape + (n, n))
-    plant = PlantMatrices(M=G @ G.swapaxes(-1, -2) + n * np.eye(n), C=np.zeros((n, n)),
-                          f_g=np.zeros((n, 1)), B=np.eye(n))
-    model = assemble(plant, proj, 1.0)
-    assert model.cond.shape == shape
-    for i in np.ndindex(shape):
-        spectrum = np.linalg.eigvalsh(model.Mbar[i])
-        assert model.cond[i] == spectrum[-1] / spectrum[0]
+    n = 4
+    for shape in ((2, 3), (3, 3)):
+        jac = ConstraintJacobian(A=rng.standard_normal(shape + (1, n)),
+                                 Adot=rng.standard_normal(shape + (1, n)))
+        proj = build_projectors(jac)
+        G = rng.standard_normal(shape + (n, n))
+        plant = PlantMatrices(M=G @ G.swapaxes(-1, -2) + n * np.eye(n), C=np.zeros((n, n)),
+                              f_g=np.zeros((n, 1)), B=np.eye(n))
+        model = assemble(plant, proj, 1.0)
+        assert model.cond.shape == shape
+        mu = optimal_mu(plant, proj)
+        assert mu.shape == shape
+        for i in np.ndindex(shape):
+            spectrum = np.linalg.eigvalsh(model.Mbar[i])
+            assert model.cond[i] == spectrum[-1] / spectrum[0]
+            member = PlantMatrices(M=plant.M[i], C=plant.C, f_g=np.zeros(n), B=plant.B)
+            one = build_projectors(ConstraintJacobian(A=jac.A[i], Adot=jac.Adot[i]))
+            assert mu[i] == optimal_mu(member, one)
 
 
 def test_admissible_and_the_actuation_maps_share_one_svd(monkeypatch):

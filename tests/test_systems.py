@@ -85,7 +85,7 @@ class TestCatalog:
 
     def test_double_pendulum_masses(self):
         system = double_pendulum(m1=2.0, m2=3.0)
-        M = system.mass(system.default_state[0])
+        M = system.plant(*system.default_state).M
         np.testing.assert_allclose(M, np.diag([2.0, 2.0, 3.0, 3.0]),
                                    atol=1e-12)
 
