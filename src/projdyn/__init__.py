@@ -12,7 +12,7 @@ from .forces import (acceleration, acceleration_nonminimal, constraint_force,
                      force_split_for_control, kkt_oracle)
 from .kernel import (RANK_TOL, ConstraintJacobian, ProjectorBundle, build_projectors,
                      pseudo_inverse)
-from .loader import load_system
+from .loader import load_scenario, load_system
 from .model import (ConstrainedModel, PlantMatrices, assemble, kinetic_energy,
                     optimal_mu)
 from .systems import (MechanicalSystem, catalog, double_pendulum, get_system,

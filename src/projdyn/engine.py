@@ -10,6 +10,7 @@ component is removed by the new P); matrix dimensions never change.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
@@ -36,7 +37,7 @@ class GeneralizedState:
 
 
 def _positive_finite(x) -> bool:
-    return isinstance(x, Real) and not isinstance(x, bool) and 0 < x < np.inf
+    return isinstance(x, Real) and not isinstance(x, bool) and 0 < x <= sys.float_info.max
 
 
 @dataclass
@@ -58,8 +59,9 @@ class Scenario:
     def __post_init__(self):
         for name in ("q0", "qdot0"):
             setattr(self, name, v := np.asarray(getattr(self, name), dtype=float))
-            if v.shape != (self.system.n,):
-                raise ValueError(f"{name} must have shape ({self.system.n},), got {v.shape}")
+            if v.shape != (self.system.n,) or not np.isfinite(v).all():
+                raise ValueError(f"{name} must have shape ({self.system.n},) and finite "
+                                 f"entries, got {v!r}")
         for name in ("dt", "horizon"):
             if not _positive_finite(v := getattr(self, name)):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from projdyn import forces, pendulum
+from projdyn import catalog, forces, pendulum
 from projdyn.cli import main
 
 
@@ -14,6 +14,15 @@ def read_csv(path):
     header = lines[0].split(",")
     data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     return header, data
+
+
+def _inline(term=(), **fields):
+    """A unit-circle pendulum definition with fields replaced, and the
+    entries of term set in the first term of its constraint."""
+    first = {"coeff": 1, "powers": [2, 0], **dict(term)}
+    return {"n": 2, "mass": {"diag": [1, 1]}, "gravity_force": [0, -9.81], **fields,
+            "constraints": [{"terms": [first, {"coeff": 1, "powers": [0, 2]},
+                                       {"coeff": -1, "powers": [0, 0]}]}]}
 
 
 class TestSimulate:
@@ -142,12 +151,44 @@ class TestSimulate:
         ({"qdot0": "0,0"}, "qdot0 must be a list of numbers, got '0,0'"),
         ({"controller": {"q_star": "1,0"}}, "controller q_star must be a list of numbers"),
         ({"q0": ["1", "0"]}, "q0 must be a list of numbers"),
+        # an inline system is read by the same typed readers
+        ({"system": _inline(term={"powers": [2.5, 0]})},
+         "constraints[0].terms[0].powers must be a list of non-negative integers"),
+        ({"system": _inline(term={"powers": [True, 0]})},
+         "constraints[0].terms[0].powers must be"),
+        ({"system": _inline(term={"powers": [-1, 0]})},
+         "constraints[0].terms[0].powers must be"),
+        ({"system": _inline(term={"coeff": True})},
+         "constraints[0].terms[0].coeff must be a number, got True"),
+        ({"system": _inline(gravity_force=["1", "0"])},
+         "gravity_force must be a list of numbers"),
+        ({"system": _inline(gravity_force=[True, False])},
+         "gravity_force must be a list of numbers"),
+        ({"system": _inline(mass={"diag": ["1", "1"]})},
+         "mass.diag must be a list of numbers"),
+        ({"system": _inline(name=5)}, "name must be text, got 5"),
+        ({"system": _inline(mass={"full": [[1, 0], [0, 1]]})}, "unknown key 'full' in mass"),
+        ({"system": _inline(mass={"diag": [1, 1], "scale": 3})},
+         "unknown key 'scale' in mass"),
+        ({"system": _inline(term={"note": "x"})},
+         "unknown key 'note' in constraints[0].terms[0]"),
+        # NaN and Infinity are JSON to Python's json, and not finite numbers
+        ({"q0": [float("nan"), 0]}, "q0[0] must be finite, got nan"),
+        ({"qdot0": [float("inf"), 0]}, "qdot0[0] must be finite, got inf"),
+        ({"system": _inline(gravity_force=[float("nan"), 0])},
+         "gravity_force[0] must be finite, got nan"),
+        ({"system": _inline(mass={"diag": [float("inf"), 1]})},
+         "mass.diag[0] must be finite, got inf"),
+        ({"system": "teapot"}, "system: unknown system 'teapot'; known: pendulum"),
     ], ids=["null-horizon", "list-dt", "text-kp", "bool-kd", "null-sigma",
             "list-controller", "empty-controller", "empty-list-controller",
             "zero-controller", "false-controller", "null-rank-tol", "list-system",
             "list-file", "scalar-constraints", "fractional-n", "bool-n", "text-n", "zero-n",
             "text-event-time", "bool-event-time", "text-q0", "text-qdot0", "text-q-star",
-            "text-entries-q0"])
+            "text-entries-q0", "fractional-power", "bool-power", "negative-power",
+            "bool-coeff", "text-gravity", "bool-gravity", "text-diag", "number-name",
+            "full-mass", "mass-scale", "term-note", "nan-q0", "infinite-qdot0",
+            "nan-gravity", "infinite-diag", "unknown-system"])
     def test_scenario_file_wrong_json_type_is_usage_error(self, tmp_path, capsys,
                                                           spec, message):
         if isinstance(spec, dict):
@@ -156,7 +197,8 @@ class TestSimulate:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(spec))
         assert main(["simulate", "--scenario-file", str(path)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("drop, message", [
         ("system", "a scenario file is missing the required field 'system'"),
@@ -277,6 +319,25 @@ class TestSimulate:
                      "--dt", "0.01", "--target", "1.68,-1.08", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("system", catalog(), ids=lambda s: s.name)
+    def test_scenario_file_builds_the_flag_run(self, tmp_path, system):
+        # a file that spells out a flag run's state, events, active set and
+        # target gives the same trace, so both build equal Scenarios
+        q0, qdot0 = system.default_state
+        target = 1.1 * q0 + 0.1
+        spec = {"system": system.name, "q0": q0.tolist(), "qdot0": qdot0.tolist(),
+                "horizon": 1.2, "dt": 0.01, "controller": {"q_star": target.tolist()},
+                "events": [[t, list(rows)] for t, rows in system.default_events]}
+        if system.default_initial_active is not None:
+            spec["initial_active"] = list(system.default_initial_active)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(spec))
+        a, b = tmp_path / "file.csv", tmp_path / "flags.csv"
+        assert main(["simulate", "--scenario-file", str(path), "--out", str(a)]) == 0
+        assert main(["simulate", "--system", system.name, "--horizon", "1.2", "--dt", "0.01",
+                     "--target", ",".join(map(repr, target.tolist())), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_jsonl_format(self, tmp_path):
         out = tmp_path / "trace.jsonl"
         rc = main(["simulate", "--system", "pendulum", "--horizon", "0.1",
@@ -317,6 +378,8 @@ class TestSimulate:
 
     def test_unknown_system(self, capsys):
         assert main(["simulate", "--system", "teapot"]) == 2
+        # the message, not the repr of get_system's KeyError
+        assert capsys.readouterr().err.startswith("error: unknown system 'teapot'; known: ")
 
 
 class TestCheck:

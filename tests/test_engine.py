@@ -130,11 +130,17 @@ class TestValidation:
                          horizon=1.0, dt=1e-3, **kw)
         # run parameters must be positive finite numbers, each named if not
         for name, value in (("dt", float("nan")), ("dt", -1e-3), ("horizon", float("inf")),
-                            ("horizon", 0.0)):
+                            ("horizon", 0.0), ("horizon", 10 ** 400)):
             with pytest.raises(ValueError, match=f"^{name} must be"):
                 Scenario(system=pendulum(), q0=np.zeros(2), qdot0=np.zeros(2),
                          **{"horizon": 1.0, "dt": 1e-3, name: value})
-        for mu in (-1.0, 0, "fast", float("nan"), True):
+        # the initial state must be finite, each part named if not
+        for name, value in (("q0", [np.nan, 0.0]), ("qdot0", [np.inf, 0.0]),
+                            ("qdot0", [0.0, -np.inf])):
+            with pytest.raises(ValueError, match=fr"^{name} must have shape \(2,\) and finite"):
+                Scenario(system=pendulum(), **{"q0": np.zeros(2), "qdot0": np.zeros(2),
+                                               name: value}, horizon=1.0, dt=1e-3)
+        for mu in (-1.0, 0, "fast", float("nan"), True, 10 ** 400):
             with pytest.raises(ValueError, match="^mu must be 'auto' or a positive number"):
                 Scenario(system=pendulum(), q0=np.zeros(2), qdot0=np.zeros(2),
                          horizon=1.0, dt=1e-3, mu=mu)

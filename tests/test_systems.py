@@ -135,6 +135,12 @@ PENDULUM_SPEC = {
 }
 
 
+def _first_term(**fields):
+    """PENDULUM_SPEC's constraints with fields set in the first term."""
+    terms = PENDULUM_SPEC["constraints"][0]["terms"]
+    return {"constraints": [{"terms": [dict(terms[0], **fields), *terms[1:]]}]}
+
+
 class TestLoader:
     def test_matches_builtin_pendulum(self):
         loaded = load_system(PENDULUM_SPEC)
@@ -215,27 +221,58 @@ class TestLoader:
         with pytest.raises(ValueError):
             load_system(dict(PENDULUM_SPEC, mass={"diag": [1, -1]}))
 
-    @pytest.mark.parametrize("field, value", [
-        ("gravity_force", [0, -9.81, 0]),
-        ("gravity_force", -9.81),
-        ("input_map", [[1, 0, 0]]),
-        ("input_map", [1, 0, 0]),
-    ])
-    def test_rejects_misshapen_force_and_input_map(self, field, value):
+    @pytest.mark.parametrize("field, value, message", [
+        ("gravity_force", [0, -9.81, 0], "must have"),
+        ("gravity_force", -9.81, r"must be a list of numbers, got -9\.81$"),
+        ("input_map", [[1, 0, 0]], "must have"),
+        ("input_map", [1, 0, 0], "must have"),
+    ], ids=["gravity_force-value0", "gravity_force--9.81", "input_map-value2",
+            "input_map-value3"])
+    def test_rejects_misshapen_force_and_input_map(self, field, value, message):
         # one entry per coordinate, one input_map row per coordinate
-        with pytest.raises(ValueError, match=f"^{field} must have"):
+        with pytest.raises(ValueError, match=f"^{field} {message}"):
             load_system(dict(PENDULUM_SPEC, **{field: value}))
 
-    @pytest.mark.parametrize("constraints, field", [
-        (5, r"constraints"),
-        ([{"powers": [2, 0]}], r"constraints\[0\]"),
-        ([PENDULUM_SPEC["constraints"][0], {"terms": [{"coeff": "a", "powers": [2, 0]}]}],
-         r"constraints\[1\]"),
-    ], ids=["scalar", "no-terms", "text-coeff"])
-    def test_rejects_malformed_constraints(self, constraints, field):
-        # the error names the field: the list, or the one constraint at fault
-        with pytest.raises(ValueError, match=f"^{field} must be"):
-            load_system(dict(PENDULUM_SPEC, constraints=constraints))
+    @pytest.mark.parametrize("change, message", [
+        ({"constraints": 5}, r"^constraints must be"),
+        ({"constraints": [{"powers": [2, 0]}]},
+         r"^unknown key 'powers' in constraints\[0\]; known: terms$"),
+        ({"constraints": [PENDULUM_SPEC["constraints"][0],
+                          {"terms": [{"coeff": "a", "powers": [2, 0]}]}]},
+         r"^constraints\[1\]\.terms\[0\]\.coeff must be a number, got 'a'$"),
+        # a JSON type the field does not take is an error, not truncated or coerced
+        (_first_term(powers=[2.5, 0]),
+         r"^constraints\[0\]\.terms\[0\]\.powers must be a list of non-negative integers, "
+         r"got \[2\.5, 0\]$"),
+        (_first_term(powers=[True, 0]), r"^constraints\[0\]\.terms\[0\]\.powers must be"),
+        (_first_term(powers=[-1, 0]), r"^constraints\[0\]\.terms\[0\]\.powers must be"),
+        (_first_term(coeff=True), r"^constraints\[0\]\.terms\[0\]\.coeff must be a number"),
+        ({"gravity_force": ["1", "0"]}, r"^gravity_force must be a list of numbers"),
+        ({"gravity_force": [True, False]}, r"^gravity_force must be a list of numbers"),
+        ({"mass": {"diag": ["1", "1"]}}, r"^mass\.diag must be a list of numbers"),
+        ({"name": 5}, r"^name must be text, got 5$"),
+        # a mass object is {"diag": [...]}; a nested key nothing reads is an error
+        ({"mass": {"full": [[1, 0], [0, 1]]}}, r"^unknown key 'full' in mass; known: diag$"),
+        ({"mass": {"diag": [1, 1], "scale": 3}}, r"^unknown key 'scale' in mass"),
+        ({"constraints": [dict(PENDULUM_SPEC["constraints"][0], weight=2)]},
+         r"^unknown key 'weight' in constraints\[0\]; known: terms$"),
+        (_first_term(note="x"), r"^unknown key 'note' in constraints\[0\]\.terms\[0\]"),
+        # JSON text may hold NaN and Infinity, which Python's json reads
+        ({"gravity_force": [float("nan"), 0]},
+         r"^gravity_force\[0\] must be finite, got nan$"),
+        ({"mass": {"diag": [float("inf"), 1]}}, r"^mass\.diag\[0\] must be finite, got inf$"),
+        (_first_term(coeff=float("nan")),
+         r"^constraints\[0\]\.terms\[0\]\.coeff must be finite, got nan$"),
+    ], ids=["scalar", "no-terms", "text-coeff", "fractional-power", "bool-power",
+            "negative-power", "bool-coeff", "text-gravity", "bool-gravity", "text-diag",
+            "number-name", "full-mass", "mass-scale", "constraint-weight", "term-note",
+            "nan-gravity", "infinite-diag", "nan-coeff"])
+    def test_rejects_malformed_constraints(self, change, message):
+        # the error names the field's path, down to the one entry at fault
+        with pytest.raises(ValueError, match=message):
+            load_system(dict(PENDULUM_SPEC, **change))
+        with pytest.raises(ValueError, match=message):
+            load_system(json.dumps(dict(PENDULUM_SPEC, **change)))
 
     def test_input_map_column_is_accepted(self):
         system = load_system(dict(PENDULUM_SPEC, input_map=[1, 0]))
