@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -52,13 +53,15 @@ def _build_parser():
 
 
 def _parse_vector(text, n, what):
-    """n floats from comma-separated text."""
+    """n finite floats from comma-separated text."""
     try:
         vals = np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise ValueError(f"{what} must be a list of numbers") from exc
     if vals.shape != (n,):
         raise ValueError(f"{what} must have {n} components, got {vals.size}")
+    if not np.isfinite(vals).all():
+        raise ValueError(f"{what} must be finite, got {text!r}")
     return vals
 
 
@@ -88,8 +91,12 @@ def _scenario_from_args(args) -> Scenario:
     q0, qdot0 = system.default_state
     controller = None
     if args.target is not None:
+        gains = _flags(args, GAINS)
+        for key, value in gains.items():
+            if not math.isfinite(value):
+                raise ValueError(f"--{key} must be a finite number, got {value!r}")
         controller = regulator(system, _parse_vector(args.target, system.n, "--target"),
-                               *_flags(args, GAINS).values())
+                               *gains.values())
     return Scenario(
         system=system, q0=q0, qdot0=qdot0, controller=controller,
         # catalog defaults beyond the horizon were not asked for; drop them
@@ -166,7 +173,9 @@ def cmd_analyze(args) -> int:
     print(f"optimal-mu interval: [{lo:.6g}, {hi:.6g}]  "
           f"minimum cond(Mbar) = {hi / lo:.6g}")
     grid = np.geomspace(1e-3 * lo, 1e3 * hi, args.grid_points)
-    rows = [(float(mu), assemble(plant, proj, float(mu)).cond) for mu in grid]
+    # one stack of Mbar over the grid, one eigvalsh: each member has the bits
+    # of its own assemble
+    rows = list(zip(grid.tolist(), assemble(plant, proj, grid).cond.tolist()))
     best = min(rows, key=lambda r: r[1])
     print(f"grid minimum: cond = {best[1]:.6g} at mu = {best[0]:.6g}")
     if args.out:

@@ -23,8 +23,8 @@ EPS_V = 0.3   # speed below which eta tapers linearly to zero
 
 @dataclass(frozen=True)
 class RegulationGains:
-    """Gains of the regulation law; Kp, Kd symmetric positive definite,
-    sigma > 1."""
+    """Gains of the regulation law; Kp, Kd finite, symmetric positive
+    definite, sigma finite and > 1."""
 
     Kp: np.ndarray
     Kd: np.ndarray
@@ -34,10 +34,14 @@ class RegulationGains:
         Kp = np.atleast_2d(np.asarray(self.Kp, dtype=float))
         Kd = np.atleast_2d(np.asarray(self.Kd, dtype=float))
         for name, K in (("Kp", Kp), ("Kd", Kd)):
+            if not np.isfinite(K).all():
+                raise ValueError(f"{name} must be finite")
             if not np.allclose(K, K.T):
                 raise ValueError(f"{name} must be symmetric")
             if np.linalg.eigvalsh(K)[0] <= 0.0:
                 raise ValueError(f"{name} must be positive definite")
+        if not np.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma!r}")
         if self.sigma <= 1.0:
             raise ValueError("sigma must exceed 1")
         object.__setattr__(self, "Kp", Kp)

@@ -5,6 +5,14 @@ is the operator-consistent one: after every accepted step the velocity is
 projected through P(q), so A(q) q' = 0 holds to round-off.  Constraint
 activation events are handled as inelastic capture (the normal velocity
 component is removed by the new P); matrix dimensions never change.
+
+Each state of a run is evaluated once, eagerly, in the order projectors,
+plant, model, force, q'': an inner RK4 stage when it is made, a step's end
+state in record (after its grid time is stamped), a post-event state after
+mu is re-selected on it, and step()'s start state before it advances.  Every
+part goes through the public entry points (system.jacobian,
+build_projectors, assemble, forces.acceleration, control_force), and an
+RK4 step takes 4 SVDs and 4 solves (8 SVDs when regulated).
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from numbers import Integral, Real
 
 import numpy as np
@@ -19,8 +28,8 @@ import numpy as np
 from . import forces
 from .control import SetpointRegulator, control_force, lyapunov_value
 from .errors import DivergenceError, InconsistentStateError
-from .kernel import (_lazy, _norm, build_projectors, configuration_projectors,
-                     pseudo_inverse, with_adot)
+from .kernel import (_norm, build_projectors, configuration_projectors, pseudo_inverse,
+                     with_adot)
 from .model import PlantMatrices, _condition, assemble, kinetic_energy, optimal_mu
 from .systems import MechanicalSystem
 
@@ -177,44 +186,27 @@ def project_to_constraints(q_raw, system: MechanicalSystem, tol=1e-10,
 
 
 class _Eval:
-    """One state (t, q, qdot) of a run; each part is computed once, when first
-    asked for.  The active set is fixed at creation, mu read at first use.
-    A state made by _Runner._projected also carries its drift |A qdot|."""
+    """One state (t, q, qdot) of a run and the parts a step reads of it.
 
-    def __init__(self, runner, t, q, qdot):
-        self.runner, self.t, self.q, self.qdot = runner, t, q, qdot
-        self.active = runner.active
+    Nothing is computed on access.  The runner makes a state with its
+    projectors and plant (_Runner._state, or _Runner._projected, which adds
+    the drift |A qdot|) and evaluates the rest once, at the current mu and
+    in the order model, force, qdd (_Runner._evaluate), at the point where
+    the state's t and mu are final."""
 
-    @_lazy
-    def jac(self):
-        return self.runner.system.jacobian(self.q, self.qdot, active=self.active)
+    __slots__ = ("t", "q", "qdot", "proj", "plant", "drift", "model", "force", "qdd")
 
-    @_lazy
-    def proj(self):
-        return build_projectors(self.jac)
+    def __init__(self, t, q, qdot, proj, plant, drift=None):
+        self.t, self.q, self.qdot, self.proj, self.plant, self.drift = (
+            t, q, qdot, proj, plant, drift)
 
-    @_lazy
-    def plant(self):
-        return self.runner.system.plant(self.q, self.qdot)
 
-    @_lazy
-    def model(self):
-        return assemble(self.plant, self.proj, self.runner.mu_value)
-
-    @_lazy
-    def force(self):
-        """(f, u): the regulator's law, else the force schedule, else zero."""
-        sc = self.runner.sc
-        if (c := sc.controller) is not None:
-            return control_force(self.q, self.qdot, c.q_star, c.gains, self.model)
-        f = (np.zeros(sc.system.n) if sc.force_schedule is None else
-             np.asarray(sc.force_schedule(self.t, self.q, self.qdot), dtype=float))
-        return f, np.zeros(self.plant.k)
-
-    @_lazy
-    def qdd(self):
-        f, _ = self.force
-        return forces.acceleration(self.model, f, self.qdot)
+@lru_cache(maxsize=64)
+def _unforced(n, k):
+    """The (f, u) of an unforced state: read-only zeros, built once per shape."""
+    f, u = np.zeros(n), np.zeros(k)
+    f.flags.writeable = u.flags.writeable = False
+    return f, u
 
 
 class _Runner:
@@ -233,27 +225,51 @@ class _Runner:
         self.mu_value = (optimal_mu(ev.plant, ev.proj)
                          if self.sc.mu == "auto" else float(self.sc.mu))
 
+    def _state(self, t, q, qdot):
+        """The state with its projectors, from system.jacobian and
+        build_projectors at the current active set, and its plant."""
+        system = self.system
+        proj = build_projectors(system.jacobian(q, qdot, active=self.active))
+        return _Eval(t, q, qdot, proj, system.plant(q, qdot))
+
     def _projected(self, t, q, qdot):
-        """The state with qdot projected through P(q), and its drift |A qdot|.
-        A(q) and its SVD serve both velocities; the projected state adds only
-        Adot.  configuration_projectors checks A and with_adot checks Adot,
-        each once."""
+        """The state with qdot projected through P(q), its plant and its drift
+        |A qdot|.  A(q) and its SVD serve both velocities; the projected state
+        adds only Adot.  configuration_projectors checks A and with_adot checks
+        Adot, each once."""
         system, active = self.system, self.active
         A = system.constraint_matrix(q, active)
         config = configuration_projectors(A)
-        ev = _Eval(self, t, q, config.P @ qdot)
-        ev.proj = with_adot(config, system.constraint_rate_matrix(q, ev.qdot, active))
-        ev.drift = _norm(A @ ev.qdot)
+        qdot = config.P @ qdot
+        proj = with_adot(config, system.constraint_rate_matrix(q, qdot, active))
+        return _Eval(t, q, qdot, proj, system.plant(q, qdot), _norm(A @ qdot))
+
+    def _evaluate(self, ev):
+        """Evaluate ev's model at the current mu, then its force (f, u) (the
+        regulator's law, else the force schedule at ev.t, else zero), then
+        qdd; returns ev."""
+        sc = self.sc
+        ev.model = model = assemble(ev.plant, ev.proj, self.mu_value)
+        if (c := sc.controller) is not None:
+            f, u = control_force(ev.q, ev.qdot, c.q_star, c.gains, model)
+        else:
+            f, u = _unforced(self.system.n, ev.plant.k)
+            if sc.force_schedule is not None:
+                f = np.asarray(sc.force_schedule(ev.t, ev.q, ev.qdot), dtype=float)
+        ev.force = f, u
+        ev.qdd = forces.acceleration(model, f, ev.qdot)
         return ev
 
     # --- stepping ---------------------------------------------------------
 
     def _rk4(self, ev, h):
-        """One RK4 step of size h from ev; returns the raw end (q, qdot)."""
+        """One RK4 step of size h from the evaluated state ev; returns the raw
+        end (q, qdot).  Each inner stage is evaluated as it is made."""
         t, q, qdot = ev.t, ev.q, ev.qdot
-        s2 = _Eval(self, t + 0.5 * h, q + 0.5 * h * qdot, qdot + 0.5 * h * ev.qdd)
-        s3 = _Eval(self, t + 0.5 * h, q + 0.5 * h * s2.qdot, qdot + 0.5 * h * s2.qdd)
-        s4 = _Eval(self, t + h, q + h * s3.qdot, qdot + h * s3.qdd)
+        state, evaluate = self._state, self._evaluate
+        s2 = evaluate(state(t + 0.5 * h, q + 0.5 * h * qdot, qdot + 0.5 * h * ev.qdd))
+        s3 = evaluate(state(t + 0.5 * h, q + 0.5 * h * s2.qdot, qdot + 0.5 * h * s2.qdd))
+        s4 = evaluate(state(t + h, q + h * s3.qdot, qdot + h * s3.qdd))
         q_new = q + (h / 6.0) * (qdot + 2 * s2.qdot + 2 * s3.qdot + s4.qdot)
         v_new = qdot + (h / 6.0) * (ev.qdd + 2 * s2.qdd + 2 * s3.qdd + s4.qdd)
         if not (np.isfinite(q_new).all() and np.isfinite(v_new).all()):
@@ -262,12 +278,16 @@ class _Runner:
         return q_new, v_new
 
     def _apply_event(self, ev, new_active):
+        """Capture at ev (which needs only its projectors and plant): the new
+        active set, the projected state, mu re-selected on it, and then the
+        state evaluated at that mu."""
         rank_before = ev.proj.rank
         ke_before = kinetic_energy(ev.plant.M, ev.qdot)
         self.active = tuple(new_active)
         ev = self._projected(ev.t, ev.q, ev.qdot)   # inelastic capture
         ke_after = kinetic_energy(ev.plant.M, ev.qdot)
         self._select_mu(ev)                     # mu re-selected only at events
+        self._evaluate(ev)
         return ev, {
             "time": float(ev.t),
             "rank_before": rank_before,
@@ -277,13 +297,15 @@ class _Runner:
         }
 
     def advance(self, ev, h, events_in_step):
-        """Advance one grid step of size h from ev, splitting at any event
-        times; the end state returned serves its record and the next step."""
+        """Advance one grid step of size h from the evaluated state ev,
+        splitting at any event times.  The end state returned has its
+        projectors, plant and drift; record evaluates the rest, and it then
+        starts the next step."""
         logs = []
         t_end = ev.t + h
         for t_e, new_active in events_in_step:
             if t_e > ev.t:
-                ev = _Eval(self, t_e, *self._rk4(ev, t_e - ev.t))
+                ev = self._state(t_e, *self._rk4(ev, t_e - ev.t))
             ev, log = self._apply_event(ev, new_active)
             logs.append(log)
         q, qdot = self._rk4(ev, t_end - ev.t) if t_end > ev.t else (ev.q, ev.qdot)
@@ -296,22 +318,27 @@ class _Runner:
     # --- recording --------------------------------------------------------
 
     def record(self, t, ev):
-        """The inputs of ev's trace row at time t, all computed by the step:
-        (t, q, qdot, qdd, f, u, S, Omega, Mbar, plant, rank, drift).  _pack
-        evaluates the rest of the row on the stack of them.  t is stamped on
-        ev first: t + h in advance and (i + 1) dt in run can differ in the
-        last bit."""
+        """Stamp the grid time t on the end state ev, evaluate ev, and return
+        the inputs of its trace row: (t, q, qdot, qdd, f, u, S, Omega, Mbar,
+        plant, rank, drift).  _pack evaluates the rest of the row on the
+        stack of them.  t comes first because t + h in advance and (i + 1) dt
+        in run can differ in the last bit, and a force schedule is read at
+        the row's time; the next step starts from the stamped t."""
         ev.t = t
+        self._evaluate(ev)
         model, (f, u) = ev.model, ev.force
         return (t, ev.q, ev.qdot, ev.qdd, f, u, model.S, ev.proj.Omega, model.Mbar,
                 ev.plant, ev.proj.rank, ev.drift)
 
 
 def step(state: GeneralizedState, scenario: Scenario) -> GeneralizedState:
-    """One fixed step from an arbitrary state (no event handling)."""
+    """One fixed step from an arbitrary state (no event handling).  The start
+    state is evaluated before the step, at the mu it selects; the end state
+    is only projected, never evaluated."""
     runner = _Runner(scenario)
-    ev = _Eval(runner, state.t, state.q, state.qdot)
+    ev = runner._state(state.t, state.q, state.qdot)
     runner._select_mu(ev)
+    runner._evaluate(ev)
     end, _ = runner.advance(ev, scenario.dt, [])
     return GeneralizedState(t=state.t + scenario.dt, q=end.q, qdot=end.qdot)
 

@@ -50,11 +50,15 @@ class MechanicalSystem:
     default_events: tuple = ()
 
     def jacobian(self, q, qdot, active=None) -> ConstraintJacobian:
-        """A and Adot at a state, with inactive rows zeroed (fixed dimension):
-        the configuration part constraint_matrix and the rate part
-        constraint_rate_matrix."""
-        return ConstraintJacobian(A=self.constraint_matrix(q, active),
-                                  Adot=self.constraint_rate_matrix(q, qdot, active))
+        """A and Adot at a state, with inactive rows zeroed (fixed dimension).
+        The system's own matrices go to ConstraintJacobian, which converts
+        and checks each once."""
+        q = np.asarray(q, dtype=float)
+        A = self.constraint(q)
+        Adot = self.constraint_rate(q, np.asarray(qdot, dtype=float))
+        if active is not None and len(set(active)) < self.m:   # a proper subset
+            A, Adot = self._active_rows(A, active), self._active_rows(Adot, active)
+        return ConstraintJacobian(A=A, Adot=Adot)
 
     def constraint_matrix(self, q, active=None) -> np.ndarray:
         """A(q), m x n, with inactive rows zeroed."""
@@ -68,7 +72,9 @@ class MechanicalSystem:
         return self._active_rows(_float_array(self.constraint_rate(q, qdot)), active)
 
     def _active_rows(self, X, active):
-        if active is None or tuple(active) == tuple(range(self.m)):
+        """X with the rows outside active zeroed; X itself when every row is
+        active."""
+        if active is None or len(set(active)) == self.m:
             return X
         mask = np.zeros(self.m, dtype=bool)
         mask[list(active)] = True

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from projdyn import catalog, forces, pendulum
+from projdyn import assemble, build_projectors, catalog, forces, get_system, pendulum
 from projdyn.cli import main
 
 
@@ -108,6 +108,23 @@ class TestSimulate:
     def test_infinite_horizon_is_usage_error(self, capsys):
         assert main(["simulate", "--system", "pendulum", "--horizon", "inf"]) == 2
         assert "horizon must be a positive finite number" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags, message", [
+        (["--target", "nan,0"], "--target must be finite, got 'nan,0'"),
+        (["--target", "inf,0"], "--target must be finite, got 'inf,0'"),
+        (["--target", "0.84,-0.54", "--sigma", "nan"], "--sigma must be a finite number, got nan"),
+        (["--target", "0.84,-0.54", "--sigma", "inf"], "--sigma must be a finite number, got inf"),
+        (["--target", "0.84,-0.54", "--kp", "inf"], "--kp must be a finite number, got inf"),
+        (["--target", "0.84,-0.54", "--kd", "nan"], "--kd must be a finite number, got nan"),
+    ], ids=["nan-target", "infinite-target", "nan-sigma", "infinite-sigma", "infinite-kp",
+            "nan-kd"])
+    def test_non_finite_flag_is_usage_error(self, capsys, flags, message):
+        # named before any matrix is built from it: no warning, no traceback
+        assert main(["simulate", "--system", "pendulum", *flags, "--horizon", "0.1",
+                     "--dt", "0.01"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_text_mu_is_usage_error(self, capsys):
         assert main(["simulate", "--system", "pendulum", "--mu", "abc"]) == 2
@@ -435,6 +452,29 @@ class TestAnalyze:
                    "--state", "0,1,0,0"])
         assert rc == 0
         assert "rank(A) = 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("system, state", [
+        ("slider-crank", [0.0, 1.0, 0.0, 0.0]), ("double-pendulum", None),
+        ("pendulum", None), ("redundant-pendulum", None)])
+    def test_sweep_has_the_bits_of_one_assemble_per_mu(self, tmp_path, system, state):
+        # the sweep is one stacked assemble; each row is the single-mu model's cond
+        out = tmp_path / "sweep.csv"
+        extra = [] if state is None else ["--state", ",".join(map(str, state))]
+        assert main(["analyze", "--system", system, *extra, "--out", str(out)]) == 0
+        sys_ = get_system(system)
+        q, qdot = sys_.default_state
+        q = q if state is None else np.array(state)
+        plant, proj = sys_.plant(q, qdot), build_projectors(sys_.jacobian(q, qdot))
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 61
+        for row in rows:
+            mu, cond = map(float, row.split(","))
+            assert cond == assemble(plant, proj, mu).cond
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_state_is_usage_error(self, capsys):
+        assert main(["analyze", "--system", "pendulum", "--state", "nan,0"]) == 2
+        assert "--state must be finite, got 'nan,0'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_grid_points_below_one_is_usage_error(self, capsys, points):

@@ -28,6 +28,18 @@ class TestGains:
             RegulationGains(Kp=np.eye(2), Kd=np.array([[1.0, 1.0], [0.0, 1.0]]),
                             sigma=2.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gains, message", [
+        (dict(Kp=np.diag([np.inf, 1.0])), "^Kp must be finite$"),
+        (dict(Kd=np.full((2, 2), np.nan)), "^Kd must be finite$"),
+        (dict(sigma=float("nan")), "^sigma must be finite, got nan$"),
+        (dict(sigma=float("inf")), "^sigma must be finite, got inf$"),
+    ], ids=["infinite-kp", "nan-kd", "nan-sigma", "infinite-sigma"])
+    def test_gains_must_be_finite(self, gains, message):
+        # checked before symmetry and definiteness, which NaN and inf defeat
+        with pytest.raises(ValueError, match=message):
+            RegulationGains(**{"Kp": np.eye(2), "Kd": np.eye(2), "sigma": 2.0, **gains})
+
 
 class TestVelocityDirection:
     def test_unit_above_threshold(self):

@@ -361,6 +361,32 @@ def test_record_equals_a_fresh_evaluation(name):
         np.testing.assert_array_equal(trace.lyapunov[i], V)
 
 
+def test_event_state_is_evaluated_at_the_reselected_mu(monkeypatch):
+    """Releasing the slider-crank's slider row (rank 3 -> 2) moves the
+    optimal mu, so a post-event state evaluated before mu is re-selected
+    would step with the old one."""
+    seen = []
+    apply_event = engine._Runner._apply_event
+
+    def spy(runner, ev, new_active):
+        mu_before = runner.mu_value
+        ev, log = apply_event(runner, ev, new_active)
+        seen.append((mu_before, runner.mu_value, ev, log))
+        return ev, log
+
+    monkeypatch.setattr(engine._Runner, "_apply_event", spy)
+    system = slider_crank(m1=1.2, m2=0.8)
+    q, qd = system.sample_state(np.random.default_rng(3))
+    run(Scenario(system=system, q0=q, qdot0=qd, horizon=0.05, dt=5e-3,
+                 events=((0.0123, (0, 1)),)))
+    [(mu_before, mu, ev, log)] = seen
+    assert (log["rank_before"], log["rank_after"]) == (3, 2)
+    assert mu != mu_before
+    proj = build_projectors(system.jacobian(ev.q, ev.qdot, active=(0, 1)))
+    model = assemble(system.plant(ev.q, ev.qdot), proj, mu)
+    np.testing.assert_array_equal(ev.qdd, acceleration(model, np.zeros(4), ev.qdot))
+
+
 def _per_step_linalg_calls(monkeypatch, scenario):
     """(SVDs, solves, eigvalsh) per step: the difference of a 20-step and a
     10-step run, so calls made once per run do not count; and the eigvalsh
