@@ -21,15 +21,15 @@ import json
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from . import forces
 from .control import SetpointRegulator, control_force, lyapunov_value
 from .errors import DivergenceError, InconsistentStateError
-from .kernel import (_norm, build_projectors, configuration_projectors, pseudo_inverse,
-                     with_adot)
+from .kernel import (_float_array, _norm, build_projectors, configuration_projectors,
+                     pseudo_inverse, with_adot)
 from .model import PlantMatrices, _condition, assemble, kinetic_energy, optimal_mu
 from .systems import MechanicalSystem
 
@@ -90,14 +90,14 @@ class Scenario:
             raise ValueError(f"event times {times} lie outside the run (0, {end:g}]")
         if len({(t, tuple(active)) for t, active in self.events}) > len(set(times)):
             raise ValueError("conflicting active sets for events at one time")
-        m = self.system.m
         row_sets = [("events", active) for _, active in self.events]
         if self.initial_active is not None:
             row_sets.append(("initial_active", self.initial_active))
         for name, rows in row_sets:
-            if not all(isinstance(i, Integral) and not isinstance(i, bool) and 0 <= i < m
-                       for i in rows):
-                raise ValueError(f"{name} rows must be ints in range({m}), got {rows!r}")
+            try:
+                self.system.with_active(rows)
+            except ValueError as exc:
+                raise ValueError(f"{name} {exc}") from None
         if not (self.mu == "auto" if isinstance(self.mu, str) else
                 _positive_finite(self.mu)):
             raise ValueError(f"mu must be 'auto' or a positive number, got {self.mu!r}")
@@ -157,8 +157,9 @@ class SimulationTrace:
 
 
 def project_to_constraints(q_raw, system: MechanicalSystem, tol=1e-10,
-                           max_iter=20, active=None) -> np.ndarray:
-    """Retract a configuration onto the position-level constraint manifold.
+                           max_iter=20) -> np.ndarray:
+    """Retract a configuration onto the manifold Phi(q) = 0 of the system's
+    rows (of some rows: pass system.with_active(rows)).
 
     Gauss-Newton with the minimum-norm correction dq = -pinv(J) Phi; the
     constraint matrix A doubles as the Jacobian of Phi for holonomic rows.
@@ -166,19 +167,15 @@ def project_to_constraints(q_raw, system: MechanicalSystem, tol=1e-10,
     if system.residual is None:
         raise ValueError(f"system {system.name!r} provides no position residual")
     q = np.asarray(q_raw, dtype=float).copy()
-    rows = list(active) if active is not None else list(range(system.m))
-    if not rows:
-        return q
     for _ in range(max_iter):
-        phi = np.asarray(system.residual(q), dtype=float)[rows]
+        phi = np.asarray(system.residual(q), dtype=float)
         if np.linalg.norm(phi) <= tol:
             return q
-        J = np.atleast_2d(np.asarray(system.constraint(q), dtype=float))[rows]
-        Jp, r = pseudo_inverse(J)
+        Jp, r = pseudo_inverse(system.constraint(q))
         if r == 0:
             break
         q = q - Jp @ phi
-    phi = np.asarray(system.residual(q), dtype=float)[rows]
+    phi = np.asarray(system.residual(q), dtype=float)
     if np.linalg.norm(phi) <= tol:
         return q
     raise InconsistentStateError(
@@ -210,13 +207,13 @@ def _unforced(n, k):
 
 
 class _Runner:
-    """One simulation run; owns the phase state (active set, mu)."""
+    """One simulation run; owns the phase state: the system with the
+    phase's active rows (MechanicalSystem.with_active) and mu."""
 
     def __init__(self, scenario: Scenario):
         self.sc = sc = scenario
-        self.system = sc.system
-        self.active = (tuple(range(self.system.m)) if sc.initial_active is None
-                       else tuple(sc.initial_active))
+        self.system = (sc.system if sc.initial_active is None
+                       else sc.system.with_active(sc.initial_active))
         self.mu_value = None
 
     # --- model evaluation -------------------------------------------------
@@ -226,10 +223,10 @@ class _Runner:
                          if self.sc.mu == "auto" else float(self.sc.mu))
 
     def _state(self, t, q, qdot):
-        """The state with its projectors, from system.jacobian and
-        build_projectors at the current active set, and its plant."""
+        """The state with its projectors, from the phase system's jacobian
+        and build_projectors, and its plant."""
         system = self.system
-        proj = build_projectors(system.jacobian(q, qdot, active=self.active))
+        proj = build_projectors(system.jacobian(q, qdot))
         return _Eval(t, q, qdot, proj, system.plant(q, qdot))
 
     def _projected(self, t, q, qdot):
@@ -237,11 +234,11 @@ class _Runner:
         |A qdot|.  A(q) and its SVD serve both velocities; the projected state
         adds only Adot.  configuration_projectors checks A and with_adot checks
         Adot, each once."""
-        system, active = self.system, self.active
-        A = system.constraint_matrix(q, active)
+        system = self.system
+        A = _float_array(system.constraint(q))
         config = configuration_projectors(A)
         qdot = config.P @ qdot
-        proj = with_adot(config, system.constraint_rate_matrix(q, qdot, active))
+        proj = with_adot(config, system.constraint_rate(q, qdot))
         return _Eval(t, q, qdot, proj, system.plant(q, qdot), _norm(A @ qdot))
 
     def _evaluate(self, ev):
@@ -278,12 +275,12 @@ class _Runner:
         return q_new, v_new
 
     def _apply_event(self, ev, new_active):
-        """Capture at ev (which needs only its projectors and plant): the new
-        active set, the projected state, mu re-selected on it, and then the
-        state evaluated at that mu."""
+        """Capture at ev (which needs only its projectors and plant): the
+        system with the new active rows, the projected state, mu re-selected
+        on it, and then the state evaluated at that mu."""
         rank_before = ev.proj.rank
         ke_before = kinetic_energy(ev.plant.M, ev.qdot)
-        self.active = tuple(new_active)
+        self.system = self.sc.system.with_active(new_active)
         ev = self._projected(ev.t, ev.q, ev.qdot)   # inelastic capture
         ke_after = kinetic_energy(ev.plant.M, ev.qdot)
         self._select_mu(ev)                     # mu re-selected only at events
@@ -293,7 +290,7 @@ class _Runner:
             "rank_before": rank_before,
             "rank_after": ev.proj.rank,
             "energy_drop": ke_before - ke_after,
-            "active": tuple(self.active),
+            "active": tuple(new_active),
         }
 
     def advance(self, ev, h, events_in_step):
@@ -349,8 +346,8 @@ def run(scenario: Scenario) -> SimulationTrace:
     runner = _Runner(sc)
     q = sc.q0.copy()
 
-    if sc.system.residual is not None and runner.active:
-        phi = np.asarray(sc.system.residual(q), dtype=float)[list(runner.active)]
+    if runner.system.residual is not None:
+        phi = np.asarray(runner.system.residual(q), dtype=float)
         if np.linalg.norm(phi) > 1e-8:
             raise InconsistentStateError(
                 f"initial configuration violates constraints: |Phi| = "

@@ -228,8 +228,9 @@ def regulator(system, q_star, kp, kd, sigma) -> SetpointRegulator:
     manifold when the system has a position residual."""
     if system.residual is not None:
         q_star = project_to_constraints(q_star, system)
-    eye = np.eye(system.n)
-    return SetpointRegulator(q_star, RegulationGains(Kp=kp * eye, Kd=kd * eye, sigma=sigma))
+    # not gain * I, whose inf * 0 would warn before RegulationGains names the gain
+    Kp, Kd = (np.diag(np.full(system.n, gain)) for gain in (kp, kd))
+    return SetpointRegulator(q_star, RegulationGains(Kp=Kp, Kd=Kd, sigma=sigma))
 
 
 def load_scenario(source) -> Scenario:

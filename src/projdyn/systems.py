@@ -12,12 +12,13 @@ constraint rows, and a run-time topology switch (particle capture).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
 
-from .kernel import ConstraintJacobian, _float_array
+from .kernel import ConstraintJacobian
 from .model import PlantMatrices
 
 GRAVITY = 9.81
@@ -49,36 +50,32 @@ class MechanicalSystem:
     default_initial_active: tuple | None = None   # None = all rows active
     default_events: tuple = ()
 
-    def jacobian(self, q, qdot, active=None) -> ConstraintJacobian:
-        """A and Adot at a state, with inactive rows zeroed (fixed dimension).
-        The system's own matrices go to ConstraintJacobian, which converts
-        and checks each once."""
+    def jacobian(self, q, qdot) -> ConstraintJacobian:
+        """A and Adot at a state.  The system's own matrices go to
+        ConstraintJacobian, which converts and checks each once."""
         q = np.asarray(q, dtype=float)
-        A = self.constraint(q)
-        Adot = self.constraint_rate(q, np.asarray(qdot, dtype=float))
-        if active is not None and len(set(active)) < self.m:   # a proper subset
-            A, Adot = self._active_rows(A, active), self._active_rows(Adot, active)
-        return ConstraintJacobian(A=A, Adot=Adot)
+        return ConstraintJacobian(A=self.constraint(q),
+                                  Adot=self.constraint_rate(q, np.asarray(qdot, dtype=float)))
 
-    def constraint_matrix(self, q, active=None) -> np.ndarray:
-        """A(q), m x n, with inactive rows zeroed."""
-        q = np.asarray(q, dtype=float)
-        return self._active_rows(_float_array(self.constraint(q)), active)
-
-    def constraint_rate_matrix(self, q, qdot, active=None) -> np.ndarray:
-        """Adot(q, qdot), m x n, with inactive rows zeroed."""
-        q = np.asarray(q, dtype=float)
-        qdot = np.asarray(qdot, dtype=float)
-        return self._active_rows(_float_array(self.constraint_rate(q, qdot)), active)
-
-    def _active_rows(self, X, active):
-        """X with the rows outside active zeroed; X itself when every row is
-        active."""
-        if active is None or len(set(active)) == self.m:
-            return X
-        mask = np.zeros(self.m, dtype=bool)
-        mask[list(active)] = True
-        return np.where(mask[:, None], X, 0.0)
+    def with_active(self, rows) -> MechanicalSystem:
+        """The system with only the constraint rows in rows active: its A, Adot
+        and Phi have the other rows zeroed, so every matrix keeps its
+        dimension through a topology switch.  The system itself when every
+        row is active."""
+        rows = tuple(rows)
+        if not all(isinstance(i, Integral) and not isinstance(i, bool) and 0 <= i < self.m
+                   for i in rows):
+            raise ValueError(f"rows must be ints in range({self.m}), got {rows!r}")
+        keep = np.zeros(self.m, dtype=bool)
+        keep[list(rows)] = True
+        if keep.all():
+            return self
+        keep_rows, residual = keep[:, None], self.residual
+        return replace(
+            self,
+            constraint=lambda q: np.where(keep_rows, self.constraint(q), 0.0),
+            constraint_rate=lambda q, qd: np.where(keep_rows, self.constraint_rate(q, qd), 0.0),
+            residual=None if residual is None else lambda q: np.where(keep, residual(q), 0.0))
 
     def plant(self, q, qdot) -> PlantMatrices:
         """M, C, f_g and B at a state."""

@@ -312,8 +312,8 @@ def test_a_nonfinite_part_raises_on_every_route(part):
             build_projectors(system.jacobian(q, qdot))
     if part == "Adot":
         with pytest.raises(NonFiniteInputError):
-            with_adot(configuration_projectors(system.constraint_matrix(q)),
-                      system.constraint_rate_matrix(q, qdot))
+            with_adot(configuration_projectors(system.constraint(q)),
+                      system.constraint_rate(q, qdot))
     gains = RegulationGains(Kp=10 * np.eye(2), Kd=10 * np.eye(2), sigma=1.5)
     with pytest.raises(NonFiniteInputError):
         run(Scenario(system=system, q0=q, qdot0=qdot, horizon=0.02, dt=0.01,

@@ -1,13 +1,17 @@
 """Built-in system catalog and the structured-definition loader."""
 
+import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from projdyn import (AdmissibilityError, assemble, build_projectors, catalog,
-                     double_pendulum, get_system, load_system, pendulum, redundant_pendulum,
-                     self_test, slider_crank, switching_particle)
+                     double_pendulum, get_system, load_system, pendulum,
+                     project_to_constraints, redundant_pendulum, self_test, slider_crank,
+                     switching_particle)
+from projdyn.loader import regulator
 from test_engine import LOADED_SLIDER_CRANK
 
 
@@ -40,12 +44,13 @@ class TestCatalog:
     @pytest.mark.parametrize("system", catalog(), ids=lambda s: s.name)
     def test_default_state_is_consistent(self, system):
         q0, qd0 = system.default_state
+        active = system.default_initial_active
         if system.residual is not None:
-            active = system.default_initial_active
             res = np.asarray(system.residual(q0), float)
             idx = list(range(system.m)) if active is None else list(active)
             assert np.all(np.abs(res[idx]) < 1e-10)
-        jac = system.jacobian(q0, qd0, active=system.default_initial_active)
+        phase = system if active is None else system.with_active(active)
+        jac = phase.jacobian(q0, qd0)
         assert np.linalg.norm(jac.A @ qd0) < 1e-10
 
     def test_pendulum_geometry(self):
@@ -80,7 +85,7 @@ class TestCatalog:
         system = switching_particle()
         assert system.default_initial_active == ()
         assert system.default_events == ((1.0, (0,)),)
-        jac = system.jacobian(np.zeros(2), np.ones(2), active=())
+        jac = system.with_active(()).jacobian(np.zeros(2), np.ones(2))
         np.testing.assert_array_equal(jac.A, np.zeros((1, 2)))
 
     def test_double_pendulum_masses(self):
@@ -88,6 +93,67 @@ class TestCatalog:
         M = system.plant(*system.default_state).M
         np.testing.assert_allclose(M, np.diag([2.0, 2.0, 3.0, 3.0]),
                                    atol=1e-12)
+
+
+class TestWithActive:
+    SYSTEMS = catalog() + [load_system(LOADED_SLIDER_CRANK)]
+
+    @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.name)
+    def test_zeroes_the_inactive_rows(self, system):
+        """For every subset of rows, A, Adot and Phi are the system's own with
+        the other rows zeroed, bit for bit."""
+        rng = np.random.default_rng(17)
+        states = rng.standard_normal((5, 2, system.n))
+        for size in range(system.m + 1):
+            for rows in itertools.combinations(range(system.m), size):
+                keep = np.isin(np.arange(system.m), rows)
+                phase = system.with_active(rows)
+                for q, qd in states:
+                    jac, base = phase.jacobian(q, qd), system.jacobian(q, qd)
+                    for got, want in ((jac.A, base.A), (jac.Adot, base.Adot)):
+                        assert got.tobytes() == np.where(keep[:, None], want, 0.0).tobytes()
+                    if system.residual is None:
+                        assert phase.residual is None
+                    else:
+                        want = np.where(keep, system.residual(q), 0.0)
+                        assert np.asarray(phase.residual(q)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.name)
+    def test_every_row_active_is_the_system_itself(self, system):
+        assert system.with_active(range(system.m)) is system
+        assert system.with_active(reversed(range(system.m))) is system
+
+    @pytest.mark.parametrize("rows", [(-1,), (1,), (True,), (0.0,)])
+    def test_rejects_rows_outside_the_system(self, rows):
+        with pytest.raises(ValueError, match=r"^rows must be ints in range\(1\), got "):
+            pendulum().with_active(rows)
+
+    def test_retraction_onto_the_active_rows(self):
+        """The slider-crank with its slider row released retracts onto its two
+        links, as the double pendulum does, and leaves y2 off zero."""
+        crank = slider_crank()
+        q = np.array([1.01, -0.02, 2.03, 0.05])
+        retracted = project_to_constraints(q, crank.with_active((0, 1)))
+        phi = crank.residual(retracted)
+        assert np.linalg.norm(phi[:2]) < 1e-10
+        assert abs(phi[2]) > 1e-2
+        np.testing.assert_allclose(retracted, project_to_constraints(q, double_pendulum()),
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kp, kd, gain", [(np.inf, 10.0, "Kp"), (10.0, np.inf, "Kd"),
+                                          (np.nan, 10.0, "Kp")])
+def test_regulator_names_a_non_finite_gain_without_a_warning(kp, kd, gain):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{gain} must be finite$"):
+            regulator(pendulum(), np.array([0.84, -0.54]), kp, kd, 1.5)
+
+
+def test_regulator_gains_are_the_gain_times_the_identity():
+    reg = regulator(double_pendulum(), np.array([1.0, 0.0, 1.0, -1.0]), 3.0, 7.5, 1.5)
+    assert reg.gains.Kp.tobytes() == (3.0 * np.eye(4)).tobytes()
+    assert reg.gains.Kd.tobytes() == (7.5 * np.eye(4)).tobytes()
 
 
 def term_by_term(spec):
