@@ -47,7 +47,6 @@ def _build_parser():
     ana.add_argument("--system", required=True)
     ana.add_argument("--state", help="comma-separated q (defaults to the "
                                      "system's reference configuration)")
-    ana.add_argument("--grid-points", type=int, default=61)
     ana.add_argument("--out", help="CSV output of the mu/cond sweep")
     return parser
 
@@ -153,8 +152,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.grid_points < 1:
-        raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
     system = get_system(args.system)
     q0, qd0 = system.default_state
     if args.state:
@@ -172,7 +169,7 @@ def cmd_analyze(args) -> int:
     print(f"nonzero eigenvalues of P M P: {np.array2string(lam, precision=6)}")
     print(f"optimal-mu interval: [{lo:.6g}, {hi:.6g}]  "
           f"minimum cond(Mbar) = {hi / lo:.6g}")
-    grid = np.geomspace(1e-3 * lo, 1e3 * hi, args.grid_points)
+    grid = np.geomspace(1e-3 * lo, 1e3 * hi, 61)
     # one stack of Mbar over the grid, one eigvalsh: each member has the bits
     # of its own assemble
     rows = list(zip(grid.tolist(), assemble(plant, proj, grid).cond.tolist()))

@@ -8,11 +8,11 @@ component is removed by the new P); matrix dimensions never change.
 
 Each state of a run is evaluated once, eagerly, in the order projectors,
 plant, model, force, q'': an inner RK4 stage when it is made, a step's end
-state in record (after its grid time is stamped), a post-event state after
-mu is re-selected on it, and step()'s start state before it advances.  Every
-part goes through the public entry points (system.jacobian,
-build_projectors, assemble, forces.acceleration, control_force), and an
-RK4 step takes 4 SVDs and 4 solves (8 SVDs when regulated).
+state in record (after its grid time is stamped), a post-switch state after
+mu is re-selected on it (in advance before a substep, else in record), and
+step()'s start state before it advances.  Each part goes through the public
+entry points (system.jacobian, build_projectors, assemble, forces.acceleration,
+control_force); an RK4 step takes 4 SVDs and 4 solves (8 when regulated).
 """
 
 from __future__ import annotations
@@ -49,6 +49,13 @@ def _positive_finite(x) -> bool:
     return isinstance(x, Real) and not isinstance(x, bool) and 0 < x <= sys.float_info.max
 
 
+def _grid_step(t, dt):
+    """A time t > 0 on the grid of dt: (i, True) when t / dt is the integer i
+    to 1e-12 relative (t ends step i), else (ceil(t / dt), False)."""
+    i = round(x := t / dt, 0)   # a float: inf and nan lie past every step
+    return (i, True) if abs(x - i) <= 1e-12 * x else (np.ceil(x), False)
+
+
 @dataclass
 class Scenario:
     """Everything needed to reproduce one run."""
@@ -63,7 +70,7 @@ class Scenario:
     force_schedule: object = None        # callable (t, q, qdot) -> f
     events: tuple = ()                   # ((time, active-row-tuple), ...)
     initial_active: tuple | None = None  # None = all rows active
-    drift_tol: float = 1e-12
+    drift_tol = 1e-12                    # |A qdot| <= drift_tol (1 + |qdot|); not a field
 
     def __post_init__(self):
         for name in ("q0", "qdot0"):
@@ -71,23 +78,26 @@ class Scenario:
             if v.shape != (self.system.n,) or not np.isfinite(v).all():
                 raise ValueError(f"{name} must have shape ({self.system.n},) and finite "
                                  f"entries, got {v!r}")
+        n, c = self.system.n, self.controller
+        if c is not None and not (c.q_star.shape == (n,) and np.isfinite(c.q_star).all()
+                                  and c.gains.Kp.shape == c.gains.Kd.shape == (n, n)):
+            raise ValueError(f"controller must regulate {n} coordinates: a finite q_star "
+                             f"of shape ({n},) and Kp, Kd of shape ({n}, {n})")
         for name in ("dt", "horizon"):
             if not _positive_finite(v := getattr(self, name)):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
-        steps = self.horizon / self.dt
+        steps, on_grid = _grid_step(self.horizon, self.dt)
         if steps == np.inf:
             raise ValueError(f"horizon {self.horizon:g} over dt {self.dt:g} is not a "
                              "finite step count")
-        if abs(steps - round(steps)) > 1e-9 * steps:
+        if not on_grid:
             raise ValueError(f"horizon {self.horizon:g} is not a multiple of "
                              f"dt {self.dt:g}")
         times = [t for t, _ in self.events]
         if times != sorted(times):
             raise ValueError("events must be time-ordered")
-        # the run ends on the last grid time, which rounding may put a hair off
-        end = min(self.horizon, round(steps) * self.dt * (1 + 1e-12))
-        if times and not 0.0 < times[0] <= times[-1] <= end:
-            raise ValueError(f"event times {times} lie outside the run (0, {end:g}]")
+        if times and not (0.0 < times[0] and _grid_step(times[-1], self.dt)[0] <= steps):
+            raise ValueError(f"event times {times} lie outside the run (0, {self.horizon:g}]")
         if len({(t, tuple(active)) for t, active in self.events}) > len(set(times)):
             raise ValueError("conflicting active sets for events at one time")
         row_sets = [("events", active) for _, active in self.events]
@@ -276,15 +286,14 @@ class _Runner:
 
     def _apply_event(self, ev, new_active):
         """Capture at ev (which needs only its projectors and plant): the
-        system with the new active rows, the projected state, mu re-selected
-        on it, and then the state evaluated at that mu."""
+        system with the new active rows, the projected state and mu
+        re-selected on it; advance or record evaluates the state returned."""
         rank_before = ev.proj.rank
         ke_before = kinetic_energy(ev.plant.M, ev.qdot)
         self.system = self.sc.system.with_active(new_active)
         ev = self._projected(ev.t, ev.q, ev.qdot)   # inelastic capture
         ke_after = kinetic_energy(ev.plant.M, ev.qdot)
         self._select_mu(ev)                     # mu re-selected only at events
-        self._evaluate(ev)
         return ev, {
             "time": float(ev.t),
             "rank_before": rank_before,
@@ -293,20 +302,25 @@ class _Runner:
             "active": tuple(new_active),
         }
 
-    def advance(self, ev, h, events_in_step):
-        """Advance one grid step of size h from the evaluated state ev,
-        splitting at any event times.  The end state returned has its
-        projectors, plant and drift; record evaluates the rest, and it then
-        starts the next step."""
+    def advance(self, ev, h, inside=(), at_end=()):
+        """Advance one grid step of size h from the evaluated state ev: split at
+        each (time, rows) switch inside it, take the rest of the step, apply
+        the switches at its end (_grid_step).  The end state (projected once)
+        has its projectors, plant and drift; record evaluates the rest."""
         logs = []
         t_end = ev.t + h
-        for t_e, new_active in events_in_step:
+        for t_e, new_active in inside:
             if t_e > ev.t:
                 ev = self._state(t_e, *self._rk4(ev, t_e - ev.t))
             ev, log = self._apply_event(ev, new_active)
             logs.append(log)
-        q, qdot = self._rk4(ev, t_end - ev.t) if t_end > ev.t else (ev.q, ev.qdot)
-        end = self._projected(t_end, q, qdot)   # drift control
+            self._evaluate(ev)   # a substep follows
+        q, qdot = self._rk4(ev, t_end - ev.t)
+        end = self._state(t_end, q, qdot) if at_end else self._projected(t_end, q, qdot)
+        for t_e, new_active in at_end:
+            end.t = t_e   # the log keeps the scenario's switch time
+            end, log = self._apply_event(end, new_active)
+            logs.append(log)
         if end.drift > self.sc.drift_tol * (1.0 + _norm(end.qdot)):
             raise DivergenceError(f"velocity drift {end.drift:.3e} exceeds tolerance",
                                   last_state=GeneralizedState(t_end, q, end.qdot))
@@ -336,7 +350,7 @@ def step(state: GeneralizedState, scenario: Scenario) -> GeneralizedState:
     ev = runner._state(state.t, state.q, state.qdot)
     runner._select_mu(ev)
     runner._evaluate(ev)
-    end, _ = runner.advance(ev, scenario.dt, [])
+    end, _ = runner.advance(ev, scenario.dt)
     return GeneralizedState(t=state.t + scenario.dt, q=end.q, qdot=end.qdot)
 
 
@@ -355,23 +369,19 @@ def run(scenario: Scenario) -> SimulationTrace:
     ev = runner._projected(0.0, q, sc.qdot0.copy())
     runner._select_mu(ev)
 
-    nsteps = int(round(sc.horizon / sc.dt))
+    switches = {}   # step -> (switches inside it, switches at its end)
+    for t_e, active in sc.events:
+        i, on_grid = _grid_step(t_e, sc.dt)
+        switches.setdefault(i, ([], []))[on_grid].append((t_e, active))
     records, logs = [runner.record(0.0, ev)], []
-    events = list(sc.events)
-    t = 0.0
-    for i in range(nsteps):
-        t_next = (i + 1) * sc.dt
-        # the last step takes every remaining event, so none is lost to rounding
-        in_step = [e for e in events if t < e[0] <= t_next + 1e-15 or i == nsteps - 1]
+    for i in range(1, int(_grid_step(sc.horizon, sc.dt)[0]) + 1):
         try:
-            ev, step_logs = runner.advance(ev, sc.dt, in_step)
+            ev, step_logs = runner.advance(ev, sc.dt, *switches.get(i, ()))
         except DivergenceError as exc:
-            raise DivergenceError(f"step {i + 1}: {exc}",
+            raise DivergenceError(f"step {i}: {exc}",
                                   last_state=exc.last_state) from exc
-        events = [e for e in events if e not in in_step]
         logs += step_logs
-        t = t_next
-        records.append(runner.record(t, ev))
+        records.append(runner.record(i * sc.dt, ev))
     return _pack(records, logs, sc)
 
 

@@ -476,10 +476,12 @@ class TestAnalyze:
         assert main(["analyze", "--system", "pendulum", "--state", "nan,0"]) == 2
         assert "--state must be finite, got 'nan,0'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("points", ["0", "-1"])
-    def test_grid_points_below_one_is_usage_error(self, capsys, points):
-        assert main(["analyze", "--system", "pendulum", "--grid-points", points]) == 2
-        assert "--grid-points must be at least 1" in capsys.readouterr().err
+    def test_grid_points_is_not_an_argument(self, capsys):
+        # the mu grid is always 61 points
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--system", "pendulum", "--grid-points", "61"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --grid-points" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -149,6 +149,15 @@ class TestValidation:
                                 (np.zeros(2), [0.1], "qdot0")):
             with pytest.raises(ValueError, match=f"^{name} must have shape"):
                 Scenario(system=pendulum(), q0=q0, qdot0=qdot0, horizon=1.0, dt=1e-3)
+        # the controller must fit the system: q_star one finite value per
+        # coordinate, Kp and Kd n x n
+        gains2 = RegulationGains(Kp=np.eye(2), Kd=np.eye(2), sigma=1.5)
+        gains3 = RegulationGains(Kp=np.eye(3), Kd=np.eye(3), sigma=1.5)
+        for q_star, gains in (([0.0, -1.0, 0.0], gains2), ([np.nan, -1.0], gains2),
+                              ([0.0, -1.0], gains3)):
+            with pytest.raises(ValueError, match="^controller must regulate 2 coordinates"):
+                Scenario(system=pendulum(), q0=np.array([0.0, -1.0]), qdot0=np.zeros(2),
+                         horizon=1.0, dt=1e-3, controller=SetpointRegulator(q_star, gains))
 
     def test_divergence_reports_last_state(self):
         blowup = lambda t, q, qd: np.array([np.inf, np.inf])
@@ -200,12 +209,35 @@ class TestEvents:
         self.scenario(events=((1.0, (0,)), (1.0, (0,))))   # a repeat is fine
 
     def test_event_at_the_horizon_is_applied(self):
-        # 570 * 0.03 lands one ulp below 17.1, more than the grid slack of
-        # 1e-15, so the per-step window alone would miss this event
+        # 570 * 0.03 lands one ulp below 17.1; 17.1 / 0.03 is 570 to 1e-12
+        # relative, so the switch ends the last step
         trace = run(self.scenario(horizon=17.1, dt=0.03,
                                   events=((17.1, (0,)),)))
         assert len(trace.events) == 1
         assert trace.rank[-1] == 1 and trace.qdot[-1, 1] == 0.0
+
+    def test_switch_at_a_grid_time_ends_its_step(self):
+        # 17.1 / 0.03 rounds to 570 + 1.1e-13: the switch is the grid time
+        # that ends step 570 whether or not the run goes on past it
+        at = run(self.scenario(horizon=17.1, dt=0.03, events=((17.1, (0,)),)))
+        past = run(self.scenario(horizon=18.0, dt=0.03, events=((17.1, (0,)),)))
+        assert past.rank[569] == 0 and past.rank[570] == 1
+        for key in engine.TRACE_KEYS:
+            np.testing.assert_array_equal(getattr(past, key)[:571], getattr(at, key))
+
+    def test_switch_at_a_grid_time_takes_no_sliver_substep(self, monkeypatch):
+        # 3 * 0.1 rounds up past 0.3, so a switch at 0.3 placed by comparing
+        # times would split step 3 at 0.3 and take a 5.6e-17 s substep to
+        # 3 * 0.1; on the grid it ends step 3 and 10 steps take 10 RK4 steps
+        rk4, steps = engine._Runner._rk4, []
+
+        def spy(runner, ev, h):
+            steps.append(h)
+            return rk4(runner, ev, h)
+        monkeypatch.setattr(engine._Runner, "_rk4", spy)
+        trace = run(self.scenario(horizon=1.0, dt=0.1, events=((0.3, (0,)),)))
+        assert len(steps) == 10 and min(steps) > 0.09
+        assert trace.events[0]["time"] == 0.3 and list(trace.rank[2:5]) == [0, 1, 1]
 
     def test_capture_freezes_the_forced_height(self):
         # RK4 is exact under push; after the off-grid capture the height
@@ -388,10 +420,8 @@ def test_event_state_is_evaluated_at_the_reselected_mu(monkeypatch):
     np.testing.assert_array_equal(ev.qdd, acceleration(model, np.zeros(4), ev.qdot))
 
 
-def _per_step_linalg_calls(monkeypatch, scenario):
-    """(SVDs, solves, eigvalsh) per step: the difference of a 20-step and a
-    10-step run, so calls made once per run do not count; and the eigvalsh
-    calls of each of the two runs."""
+def _linalg_calls(monkeypatch, *scenarios):
+    """The SVD, solve and eigvalsh calls of a run of each scenario."""
     counts = {"svd": 0, "solve": 0, "eigvalsh": 0}
     for name in counts:
         original = getattr(np.linalg, name)
@@ -401,11 +431,20 @@ def _per_step_linalg_calls(monkeypatch, scenario):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     totals = []
-    for steps in (10, 20):
+    for scenario in scenarios:
         counts.update(dict.fromkeys(counts, 0))
-        run(dataclasses.replace(scenario, horizon=steps * scenario.dt))
+        run(scenario)
         totals.append(dict(counts))
-    return ([(totals[1][k] - totals[0][k]) / 10 for k in counts],
+    return totals
+
+
+def _per_step_linalg_calls(monkeypatch, scenario):
+    """(SVDs, solves, eigvalsh) per step: the difference of a 20-step and a
+    10-step run, so calls made once per run do not count; and the eigvalsh
+    calls of each of the two runs."""
+    totals = _linalg_calls(monkeypatch, *(
+        dataclasses.replace(scenario, horizon=steps * scenario.dt) for steps in (10, 20)))
+    return ([(totals[1][k] - totals[0][k]) / 10 for k in totals[0]],
             [total["eigvalsh"] for total in totals])
 
 
@@ -420,6 +459,18 @@ def test_per_step_linalg_cost(monkeypatch):
     (svd, solve, eig), eig_runs = _per_step_linalg_calls(monkeypatch,
                                                          _case("regulated-pendulum"))
     assert svd <= 8 and solve <= 4 and eig == 0 and eig_runs == [2, 2]
+
+
+def test_a_switch_at_a_grid_time_costs_one_svd(monkeypatch):
+    """The standard step's end takes one SVD with the old rows and one, its
+    only projection, with the new: one SVD more than the same run without
+    the switch, and no solve, since record evaluates that state once."""
+    system = switching_particle()
+    free, switched = (Scenario(system=system, q0=np.zeros(2), qdot0=np.array([1.0, 0.5]),
+                               horizon=1.0, dt=1e-2, initial_active=(), events=events)
+                      for events in ((), ((0.5, (0,)),)))
+    before, after = _linalg_calls(monkeypatch, free, switched)
+    assert (after["svd"] - before["svd"], after["solve"] - before["solve"]) == (1, 0)
 
 
 def test_a_step_evaluates_a_and_adot_four_times():
