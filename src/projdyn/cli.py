@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -10,7 +11,7 @@ import sys
 import numpy as np
 
 from . import battery
-from .engine import Scenario, run
+from .engine import Scenario, _grid_step, run
 from .errors import ProjdynError
 from .kernel import build_projectors
 from .loader import GAINS, RUN, load_scenario, regulator
@@ -96,12 +97,11 @@ def _scenario_from_args(args) -> Scenario:
                 raise ValueError(f"--{key} must be a finite number, got {value!r}")
         controller = regulator(system, _parse_vector(args.target, system.n, "--target"),
                                *gains.values())
-    return Scenario(
-        system=system, q0=q0, qdot0=qdot0, controller=controller,
-        # catalog defaults beyond the horizon were not asked for; drop them
-        events=tuple(e for e in system.default_events if e[0] <= settings["horizon"]),
-        initial_active=system.default_initial_active, **settings,
-    )
+    sc = Scenario(system=system, q0=q0, qdot0=qdot0, controller=controller,
+                  initial_active=system.default_initial_active, **settings)
+    last = _grid_step(sc.horizon, sc.dt)[0]   # catalog defaults on later steps: not asked for
+    return dataclasses.replace(sc, events=tuple(
+        e for e in system.default_events if _grid_step(e[0], sc.dt)[0] <= last))
 
 
 def _flags(args, defaults) -> dict:

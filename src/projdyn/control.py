@@ -6,6 +6,7 @@ EPS_V; the first nonzero column of P, normalized, at a stalled rest point),
 and R = B Gamma the oblique projector of the state's ConstrainedModel.
 The same inner vector premultiplied by Gamma gives the actuator forces
 directly.  With sigma > 1 the only rest point of the closed loop is e = 0.
+At rank(A) = n (P = 0: fully constrained) Gamma = 0 and the law applies no force.
 """
 
 from __future__ import annotations
@@ -69,14 +70,15 @@ def velocity_direction(qdot, e, proj: ProjectorBundle) -> np.ndarray:
     convergence.  The constant admissible direction of fallback_direction
     takes over only at the stalled rest points it exists to escape: at rest
     with e != 0 but no motion-space spring force (P e = 0), where the
-    tapered law would sit forever.
+    tapered law would sit forever.  At rank(A) = n there is no admissible
+    direction to take and nothing to escape: P = 0, Gamma = 0, and eta = 0.
     """
     qdot = np.asarray(qdot, dtype=float)
     e = np.asarray(e, dtype=float)
     speed = _norm(qdot)
     if speed <= 1e-15:
         err = _norm(e)
-        if err > 0.0 and _norm(proj.P @ e) <= 1e-9 * (1.0 + err):
+        if err > 0.0 and proj.rank < proj.n and _norm(proj.P @ e) <= 1e-9 * (1.0 + err):
             return fallback_direction(proj)
         return np.zeros_like(qdot)
     return qdot / max(speed, EPS_V)

@@ -309,9 +309,8 @@ class _Runner:
         has its projectors, plant and drift; record evaluates the rest."""
         logs = []
         t_end = ev.t + h
-        for t_e, new_active in inside:
-            if t_e > ev.t:
-                ev = self._state(t_e, *self._rk4(ev, t_e - ev.t))
+        for t_e, new_active in inside:   # t_e > ev.t: run drops exact repeats
+            ev = self._state(t_e, *self._rk4(ev, t_e - ev.t))
             ev, log = self._apply_event(ev, new_active)
             logs.append(log)
             self._evaluate(ev)   # a substep follows
@@ -370,7 +369,8 @@ def run(scenario: Scenario) -> SimulationTrace:
     runner._select_mu(ev)
 
     switches = {}   # step -> (switches inside it, switches at its end)
-    for t_e, active in sc.events:
+    # an exact repeat is applied once: with no conflict, the times strictly increase
+    for t_e, active in dict.fromkeys((t, tuple(rows)) for t, rows in sc.events):
         i, on_grid = _grid_step(t_e, sc.dt)
         switches.setdefault(i, ([], []))[on_grid].append((t_e, active))
     records, logs = [runner.record(0.0, ev)], []

@@ -167,12 +167,16 @@ def _configuration(A):
 
     P = I - pinv(A) A is symmetrized explicitly so that downstream identities
     (P^2 = P, P Lambda = 0, ...) hold to round-off rather than to SVD backward
-    error in the asymmetric part.
+    error in the asymmetric part.  This rank is the one answer to "is there an
+    admissible direction?": at rank n, P is exactly 0 and Q = I (Golub & Van
+    Loan, Matrix Computations, 2.5), not the round-off I - pinv(A) A leaves.
     """
     Apinv, r = _pinv(A)
-    eye = _identity(Apinv.shape[-2])
+    eye = _identity(n := Apinv.shape[-2])
     P = eye - Apinv @ A
     P = 0.5 * (P + P.swapaxes(-1, -2))
+    if not _every(r < n):   # where, not a product: the zeros are +0.0
+        P = np.where(_per_member(r < n), P, 0.0)
     return Apinv, r, P, eye - P
 
 

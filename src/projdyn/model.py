@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError
-from .kernel import (RANK_TOL, ProjectorBundle, _checked, _every, _identity, _lazy,
-                     _per_member, _pinv)
+from .kernel import ProjectorBundle, _checked, _every, _identity, _lazy, _per_member, _pinv
 
 
 @dataclass(frozen=True)
@@ -96,16 +95,10 @@ class ConstrainedModel:
 
     @_lazy
     def _pb_pinv(self):
-        """(pinv(P B), rank(P B)) from one truncated SVD, cut at RANK_TOL like
-        rank(A); unlike (B^T P B)^{-1} B^T P it stays the minimum-norm map
-        under redundant actuation.  At rank(A) = n, P is 0 up to round-off and
-        there is nothing to actuate, so P B is taken as 0: Gamma = 0 and the
-        state is admissible."""
-        PB = _checked(self.proj.P @ self.plant.B)   # P is finite: this checks B
-        actuable = self.proj.rank < self.proj.n     # P != 0
-        if not _every(actuable):
-            PB = PB * _per_member(actuable)
-        return _pinv(PB)
+        """(pinv(P B), rank(P B)) from one truncated SVD, cut like rank(A); unlike
+        (B^T P B)^{-1} B^T P it stays the minimum-norm map under redundant
+        actuation.  At rank(A) = n, P B = 0: rank 0 = n - n, so Gamma = 0."""
+        return _pinv(_checked(self.proj.P @ self.plant.B))   # P is finite: this checks B
 
     @_lazy
     def admissible(self) -> bool:
@@ -154,22 +147,22 @@ def assemble(plant: PlantMatrices, proj: ProjectorBundle, mu) -> ConstrainedMode
 
 
 def pmp_eigenvalues(plant: PlantMatrices, proj: ProjectorBundle):
-    """Eigenvalues of P M P, ascending, and the mask of the nonzero ones: those
-    above RANK_TOL times the largest, cut like the rank.  A largest
-    eigenvalue at or below 0 leaves none."""
+    """Eigenvalues of P M P, ascending, and the mask of the nonzero ones: the
+    largest n - rank(A), since P M P has rank(P) nonzero eigenvalues (M is
+    positive definite).  At rank(A) = n the mask is empty."""
     PMP = proj.P @ plant.M @ proj.P
     lam = np.linalg.eigvalsh(0.5 * (PMP + PMP.swapaxes(-1, -2)))
-    return lam, lam > RANK_TOL * lam[..., -1:]
+    return lam, np.arange(proj.n) >= np.asarray(proj.rank)[..., None]
 
 
 def optimal_mu(plant: PlantMatrices, proj: ProjectorBundle) -> float:
     """The geometric mean of the condition-optimal interval [lam_min!=0, lam_max]
     of P M P.
 
-    Any mu in the interval attains cond(Mbar) = lam_max / lam_min!=0.  When
-    P = 0 there is no admissible direction, Mbar = mu Q with Q = I, and the
-    choice is arbitrary; the mean eigenvalue of M is returned with a warning.
-    For a stack, one mu per member.
+    Any mu in the interval attains cond(Mbar) = lam_max / lam_min!=0.  At
+    rank(A) = n, P = 0: no admissible direction, Mbar = mu Q with Q = I, and
+    the choice is arbitrary; the mean eigenvalue of M is returned with a
+    warning.  For a stack, one mu per member.
     """
     lam, nonzero = pmp_eigenvalues(plant, proj)
     lam_min = np.min(lam, axis=-1, where=nonzero, initial=np.inf)

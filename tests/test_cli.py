@@ -370,6 +370,50 @@ class TestSimulate:
         assert rc == 0
         assert "rank events: none" in capsys.readouterr().out
 
+    def test_default_event_on_the_horizon_step_is_kept(self, capsys):
+        # 0.9999999999999 is the grid time of step 1000 to 1e-12 relative, so
+        # the catalog's capture at t = 1 s ends the run's last step
+        rc = main(["simulate", "--system", "switching-particle",
+                   "--horizon", "0.9999999999999", "--dt", "1e-3"])
+        assert rc == 0
+        assert "event t=1: rank 0 -> 1" in capsys.readouterr().out
+
+    def test_corner_capture_leaves_the_particle_at_rest(self, tmp_path, capsys):
+        # a second row pins the particle (rank 2 = n): P = 0 exactly, and the
+        # pinned state neither drifts nor needs a virtual mass chosen from P
+        system = {"name": "corner", "n": 2, "mass": {"diag": [1, 1]},
+                  "gravity_force": [0, -9.81],
+                  "constraints": [{"terms": [{"coeff": 0.3, "powers": [1, 0]},
+                                             {"coeff": 0.7, "powers": [0, 1]}]},
+                                  {"terms": [{"coeff": 0.6, "powers": [1, 0]},
+                                             {"coeff": -0.2, "powers": [0, 1]}]}]}
+        spec = {"system": system, "q0": [0, 0], "qdot0": [0.7, -0.3], "horizon": 0.05,
+                "dt": 0.01, "initial_active": [0], "events": [[0.02, [0, 1]]]}
+        path, out = tmp_path / "corner.json", tmp_path / "corner.jsonl"
+        path.write_text(json.dumps(spec))
+        with pytest.warns(UserWarning, match="P = 0"):
+            rc = main(["simulate", "--scenario-file", str(path), "--out", str(out),
+                       "--format", "jsonl"])
+        assert rc == 0
+        assert "event t=0.02: rank 1 -> 2" in capsys.readouterr().out
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["rank"] for r in records] == [1, 1, 2, 2, 2, 2]
+        assert all(r["qdot"] == [0.0, 0.0] for r in records[2:])
+
+    def test_regulated_pinned_particle_runs(self, tmp_path, capsys):
+        # both axis rows active, 1e-9 off the target: Gamma = 0, no force
+        system = {"n": 2, "mass": {"diag": [1, 1]}, "gravity_force": [0, -9.81],
+                  "constraints": [{"terms": [{"coeff": 1, "powers": [1, 0]}]},
+                                  {"terms": [{"coeff": 1, "powers": [0, 1]}]}]}
+        spec = {"system": system, "q0": [1e-9, 0], "horizon": 0.05, "dt": 0.01,
+                "controller": {"q_star": [0, 0]}}
+        path = tmp_path / "pinned.json"
+        path.write_text(json.dumps(spec))
+        with pytest.warns(UserWarning, match="P = 0"):
+            assert main(["simulate", "--scenario-file", str(path)]) == 0
+        assert "final position error: 1.000e-09, final speed: 0.000e+00" in \
+            capsys.readouterr().out
+
     @pytest.mark.parametrize("t_event", [0.0, 0.6])
     def test_scenario_file_event_out_of_range_is_usage_error(
             self, tmp_path, capsys, t_event):

@@ -132,6 +132,21 @@ class TestControlForce:
                     control_force(*state, model)
 
 
+    @pytest.mark.parametrize("A", [np.eye(2), np.array([[0.3, 0.7], [0.6, -0.2]])],
+                             ids=["axis-rows", "corner-rows"])
+    def test_pinned_particle_gets_no_force(self, A):
+        # rank(A) = n at rest, 1e-9 from the target: P = 0 exactly, Gamma = 0,
+        # and no admissible direction is sought, so the law applies no force
+        proj = build_projectors(ConstraintJacobian(A=A, Adot=np.zeros((2, 2))))
+        plant = PlantMatrices(M=np.eye(2), C=np.zeros((2, 2)), f_g=np.array([0.0, -9.81]),
+                              B=np.eye(2))
+        gains = RegulationGains(Kp=10 * np.eye(2), Kd=10 * np.eye(2), sigma=1.5)
+        f, u = control_force(np.array([1e-9, 0.0]), np.zeros(2), np.zeros(2), gains,
+                             assemble(plant, proj, mu=1.0))
+        np.testing.assert_array_equal(f, np.zeros(2))
+        np.testing.assert_array_equal(u, np.zeros(2))
+
+
 class TestLyapunov:
     def test_zero_at_target_at_rest(self):
         plant = PlantMatrices(M=np.eye(2), C=np.zeros((2, 2)),

@@ -473,6 +473,36 @@ def test_a_switch_at_a_grid_time_costs_one_svd(monkeypatch):
     assert (after["svd"] - before["svd"], after["solve"] - before["solve"]) == (1, 0)
 
 
+def test_a_repeated_switch_is_applied_once(monkeypatch):
+    """An exact repeat (same time, same rows) inside a step is one switch:
+    the same trace bit for bit, one log entry and 805 assembled states."""
+    calls = []
+    assemble_ = engine.assemble
+    monkeypatch.setattr(engine, "assemble", lambda *a: calls.append(1) or assemble_(*a))
+    traces, counts = [], []
+    for events in (((0.9995, (0,)),), ((0.9995, (0,)), (0.9995, (0,)))):
+        calls.clear()
+        traces.append(run(Scenario(system=switching_particle(), q0=np.zeros(2),
+                                   qdot0=np.array([1.0, 0.5]), horizon=2.0, dt=1e-2,
+                                   initial_active=(), events=events)))
+        counts.append(len(calls))
+    single, repeat = traces
+    assert counts == [805, 805] and len(repeat.events) == 1
+    assert repeat.events == single.events
+    for key in engine.TRACE_KEYS:
+        assert getattr(repeat, key).tobytes() == getattr(single, key).tobytes(), key
+
+
+def test_a_repeat_at_a_grid_time_costs_no_svd(monkeypatch):
+    """A repeat of the switch at the grid time 1.0 is not projected again."""
+    single, repeat = (Scenario(system=switching_particle(), q0=np.zeros(2),
+                               qdot0=np.array([1.0, 0.5]), horizon=2.0, dt=1e-2,
+                               initial_active=(), events=events)
+                      for events in (((1.0, (0,)),), ((1.0, (0,)), (1.0, (0,)))))
+    once, twice = _linalg_calls(monkeypatch, single, repeat)
+    assert twice == once
+
+
 def test_a_step_evaluates_a_and_adot_four_times():
     """The velocity projection shares A(q), pinv(A), P and Q with the end
     state, so a step evaluates A and Adot once per RK4 stage: 4 each."""

@@ -158,6 +158,31 @@ class TestOptimalMu:
             mu = optimal_mu(plant, proj)
         assert mu == pytest.approx(1.0)
 
+    def test_full_rank_takes_the_pinned_branch(self):
+        """At square full-rank A the kernel's P is exactly 0, so optimal_mu
+        takes its P = 0 branch (for one state and for each full-rank member
+        of a stack) and the state is admissible with Gamma = 0."""
+        rng = np.random.default_rng(9)
+        for n in range(2, 7):
+            G = rng.standard_normal((n, n))
+            plant = PlantMatrices(M=G @ G.T + n * np.eye(n), C=np.zeros((n, n)),
+                                  f_g=np.zeros(n), B=rng.standard_normal((n, 2)))
+            mean = np.mean(np.linalg.eigvalsh(plant.M))
+            A = rng.standard_normal((n, n))
+            proj = build_projectors(ConstraintJacobian(A=A, Adot=np.zeros((n, n))))
+            with pytest.warns(UserWarning, match="P = 0"):
+                mu = optimal_mu(plant, proj)
+            assert mu == mean
+            model = assemble(plant, proj, mu)
+            assert model.admissible and not model.Gamma.any()
+            deficient = np.vstack([A[:-1], A[0]])
+            stack = build_projectors(ConstraintJacobian(A=np.stack([A, deficient]),
+                                                        Adot=np.zeros((2, n, n))))
+            with pytest.warns(UserWarning, match="P = 0"):
+                mu = optimal_mu(plant, stack)
+            assert mu[0] == mean and mu[1] == optimal_mu(plant, build_projectors(
+                ConstraintJacobian(A=deficient, Adot=np.zeros((n, n)))))
+
 
 class TestKineticEnergy:
     def test_mu_independent_on_admissible_velocity(self):
