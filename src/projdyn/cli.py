@@ -119,11 +119,14 @@ def cmd_simulate(args) -> int:
             trace.to_csv(args.out)
         else:
             trace.to_jsonl(args.out)
+    loss = sum(ev["energy_drop"] for ev in trace.events)   # removed on purpose, not drift
     e0, e1 = trace.energy[0], trace.energy[-1]
     denom = abs(e0) if abs(e0) > 1e-12 else 1.0
     print(f"system: {scenario.system.name}")
     print(f"steps: {len(trace.t) - 1}  horizon: {trace.t[-1]:g} s")
-    print(f"energy drift: {abs(e1 - e0) / denom:.3e} (relative)")
+    print(f"energy drift: {abs(e1 + loss - e0) / denom:.3e} (relative)")
+    if trace.events:
+        print(f"capture loss: {loss:.3e}")
     print(f"final drift |A qdot|: {trace.drift[-1]:.3e}")
     if scenario.controller is not None:
         e_final = np.linalg.norm(trace.q[-1] - scenario.controller.q_star)

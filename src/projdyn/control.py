@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError
 from .kernel import ProjectorBundle, _norm
 from .model import ConstrainedModel, kinetic_energy
 
@@ -50,13 +49,14 @@ class RegulationGains:
 
 
 def fallback_direction(proj: ProjectorBundle) -> np.ndarray:
-    """A unit vector in the admissible space: the first nonzero column of P."""
+    """A unit vector in the admissible space, the first nonzero column of P
+    normalized (below rank n one has norm >= 1/sqrt(n)); 0 where P = 0."""
     for j in range(proj.n):
         col = proj.P[:, j]
         nrm = np.linalg.norm(col)
         if nrm > 1e-12:
             return col / nrm
-    raise AdmissibilityError("P = 0: no admissible direction exists")
+    return np.zeros(proj.n)
 
 
 def velocity_direction(qdot, e, proj: ProjectorBundle) -> np.ndarray:
@@ -78,7 +78,7 @@ def velocity_direction(qdot, e, proj: ProjectorBundle) -> np.ndarray:
     speed = _norm(qdot)
     if speed <= 1e-15:
         err = _norm(e)
-        if err > 0.0 and proj.rank < proj.n and _norm(proj.P @ e) <= 1e-9 * (1.0 + err):
+        if err > 0.0 and _norm(proj.P @ e) <= 1e-9 * (1.0 + err):
             return fallback_direction(proj)
         return np.zeros_like(qdot)
     return qdot / max(speed, EPS_V)

@@ -113,12 +113,9 @@ class Scenario:
             raise ValueError(f"mu must be 'auto' or a positive number, got {self.mu!r}")
 
 
-TRACE_SCHEMA_VERSION = 1
-
 # The trace layout, in column order: (record key, CSV column prefix, width).
 # A width-1 field is one column named by its prefix; a width-"n" or "k" field
-# is that many columns, prefix0, prefix1, ...  trace_schema.json describes
-# the same layout and a test keeps the two in step.
+# is that many columns, prefix0, prefix1, ...
 TRACE_FIELDS = (
     ("t", "t", 1), ("q", "q", "n"), ("qdot", "qd", "n"), ("qdd", "qdd", "n"),
     ("f", "f", "n"), ("u", "u", "k"), ("f_c", "fc", "n"),

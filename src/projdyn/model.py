@@ -15,7 +15,6 @@ Like the kernel, everything here takes one state or a stack of states
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,9 +159,9 @@ def optimal_mu(plant: PlantMatrices, proj: ProjectorBundle) -> float:
     of P M P.
 
     Any mu in the interval attains cond(Mbar) = lam_max / lam_min!=0.  At
-    rank(A) = n, P = 0: no admissible direction, Mbar = mu Q with Q = I, and
-    the choice is arbitrary; the mean eigenvalue of M is returned with a
-    warning.  For a stack, one mu per member.
+    rank(A) = n, P = 0: no admissible direction, and every mu gives
+    Mbar = mu I with cond 1; the mean eigenvalue of M is returned.  For a
+    stack, one mu per member.
     """
     lam, nonzero = pmp_eigenvalues(plant, proj)
     lam_min = np.min(lam, axis=-1, where=nonzero, initial=np.inf)
@@ -170,8 +169,6 @@ def optimal_mu(plant: PlantMatrices, proj: ProjectorBundle) -> float:
         mu = np.sqrt(lam_min * lam[..., -1])
     pinned = ~nonzero.any(axis=-1)
     if pinned.any():
-        warnings.warn("P = 0: fully constrained state, mu is arbitrary; "
-                      "using the mean eigenvalue of M")
         mu = np.where(pinned, np.mean(np.linalg.eigvalsh(plant.M), axis=-1), mu)
     return float(mu) if mu.ndim == 0 else mu
 

@@ -25,6 +25,18 @@ def _inline(term=(), **fields):
                                        {"coeff": -1, "powers": [0, 0]}]}]}
 
 
+# a particle on one row, captured at t = 0.02 by a second row that pins it
+# (rank 2 = n)
+CORNER = {"system": {"name": "corner", "n": 2, "mass": {"diag": [1, 1]},
+                     "gravity_force": [0, -9.81],
+                     "constraints": [{"terms": [{"coeff": 0.3, "powers": [1, 0]},
+                                                {"coeff": 0.7, "powers": [0, 1]}]},
+                                     {"terms": [{"coeff": 0.6, "powers": [1, 0]},
+                                                {"coeff": -0.2, "powers": [0, 1]}]}]},
+          "q0": [0, 0], "qdot0": [0.7, -0.3], "horizon": 0.05, "dt": 0.01,
+          "initial_active": [0], "events": [[0.02, [0, 1]]]}
+
+
 class TestSimulate:
     def test_pendulum_csv(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
@@ -51,6 +63,25 @@ class TestSimulate:
         cols = [i for i, c in enumerate(ha)
                 if c.startswith(("q", "qd")) and not c.startswith("qdd")]
         assert np.abs(da[:, cols] - db[:, cols]).max() < 1e-6
+
+    @pytest.mark.parametrize("argv, loss", [
+        (["--system", "switching-particle", "--horizon", "2", "--dt", "0.01"], "1.250e-01"),
+        (["--scenario-file", "corner.json"], "3.518e-01"),
+        (["--system", "pendulum", "--horizon", "0.1", "--dt", "0.01"], None),
+    ], ids=["switching-particle", "corner", "no-event"])
+    def test_capture_loss_is_not_drift(self, tmp_path, capsys, monkeypatch, argv, loss):
+        # each run conserves energy between switches; what a capture removes
+        # is reported on its own line, not as drift
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "corner.json").write_text(json.dumps(CORNER))
+        assert main(["simulate", *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        drift = next(line for line in lines if line.startswith("energy drift: "))
+        if loss is not None:
+            assert float(drift.split()[2]) < 1e-12
+            assert f"capture loss: {loss}" in lines
+        else:
+            assert not any(line.startswith("capture loss") for line in lines)
 
     def test_switching_event_reported(self, capsys):
         rc = main(["simulate", "--system", "switching-particle",
@@ -378,28 +409,24 @@ class TestSimulate:
         assert rc == 0
         assert "event t=1: rank 0 -> 1" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("error")
     def test_corner_capture_leaves_the_particle_at_rest(self, tmp_path, capsys):
         # a second row pins the particle (rank 2 = n): P = 0 exactly, and the
-        # pinned state neither drifts nor needs a virtual mass chosen from P
-        system = {"name": "corner", "n": 2, "mass": {"diag": [1, 1]},
-                  "gravity_force": [0, -9.81],
-                  "constraints": [{"terms": [{"coeff": 0.3, "powers": [1, 0]},
-                                             {"coeff": 0.7, "powers": [0, 1]}]},
-                                  {"terms": [{"coeff": 0.6, "powers": [1, 0]},
-                                             {"coeff": -0.2, "powers": [0, 1]}]}]}
-        spec = {"system": system, "q0": [0, 0], "qdot0": [0.7, -0.3], "horizon": 0.05,
-                "dt": 0.01, "initial_active": [0], "events": [[0.02, [0, 1]]]}
+        # pinned state neither drifts nor needs a virtual mass chosen from P,
+        # nor a warning
         path, out = tmp_path / "corner.json", tmp_path / "corner.jsonl"
-        path.write_text(json.dumps(spec))
-        with pytest.warns(UserWarning, match="P = 0"):
-            rc = main(["simulate", "--scenario-file", str(path), "--out", str(out),
-                       "--format", "jsonl"])
+        path.write_text(json.dumps(CORNER))
+        rc = main(["simulate", "--scenario-file", str(path), "--out", str(out),
+                   "--format", "jsonl"])
         assert rc == 0
-        assert "event t=0.02: rank 1 -> 2" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "event t=0.02: rank 1 -> 2" in captured.out
+        assert captured.err == ""
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert [r["rank"] for r in records] == [1, 1, 2, 2, 2, 2]
         assert all(r["qdot"] == [0.0, 0.0] for r in records[2:])
 
+    @pytest.mark.filterwarnings("error")
     def test_regulated_pinned_particle_runs(self, tmp_path, capsys):
         # both axis rows active, 1e-9 off the target: Gamma = 0, no force
         system = {"n": 2, "mass": {"diag": [1, 1]}, "gravity_force": [0, -9.81],
@@ -409,10 +436,10 @@ class TestSimulate:
                 "controller": {"q_star": [0, 0]}}
         path = tmp_path / "pinned.json"
         path.write_text(json.dumps(spec))
-        with pytest.warns(UserWarning, match="P = 0"):
-            assert main(["simulate", "--scenario-file", str(path)]) == 0
-        assert "final position error: 1.000e-09, final speed: 0.000e+00" in \
-            capsys.readouterr().out
+        assert main(["simulate", "--scenario-file", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "final position error: 1.000e-09, final speed: 0.000e+00" in captured.out
+        assert captured.err == ""
 
     @pytest.mark.parametrize("t_event", [0.0, 0.6])
     def test_scenario_file_event_out_of_range_is_usage_error(

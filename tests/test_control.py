@@ -72,10 +72,19 @@ class TestVelocityDirection:
         assert np.linalg.norm(proj.Q @ eta) < 1e-12
 
     def test_fallback_requires_admissible_space(self):
+        # rank(A) = n: P = 0, so there is no direction to take
         proj = build_projectors(ConstraintJacobian(A=np.eye(2),
                                                    Adot=np.zeros((2, 2))))
-        with pytest.raises(AdmissibilityError):
-            fallback_direction(proj)
+        np.testing.assert_array_equal(fallback_direction(proj), np.zeros(2))
+
+    def test_fallback_is_a_unit_admissible_vector(self):
+        # off the axes P's first column has norm 1/sqrt(2), not 1
+        proj = build_projectors(ConstraintJacobian(A=np.array([[1.0, 1.0]]),
+                                                   Adot=np.zeros((1, 2))))
+        assert np.linalg.norm(proj.P[:, 0]) == pytest.approx(np.sqrt(0.5))
+        eta = fallback_direction(proj)
+        assert np.linalg.norm(eta) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(proj.Q @ eta) < 1e-12
 
 
 class TestControlForce:

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,14 +288,6 @@ class TestTraceExport:
         assert records[3]["q"] == list(map(float, trace.q[3]))
         assert records[0]["rank"] == 1
         assert isinstance(records[0]["rank"], int) and trace.rank.dtype.kind == "i"
-
-    def test_schema_file_matches_the_field_table(self):
-        schema = json.loads((Path(engine.__file__).parent / "trace_schema.json")
-                            .read_text())
-        assert [prefix if width == 1 else f"{prefix}0..{prefix}{{{width}-1}}"
-                for _, prefix, width in engine.TRACE_FIELDS] == schema["csv_columns"]
-        assert list(engine.TRACE_KEYS) == schema["jsonl_fields"]
-        assert schema["version"] == engine.TRACE_SCHEMA_VERSION
 
 
 # The catalog slider-crank (unit rods) with non-unit masses, from polynomials.

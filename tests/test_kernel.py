@@ -1,7 +1,6 @@
 """Projector construction: examples, Moore-Penrose oracle, rate identities."""
 
 import dataclasses
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -271,9 +270,7 @@ def test_a_stack_has_the_bits_of_its_members():
                 assert_one_bundle_is_the_split_one(ConstraintJacobian(A=A, Adot=Adot))
                 plant = PlantMatrices(M=M, C=C, f_g=f_g, B=np.eye(n))
                 model = assemble(plant, proj, mu)
-                with warnings.catch_warnings():   # P = 0 at rank n: mu is arbitrary
-                    warnings.simplefilter("ignore", UserWarning)
-                    mu_opt = np.asarray(optimal_mu(plant, proj))
+                mu_opt = np.asarray(optimal_mu(plant, proj))
                 return rank, [Apinv, proj.P, proj.Q, proj.Lambda, proj.Omega, proj.Pdot,
                               *pmp_eigenvalues(plant, proj), mu_opt,
                               model.Mbar, np.asarray(model.cond), model.X, model.S,

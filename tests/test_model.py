@@ -150,18 +150,21 @@ class TestOptimalMu:
             assert cond_star <= best * (1 + 1e-9)
             assert cond_star == pytest.approx(lam.max() / lam.min(), rel=1e-9)
 
-    def test_fully_constrained_warns(self):
+    @pytest.mark.filterwarnings("error")
+    def test_fully_constrained_needs_no_warning(self):
+        # P = 0: every mu gives Mbar = mu I, so the mean eigenvalue of M is
+        # taken without a warning
         plant = pendulum_plant()
         proj = build_projectors(ConstraintJacobian(A=np.eye(2),
                                                    Adot=np.zeros((2, 2))))
-        with pytest.warns(UserWarning):
-            mu = optimal_mu(plant, proj)
-        assert mu == pytest.approx(1.0)
+        assert optimal_mu(plant, proj) == pytest.approx(1.0)
 
+    @pytest.mark.filterwarnings("error")
     def test_full_rank_takes_the_pinned_branch(self):
         """At square full-rank A the kernel's P is exactly 0, so optimal_mu
         takes its P = 0 branch (for one state and for each full-rank member
-        of a stack) and the state is admissible with Gamma = 0."""
+        of a stack), without a warning, and the state is admissible with
+        Gamma = 0."""
         rng = np.random.default_rng(9)
         for n in range(2, 7):
             G = rng.standard_normal((n, n))
@@ -170,16 +173,14 @@ class TestOptimalMu:
             mean = np.mean(np.linalg.eigvalsh(plant.M))
             A = rng.standard_normal((n, n))
             proj = build_projectors(ConstraintJacobian(A=A, Adot=np.zeros((n, n))))
-            with pytest.warns(UserWarning, match="P = 0"):
-                mu = optimal_mu(plant, proj)
+            mu = optimal_mu(plant, proj)
             assert mu == mean
             model = assemble(plant, proj, mu)
             assert model.admissible and not model.Gamma.any()
             deficient = np.vstack([A[:-1], A[0]])
             stack = build_projectors(ConstraintJacobian(A=np.stack([A, deficient]),
                                                         Adot=np.zeros((2, n, n))))
-            with pytest.warns(UserWarning, match="P = 0"):
-                mu = optimal_mu(plant, stack)
+            mu = optimal_mu(plant, stack)
             assert mu[0] == mean and mu[1] == optimal_mu(plant, build_projectors(
                 ConstraintJacobian(A=deficient, Adot=np.zeros((n, n)))))
 
