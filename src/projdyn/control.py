@@ -5,7 +5,11 @@ with e = q - q*, eta the unit vector along q' (tapered below the speed
 EPS_V; the first nonzero column of P, normalized, at a stalled rest point),
 and R = B Gamma the oblique projector of the state's ConstrainedModel.
 The same inner vector premultiplied by Gamma gives the actuator forces
-directly.  With sigma > 1 the only rest point of the closed loop is e = 0.
+directly.  With sigma > 1 and Kp = k I the only rest point of the closed
+loop is e = 0.  A general Kp can add stable rest points with e != 0, at the
+local minima of e^T Kp e on the constraint manifold: the pendulum hanging at
+(0, -1) toward (sin 1, -cos 1) with Kp = [[1, -1.83], [-1.83, 10]] has one
+at theta = -0.448.
 At rank(A) = n (P = 0: fully constrained) Gamma = 0 and the law applies no force.
 """
 
@@ -59,7 +63,7 @@ def fallback_direction(proj: ProjectorBundle) -> np.ndarray:
     return np.zeros(proj.n)
 
 
-def velocity_direction(qdot, e, proj: ProjectorBundle) -> np.ndarray:
+def velocity_direction(qdot, spring, proj: ProjectorBundle) -> np.ndarray:
     """eta = q'/|q'| above the EPS_V threshold, tapered as q'/EPS_V below it.
 
     The raw unit vector is discontinuous at q' = 0 and, interpreted by any
@@ -69,16 +73,17 @@ def velocity_direction(qdot, e, proj: ProjectorBundle) -> np.ndarray:
     descent inequality (q'^T eta >= 0 still holds) while restoring smooth
     convergence.  The constant admissible direction of fallback_direction
     takes over only at the stalled rest points it exists to escape: at rest
-    with e != 0 but no motion-space spring force (P e = 0), where the
-    tapered law would sit forever.  At rank(A) = n there is no admissible
-    direction to take and nothing to escape: P = 0, Gamma = 0, and eta = 0.
+    with a spring force spring = Kp e != 0 but none in the motion space
+    (P Kp e = 0), where the tapered law would sit forever.  At rank(A) = n
+    there is no admissible direction to take and nothing to escape: P = 0,
+    Gamma = 0, and eta = 0.
     """
     qdot = np.asarray(qdot, dtype=float)
-    e = np.asarray(e, dtype=float)
+    spring = np.asarray(spring, dtype=float)
     speed = _norm(qdot)
     if speed <= 1e-15:
-        err = _norm(e)
-        if err > 0.0 and _norm(proj.P @ e) <= 1e-9 * (1.0 + err):
+        force = _norm(spring)
+        if force > 0.0 and _norm(proj.P @ spring) <= 1e-9 * (1.0 + force):
             return fallback_direction(proj)
         return np.zeros_like(qdot)
     return qdot / max(speed, EPS_V)
@@ -93,7 +98,7 @@ def control_force(q, qdot, q_star, gains: RegulationGains, model: ConstrainedMod
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
     e = q - np.asarray(q_star, dtype=float)
-    eta = velocity_direction(qdot, e, model.proj)
+    eta = velocity_direction(qdot, gains.Kp @ e, model.proj)
     inner = model.plant.f_g + gains.Kp @ (e + gains.sigma * _norm(e) * eta) \
         + gains.Kd @ qdot
     u = -(model.Gamma @ inner)

@@ -6,12 +6,11 @@ projected through P(q), so A(q) q' = 0 holds to round-off.  Constraint
 activation events are handled as inelastic capture (the normal velocity
 component is removed by the new P); matrix dimensions never change.
 
-Each state of a run is evaluated once, eagerly, in the order projectors,
-plant, model, force, q'': an inner RK4 stage when it is made, a step's end
-state in record (after its grid time is stamped), a post-switch state after
-mu is re-selected on it (in advance before a substep, else in record), and
-step()'s start state before it advances.  Each part goes through the public
-entry points (system.jacobian, build_projectors, assemble, forces.acceleration,
+Each state of a run is evaluated once, where it is made, after its phase's
+mu is chosen, in the order projectors, plant, model, force, q'': an RK4
+stage, a step's end state at its grid time, a post-switch state and a run's
+or step()'s start state alike.  Each part goes through the public entry
+points (system.jacobian, build_projectors, assemble, forces.acceleration,
 control_force); an RK4 step takes 4 SVDs and 4 solves (8 when regulated).
 """
 
@@ -113,17 +112,16 @@ class Scenario:
             raise ValueError(f"mu must be 'auto' or a positive number, got {self.mu!r}")
 
 
-# The trace layout, in column order: (record key, CSV column prefix, width).
-# A width-1 field is one column named by its prefix; a width-"n" or "k" field
-# is that many columns, prefix0, prefix1, ...
+# The trace layout, in column order: (record key, CSV column prefix).  A field
+# of one value per row is one column named by its prefix; a field of w values
+# per row is w columns, prefix0, prefix1, ...
 TRACE_FIELDS = (
-    ("t", "t", 1), ("q", "q", "n"), ("qdot", "qd", "n"), ("qdd", "qdd", "n"),
-    ("f", "f", "n"), ("u", "u", "k"), ("f_c", "fc", "n"),
-    ("kinetic", "kinetic", 1), ("potential", "potential", 1),
-    ("energy", "energy", 1), ("lyapunov", "lyapunov", 1), ("rank", "rank", 1),
-    ("cond_mbar", "cond_mbar", 1), ("drift", "drift", 1),
+    ("t", "t"), ("q", "q"), ("qdot", "qd"), ("qdd", "qdd"), ("f", "f"), ("u", "u"),
+    ("f_c", "fc"), ("kinetic", "kinetic"), ("potential", "potential"),
+    ("energy", "energy"), ("lyapunov", "lyapunov"), ("rank", "rank"),
+    ("cond_mbar", "cond_mbar"), ("drift", "drift"),
 )
-TRACE_KEYS = tuple(key for key, _, _ in TRACE_FIELDS)
+TRACE_KEYS = tuple(key for key, _ in TRACE_FIELDS)
 
 
 @dataclass(eq=False)
@@ -131,27 +129,26 @@ class SimulationTrace:
     """Per-step records plus the event log; exportable as CSV or JSON lines.
 
     Each TRACE_FIELDS key is an attribute holding one row per recorded state
-    (``trace.t``, ``trace.q``, ...); ``rank`` is an int array.
+    (``trace.t``, ``trace.q``, ...): a 1-D array for one value per row, else
+    (rows, width); ``rank`` is an int array.
     """
 
-    n: int
-    k: int
     events: list = field(default_factory=list)
 
     def columns(self):
-        size = {"n": self.n, "k": self.k}
         cols = []
-        for _, prefix, width in TRACE_FIELDS:
-            cols += ([prefix] if width == 1 else
-                     [f"{prefix}{i}" for i in range(size[width])])
+        for key, prefix in TRACE_FIELDS:
+            values = getattr(self, key)
+            cols += ([prefix] if values.ndim == 1 else
+                     [f"{prefix}{i}" for i in range(values.shape[1])])
         return cols
 
     def to_csv(self, path):
         # Python floats and ints: repr is the shortest round-trip form
         cols = []
-        for key, _, width in TRACE_FIELDS:
+        for key, _ in TRACE_FIELDS:
             values = getattr(self, key)
-            cols += [values.tolist()] if width == 1 else values.T.tolist()
+            cols += [values.tolist()] if values.ndim == 1 else values.T.tolist()
         with open(path, "w", newline="") as fh:
             fh.write(",".join(self.columns()) + "\n")
             for row in zip(*cols):
@@ -192,11 +189,12 @@ def project_to_constraints(q_raw, system: MechanicalSystem, tol=1e-10,
 class _Eval:
     """One state (t, q, qdot) of a run and the parts a step reads of it.
 
-    Nothing is computed on access.  The runner makes a state with its
-    projectors and plant (_Runner._state, or _Runner._projected, which adds
-    the drift |A qdot|) and evaluates the rest once, at the current mu and
-    in the order model, force, qdd (_Runner._evaluate), at the point where
-    the state's t and mu are final."""
+    Nothing is computed on access.  The runner makes a state at its final
+    time with its projectors and plant (_Runner._state, or _Runner._projected,
+    which adds the drift |A qdot|) and, once its phase's mu is chosen,
+    evaluates the rest once, in the order model, force, qdd
+    (_Runner._evaluate).  Only a switch's pre-capture point is never
+    evaluated."""
 
     __slots__ = ("t", "q", "qdot", "proj", "plant", "drift", "model", "force", "qdd")
 
@@ -225,9 +223,11 @@ class _Runner:
 
     # --- model evaluation -------------------------------------------------
 
-    def _select_mu(self, ev):
+    def _start(self, ev):
+        """Begin a phase at ev: select mu on it, then evaluate ev; returns ev."""
         self.mu_value = (optimal_mu(ev.plant, ev.proj)
                          if self.sc.mu == "auto" else float(self.sc.mu))
+        return self._evaluate(ev)
 
     def _state(self, t, q, qdot):
         """The state with its projectors, from the phase system's jacobian
@@ -281,73 +281,66 @@ class _Runner:
                                   last_state=GeneralizedState(t, q, qdot))
         return q_new, v_new
 
-    def _apply_event(self, ev, new_active):
-        """Capture at ev (which needs only its projectors and plant): the
-        system with the new active rows, the projected state and mu
-        re-selected on it; advance or record evaluates the state returned."""
+    def _apply_event(self, ev, t_e, new_active):
+        """Capture at ev (which needs only its projectors and plant), logged at
+        the switch time t_e: the system with the new active rows and the
+        projected state, evaluated after mu is re-selected on it."""
         rank_before = ev.proj.rank
         ke_before = kinetic_energy(ev.plant.M, ev.qdot)
         self.system = self.sc.system.with_active(new_active)
         ev = self._projected(ev.t, ev.q, ev.qdot)   # inelastic capture
         ke_after = kinetic_energy(ev.plant.M, ev.qdot)
-        self._select_mu(ev)                     # mu re-selected only at events
+        self._start(ev)                         # mu re-selected only at events
         return ev, {
-            "time": float(ev.t),
+            "time": float(t_e),
             "rank_before": rank_before,
             "rank_after": ev.proj.rank,
             "energy_drop": ke_before - ke_after,
             "active": tuple(new_active),
         }
 
-    def advance(self, ev, h, inside=(), at_end=()):
-        """Advance one grid step of size h from the evaluated state ev: split at
-        each (time, rows) switch inside it, take the rest of the step, apply
-        the switches at its end (_grid_step).  The end state (projected once)
-        has its projectors, plant and drift; record evaluates the rest."""
+    def advance(self, ev, t, inside=(), at_end=()):
+        """Advance one grid step from the evaluated state ev to the grid time t:
+        split at each (time, rows) switch inside it, take the rest of the
+        step, apply the switches at its end (_grid_step).  Returns the end
+        state at t, projected once and evaluated, and the switches' logs.
+        The step spans (ev.t + dt) - ev.t, not t - ev.t: the two can differ
+        in the last bit, and the end state is stamped t either way."""
         logs = []
-        t_end = ev.t + h
+        t_end = ev.t + self.sc.dt
         for t_e, new_active in inside:   # t_e > ev.t: run drops exact repeats
             ev = self._state(t_e, *self._rk4(ev, t_e - ev.t))
-            ev, log = self._apply_event(ev, new_active)
+            ev, log = self._apply_event(ev, t_e, new_active)
             logs.append(log)
-            self._evaluate(ev)   # a substep follows
         q, qdot = self._rk4(ev, t_end - ev.t)
-        end = self._state(t_end, q, qdot) if at_end else self._projected(t_end, q, qdot)
+        end = self._state(t, q, qdot) if at_end else self._projected(t, q, qdot)
         for t_e, new_active in at_end:
-            end.t = t_e   # the log keeps the scenario's switch time
-            end, log = self._apply_event(end, new_active)
+            end, log = self._apply_event(end, t_e, new_active)
             logs.append(log)
         if end.drift > self.sc.drift_tol * (1.0 + _norm(end.qdot)):
             raise DivergenceError(f"velocity drift {end.drift:.3e} exceeds tolerance",
                                   last_state=GeneralizedState(t_end, q, end.qdot))
-        return end, logs
+        return (end if at_end else self._evaluate(end)), logs
 
     # --- recording --------------------------------------------------------
 
     def record(self, t, ev):
-        """Stamp the grid time t on the end state ev, evaluate ev, and return
-        the inputs of its trace row: (t, q, qdot, qdd, f, u, S, Omega, Mbar,
-        plant, rank, drift).  _pack evaluates the rest of the row on the
-        stack of them.  t comes first because t + h in advance and (i + 1) dt
-        in run can differ in the last bit, and a force schedule is read at
-        the row's time; the next step starts from the stamped t."""
-        ev.t = t
-        self._evaluate(ev)
+        """The inputs of the evaluated state ev's trace row: (t, q, qdot, qdd, f,
+        u, S, Omega, Mbar, plant, rank, drift), with t = ev.t passed apart
+        (perfbench's tracer reads it to tell a run's first row from a step's).
+        _pack evaluates the rest of the row on the stack of them."""
         model, (f, u) = ev.model, ev.force
         return (t, ev.q, ev.qdot, ev.qdd, f, u, model.S, ev.proj.Omega, model.Mbar,
                 ev.plant, ev.proj.rank, ev.drift)
 
 
 def step(state: GeneralizedState, scenario: Scenario) -> GeneralizedState:
-    """One fixed step from an arbitrary state (no event handling).  The start
-    state is evaluated before the step, at the mu it selects; the end state
-    is only projected, never evaluated."""
+    """One fixed step from an arbitrary state (no event handling).  Both ends
+    are evaluated at the mu the start state selects, as in a run."""
     runner = _Runner(scenario)
-    ev = runner._state(state.t, state.q, state.qdot)
-    runner._select_mu(ev)
-    runner._evaluate(ev)
-    end, _ = runner.advance(ev, scenario.dt)
-    return GeneralizedState(t=state.t + scenario.dt, q=end.q, qdot=end.qdot)
+    ev = runner._start(runner._state(state.t, state.q, state.qdot))
+    end, _ = runner.advance(ev, state.t + scenario.dt)
+    return GeneralizedState(t=end.t, q=end.q, qdot=end.qdot)
 
 
 def run(scenario: Scenario) -> SimulationTrace:
@@ -362,8 +355,7 @@ def run(scenario: Scenario) -> SimulationTrace:
             raise InconsistentStateError(
                 f"initial configuration violates constraints: |Phi| = "
                 f"{np.linalg.norm(phi):.3e}; retract with project_to_constraints")
-    ev = runner._projected(0.0, q, sc.qdot0.copy())
-    runner._select_mu(ev)
+    ev = runner._start(runner._projected(0.0, q, sc.qdot0.copy()))
 
     switches = {}   # step -> (switches inside it, switches at its end)
     # an exact repeat is applied once: with no conflict, the times strictly increase
@@ -373,12 +365,12 @@ def run(scenario: Scenario) -> SimulationTrace:
     records, logs = [runner.record(0.0, ev)], []
     for i in range(1, int(_grid_step(sc.horizon, sc.dt)[0]) + 1):
         try:
-            ev, step_logs = runner.advance(ev, sc.dt, *switches.get(i, ()))
+            ev, step_logs = runner.advance(ev, i * sc.dt, *switches.get(i, ()))
         except DivergenceError as exc:
             raise DivergenceError(f"step {i}: {exc}",
                                   last_state=exc.last_state) from exc
         logs += step_logs
-        records.append(runner.record(i * sc.dt, ev))
+        records.append(runner.record(ev.t, ev))
     return _pack(records, logs, sc)
 
 
@@ -387,7 +379,7 @@ def _pack(records, logs, sc: Scenario) -> SimulationTrace:
     does not read are evaluated here, once, on the stack of recorded states;
     a stack gives each member the bits it has alone."""
     t, q, qdot, qdd, f, u, S, Omega, Mbar, plants, rank, drift = zip(*records)
-    trace = SimulationTrace(n=sc.system.n, k=u[0].shape[0], events=logs)
+    trace = SimulationTrace(events=logs)
     # rank holds Python ints, so its array is int
     trace.t, trace.q, trace.qdot, trace.qdd, trace.f, trace.u, trace.rank, trace.drift = (
         np.array(rows) for rows in (t, q, qdot, qdd, f, u, rank, drift))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError
-from .kernel import ProjectorBundle, _checked, _every, _identity, _lazy, _per_member, _pinv
+from .kernel import ProjectorBundle, _every, _identity, _lazy, _per_member, pseudo_inverse
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class ConstrainedModel:
         """(pinv(P B), rank(P B)) from one truncated SVD, cut like rank(A); unlike
         (B^T P B)^{-1} B^T P it stays the minimum-norm map under redundant
         actuation.  At rank(A) = n, P B = 0: rank 0 = n - n, so Gamma = 0."""
-        return _pinv(_checked(self.proj.P @ self.plant.B))   # P is finite: this checks B
+        return pseudo_inverse(self.proj.P @ self.plant.B)   # P is finite: this checks B
 
     @_lazy
     def admissible(self) -> bool:

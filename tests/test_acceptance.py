@@ -8,7 +8,6 @@ one-line PASS/FAIL verdict with the measured figure of merit.
 """
 
 import numpy as np
-import pytest
 
 from projdyn import (ConstraintJacobian, InvalidTargetError, PlantMatrices, RegulationGains,
                      Scenario, SetpointRegulator, acceleration, assemble,

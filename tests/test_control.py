@@ -141,6 +141,21 @@ class TestControlForce:
                     control_force(*state, model)
 
 
+    def test_stall_under_a_non_scalar_kp_is_escaped(self):
+        # at rest at (0, -1) the law's motion-space force is -P Kp e, and this
+        # symmetric positive definite Kp makes Kp e normal to the circle while
+        # P e is not: a stall, at a maximum of e^T Kp e on the circle, that a
+        # test of P e misses and the pendulum never leaves
+        q0, q_star = np.array([0.0, -1.0]), np.array([np.sin(1.0), -np.cos(1.0)])
+        e = q0 - q_star
+        b = -e[0] / e[1]
+        gains = RegulationGains(Kp=np.array([[1.0, b], [b, 10.0]]), Kd=10 * np.eye(2),
+                                sigma=1.5)
+        assert (gains.Kp @ e)[0] == 0.0 and e[0] != 0.0
+        trace = run(Scenario(system=pendulum(), q0=q0, qdot0=np.zeros(2), horizon=0.02,
+                             dt=1e-3, controller=SetpointRegulator(q_star, gains)))
+        assert np.abs(trace.qdot).max() > 1e-4
+
     @pytest.mark.parametrize("A", [np.eye(2), np.array([[0.3, 0.7], [0.6, -0.2]])],
                              ids=["axis-rows", "corner-rows"])
     def test_pinned_particle_gets_no_force(self, A):

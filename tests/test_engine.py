@@ -289,6 +289,24 @@ class TestTraceExport:
         assert records[0]["rank"] == 1
         assert isinstance(records[0]["rank"], int) and trace.rank.dtype.kind == "i"
 
+    def test_an_input_map_without_columns_has_no_u_columns(self, tmp_path):
+        # widths come from the arrays: u is (rows, 0), so no CSV column
+        base = pendulum()
+
+        def plant_at(q, qdot):
+            return dataclasses.replace(base.plant(q, qdot), B=np.zeros((2, 0)))
+
+        trace = run(Scenario(system=dataclasses.replace(base, plant_at=plant_at),
+                             q0=np.array([0.0, -1.0]), qdot0=np.array([1.0, 0.0]),
+                             horizon=0.05, dt=1e-2))
+        trace.to_csv(tmp_path / "trace.csv")
+        trace.to_jsonl(tmp_path / "trace.jsonl")
+        header = (tmp_path / "trace.csv").read_text().splitlines()[0]
+        assert header.split(",") == trace.columns()
+        assert "f0,f1,fc0,fc1" in header and ",u" not in header
+        first = json.loads((tmp_path / "trace.jsonl").read_text().splitlines()[0])
+        assert first["u"] == []
+
 
 # The catalog slider-crank (unit rods) with non-unit masses, from polynomials.
 LOADED_SLIDER_CRANK = {
@@ -392,9 +410,9 @@ def test_event_state_is_evaluated_at_the_reselected_mu(monkeypatch):
     seen = []
     apply_event = engine._Runner._apply_event
 
-    def spy(runner, ev, new_active):
+    def spy(runner, ev, t_e, new_active):
         mu_before = runner.mu_value
-        ev, log = apply_event(runner, ev, new_active)
+        ev, log = apply_event(runner, ev, t_e, new_active)
         seen.append((mu_before, runner.mu_value, ev, log))
         return ev, log
 
