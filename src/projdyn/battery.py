@@ -2,65 +2,66 @@
 
 Each check returns (name, max_residual, tolerance); the battery passes when
 every residual is within its tolerance.  All randomness flows from one seed,
-so reports are reproducible.  A check draws its random states one at a time,
-in a fixed order, and then evaluates the states of one shape as one stack;
-each member has the bits it would have alone.  The worst residual keeps NaN,
-so a non-finite residual fails its check.  The optional fault injection
-flips a sign in Cbar before the skew-symmetry check, to prove the harness
-actually rejects a broken model.
+so reports are reproducible.  A check first draws its random inputs as plain
+arrays, one state at a time and in a fixed order, and then builds them once
+per shape: one stacked ConstraintJacobian (which validates every member), one
+PlantMatrices, one QR for the stack of random masses, and one evaluation of
+the stack.  Each member has the bits it would have alone.  Only the oblique
+check's candidate test runs per state, since it decides what is drawn next.
+The worst residual keeps NaN, so a non-finite residual fails its check.  The
+optional fault injection flips a sign in Cbar before the skew-symmetry
+check, to prove the harness actually rejects a broken model.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from . import forces
-from .kernel import (RANK_TOL, ConstraintJacobian, build_projectors,
-                     configuration_projectors, pseudo_inverse)
+from .kernel import (RANK_TOL, ConstraintJacobian, ProjectorBundle, build_projectors,
+                     configuration_projectors, pseudo_inverse, with_adot)
 from .model import PlantMatrices, assemble, optimal_mu, pmp_eigenvalues
 from .systems import catalog, pendulum, double_pendulum
 
-
-def _random_spd(rng, n, lo=0.5, hi=3.0):
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return Q @ np.diag(rng.uniform(lo, hi, size=n)) @ Q.T
+FAULTS = ("cbar-sign",)
 
 
-def _random_jacobian(rng, n=None, m=None):
-    if n is None:
-        n = int(rng.integers(2, 9))
-    if m is None:
-        m = int(rng.integers(1, n + 1))
-    return ConstraintJacobian(A=rng.standard_normal((m, n)),
-                              Adot=rng.standard_normal((m, n)))
-
-
-def _random_plant(rng, B):
-    """A random SPD M with C and f_g zero and input map B."""
-    n = len(B)
-    return PlantMatrices(M=_random_spd(rng, n), C=np.zeros((n, n)), f_g=np.zeros(n), B=B)
-
-
-def _stack(items):
-    """One stack of same-shape items: floats, matrices, vectors (stacked as
-    columns), or dataclasses of them, which are stacked field by field."""
-    if dataclasses.is_dataclass(items[0]):
-        cls = type(items[0])
-        return cls(*(_stack([getattr(x, f.name) for x in items])
-                     for f in dataclasses.fields(cls)))
-    stack = np.stack(items)
-    return stack[..., None] if stack.ndim == 2 else stack
-
-
-def _by_shape(draws):
-    """Stack draws, tuples that begin with a ConstraintJacobian, into one
-    tuple of stacks per shape of A."""
+def _groups(draws):
+    """Draws, tuples of arrays and numbers, grouped by the shape of their
+    first array and stacked item by item: one tuple of stacks per shape."""
     groups = {}
     for draw in draws:
-        groups.setdefault(draw[0].A.shape, []).append(draw)
-    return [tuple(map(_stack, zip(*group))) for group in groups.values()]
+        groups.setdefault(draw[0].shape, []).append(draw)
+    return [tuple(map(np.stack, zip(*group))) for group in groups.values()]
+
+
+def _spd_draw(rng, n):
+    """The draws of a random SPD n x n mass: a Gaussian matrix, whose
+    orthogonal factor is the eigenbasis, then the eigenvalues in [0.5, 3)."""
+    return rng.standard_normal((n, n)), rng.uniform(0.5, 3.0, size=n)
+
+
+def _spd_plant(G, d, B):
+    """The plant of the stacks of _spd_draw's (G, d): M = Q diag(d) Q^T with
+    Q of one stacked QR of G, C and f_g zero, and input maps B."""
+    Q, _ = np.linalg.qr(G)
+    M = (Q * d[..., None, :]) @ Q.swapaxes(-1, -2)
+    return PlantMatrices(M, np.zeros_like(M), np.zeros(M.shape[:-1] + (1,)), B)
+
+
+def _jacobian(system, q, qd):
+    """The system's A and Adot at each state of the stacks q and qd (..., n),
+    as one ConstraintJacobian."""
+    return ConstraintJacobian(np.stack([system.constraint(x) for x in q]),
+                              np.stack([system.constraint_rate(x, v) for x, v in zip(q, qd)]))
+
+
+def _plant(system, q, qd):
+    """The system's plant at each state of the stacks q and qd (..., n), as
+    one PlantMatrices with f_g a column."""
+    plants = [system.plant(x, v) for x, v in zip(q, qd)]
+    M, C, f_g, B = map(np.stack, zip(*((p.M, p.C, p.f_g, p.B) for p in plants)))
+    return PlantMatrices(M, C, f_g[..., None], B)
 
 
 def _norms(X):
@@ -78,30 +79,32 @@ def _worst(residuals):
 
 def _catalog_states(rng):
     """Sixty sampled states of each catalog system, each with a random force
-    drawn after the state: yields one stack per system, (jacs, plants, model,
-    qd, f).  qd is projected onto the constraints, the model is at the
-    optimal mu of each state, and jacs and plants are the states' own."""
+    drawn after the state: yields one stack per system, (jac, model, qd, f),
+    with qd and f columns.  jac is at the sampled velocity, qd is that
+    velocity projected onto the constraints, and the model is at the optimal
+    mu of each state."""
     for system in catalog():
-        draws = []
-        for _ in range(60):
-            q, qd = system.sample_state(rng)
-            draws.append((q, qd, rng.standard_normal(system.n)))
-        q, qd, f = (list(x) for x in zip(*draws))
-        jacs = [system.jacobian(*state) for state in zip(q, qd)]
-        proj = build_projectors(_stack(jacs))
-        qd = proj.P @ _stack(qd)
-        plants = [system.plant(q_i, qd_i[:, 0]) for q_i, qd_i in zip(q, qd)]
-        plant = _stack(plants)
-        yield jacs, plants, assemble(plant, proj, optimal_mu(plant, proj)), qd, _stack(f)
+        q, qd, f = map(np.stack, zip(*((*system.sample_state(rng), rng.standard_normal(system.n))
+                                       for _ in range(60))))
+        jac = _jacobian(system, q, qd)
+        proj = build_projectors(jac)
+        qd = proj.P @ qd[..., None]
+        plant = _plant(system, q, qd[..., 0])
+        yield jac, assemble(plant, proj, optimal_mu(plant, proj)), qd, f[..., None]
 
 
 def check_projector_algebra(rng):
+    draws = []
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(1, n + 1))
+        draws.append(tuple(rng.standard_normal((2, m, n))))    # A, then Adot
     residuals = []
-    for (jac,) in _by_shape([(_random_jacobian(rng),) for _ in range(200)]):
-        proj = build_projectors(jac)
+    for A, Adot in _groups(draws):
+        proj = build_projectors(ConstraintJacobian(A, Adot))
         P, Lam = proj.P, proj.Lambda
         residuals += [_norms(P @ P - P), _norms(P - P.swapaxes(-1, -2)),
-                      _norms(jac.A @ P), _norms(P @ Lam), _norms(Lam.swapaxes(-1, -2) @ P)]
+                      _norms(A @ P), _norms(P @ Lam), _norms(Lam.swapaxes(-1, -2) @ P)]
     return "projector-algebra", _worst(residuals), 1e-10
 
 
@@ -112,8 +115,8 @@ def pdot_fd_check(jac_at, t: float, h: float) -> float:
     caller asserts O(h^2) decay; the rank must not change on [t-h, t+h] for
     the difference quotient to be meaningful.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"step h must be positive and finite, got {h!r}")
     plus = build_projectors(jac_at(t + h))
     minus = build_projectors(jac_at(t - h))
     center = build_projectors(jac_at(t))
@@ -145,9 +148,8 @@ def check_skew_symmetry(rng, fault=None):
         q, qd = map(np.stack, zip(*(system.sample_state(rng) for _ in range(40))))
 
         def model_at(qq):
-            states = list(zip(qq, qd))
-            proj = build_projectors(_stack([system.jacobian(*s) for s in states]))
-            return assemble(_stack([system.plant(*s) for s in states]), proj, 2.0)
+            return assemble(_plant(system, qq, qd),
+                            build_projectors(_jacobian(system, qq, qd)), 2.0)
 
         Cbar = model_at(q).Cbar
         if fault == "cbar-sign":
@@ -163,11 +165,12 @@ def check_spectrum_law(rng):
     for _ in range(100):
         n = int(rng.integers(2, 9))
         m = int(rng.integers(1, n))
-        jac = _random_jacobian(rng, n, m)
-        draws.append((jac, _random_plant(rng, np.eye(n)), float(rng.uniform(0.2, 5.0))))
+        draws.append((*rng.standard_normal((2, m, n)), *_spd_draw(rng, n),
+                      rng.uniform(0.2, 5.0)))
     residuals = []
-    for jac, plant, mu in _by_shape(draws):
-        proj = build_projectors(jac)
+    for A, Adot, G, d, mu in _groups(draws):
+        proj = build_projectors(ConstraintJacobian(A, Adot))
+        plant = _spd_plant(G, d, np.eye(proj.n))
         model = assemble(plant, proj, mu)
         lam, _ = pmp_eigenvalues(plant, proj)
         nonzero = lam > RANK_TOL * lam[..., -1:]   # cut here, to count against rank(A)
@@ -181,15 +184,11 @@ def check_spectrum_law(rng):
 
 def check_oracle_equivalence(rng):
     residuals = []
-    for jacs, plants, model, qd, f in _catalog_states(rng):
-        qdd = forces.acceleration(model, f, qd)
-        f_c = forces.constraint_force(model, f, qd)
-        # the oracle stays per state: lstsq has no stacked form
-        oracle = [forces.kkt_oracle(*state, f_i[:, 0], qd_i[:, 0])
-                  for *state, f_i, qd_i in zip(plants, jacs, f, qd)]
-        qdd_o = _stack([qdd_i for qdd_i, _ in oracle])
-        f_c_o = _stack([-jac.A.T @ lam for jac, (_, lam) in zip(jacs, oracle)])
-        residuals += [_norms(qdd - qdd_o), _norms(f_c - f_c_o)]
+    for jac, model, qd, f in _catalog_states(rng):
+        qdd_o, lam = forces.kkt_oracle(model.plant, jac, f, qd)
+        f_c_o = -jac.A.swapaxes(-1, -2) @ lam
+        residuals += [_norms(forces.acceleration(model, f, qd) - qdd_o),
+                      _norms(forces.constraint_force(model, f, qd) - f_c_o)]
     return "kkt-oracle-equivalence", _worst(residuals), 1e-8
 
 
@@ -198,19 +197,22 @@ def check_oblique_identities(rng):
     while len(draws) < 150:
         n = int(rng.integers(2, 9))
         m = int(rng.integers(1, n))
-        jac = _random_jacobian(rng, n, m)
-        proj = configuration_projectors(jac.A)
+        A, Adot = rng.standard_normal((2, m, n))
+        proj = configuration_projectors(A)
         B = rng.standard_normal((n, n))
-        # the test decides whether the next draw is this state's M: per candidate
+        # the test decides whether the next draws are this state's M and mu: per candidate
         sv = np.linalg.svd(proj.P @ B, compute_uv=False)
         if sv[max(n - proj.rank - 1, 0)] < 0.1:
             continue                     # keep tests away from near-inadmissibility
-        draws.append((jac, _random_plant(rng, B), float(rng.uniform(0.2, 5.0))))
+        draws.append((Adot, proj.P, proj.Q, proj.rank, proj.A_pinv, B,
+                      *_spd_draw(rng, n), rng.uniform(0.2, 5.0)))
     residuals = []
-    for jac, plant, mu in _by_shape(draws):
-        proj = build_projectors(jac)
+    for Adot, P, Q, rank, A_pinv, B, G, d, mu in _groups(draws):
+        # each candidate's configuration bundle, stacked: A takes no second SVD
+        proj = with_adot(ProjectorBundle(P, Q, None, None, rank, A_pinv), Adot)
+        plant = _spd_plant(G, d, B)
         model = assemble(plant, proj, mu)
-        R, S, P, Q = model.R, model.S, proj.P, proj.Q
+        R, S = model.R, model.S
         PMP = P @ plant.M @ P
         pmp_pinv, _ = pseudo_inverse(0.5 * (PMP + PMP.swapaxes(-1, -2)))
         residuals += [_norms(R @ R - R), _norms(P @ R - P), _norms(R @ P - R),
@@ -221,7 +223,7 @@ def check_oblique_identities(rng):
 
 def check_acceleration_routes(rng):
     residuals = []
-    for _, _, model, qd, f in _catalog_states(rng):
+    for _, model, qd, f in _catalog_states(rng):
         a1 = forces.acceleration(model, f, qd)
         a2 = forces.acceleration_nonminimal(model, f, qd)
         residuals.append(_norms(a1 - a2))
@@ -229,7 +231,10 @@ def check_acceleration_routes(rng):
 
 
 def run_battery(seed=0, fault=None) -> dict:
-    """Run every invariant check; returns a machine-readable report."""
+    """Run every invariant check; returns a machine-readable report.  fault
+    is None or one of FAULTS."""
+    if fault is not None and fault not in FAULTS:
+        raise ValueError(f"unknown fault {fault!r}; expected one of {', '.join(FAULTS)}")
     rng = np.random.default_rng(seed)
     results = [
         check_projector_algebra(rng),

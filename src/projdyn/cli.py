@@ -40,7 +40,7 @@ def _build_parser():
 
     chk = sub.add_parser("check", help="run the invariant property battery")
     chk.add_argument("--seed", type=int, default=0)
-    chk.add_argument("--inject-fault", choices=["cbar-sign"], default=None,
+    chk.add_argument("--inject-fault", choices=battery.FAULTS, default=None,
                      help="deliberately break Cbar to self-test the harness")
     chk.add_argument("--report", help="write the JSON report here")
 

@@ -1,5 +1,5 @@
 """Accelerations and constraint forces at one state (or, for the acceleration
-and constraint-force routes, at each of a stack).
+and constraint-force routes and the KKT oracle, at each of a stack).
 
 Sign convention used throughout (it matters): the lumped nonlinear vector is
 
@@ -77,23 +77,28 @@ def force_split_for_control(f_par, f_c_desired, model: ConstrainedModel,
 
 
 def kkt_oracle(plant: PlantMatrices, jac, f, qdot):
-    """Independent ground truth at one state: least-squares solve of the
-    augmented system
+    """Independent ground truth at one state, or at each of a stack:
+    least-squares solve of the augmented system
 
         [ M  A^T ] [q'']   [ f + f_g - C q' ]
         [ A   0  ] [-lam] = [    -Adot q'    ]
 
-    Returns (q'', lam).  At rank-deficient A the minimum-norm solution keeps
-    q'' unique while lam is the minimum-norm multiplier.
+    Returns (q'', lam), columns for a stack like f and q'.  At
+    rank-deficient A the minimum-norm solution keeps q'' unique while lam is
+    the minimum-norm multiplier.  K and the right-hand side are built on the
+    stack; lstsq has no stacked form, so it solves member by member, and one
+    state is the stack of one.
     """
     f = np.asarray(f, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
     A, Adot = jac.A, jac.Adot
-    n, m = A.shape[1], A.shape[0]
-    K = np.zeros((n + m, n + m))
-    K[:n, :n] = plant.M
-    K[:n, n:] = A.T
-    K[n:, :n] = A
-    rhs = np.concatenate([f + plant.f_g - plant.C @ qdot, -Adot @ qdot])
-    sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-    return sol[:n], sol[n:]
+    m, n = A.shape[-2:]
+    K = np.zeros(A.shape[:-2] + (n + m, n + m))
+    K[..., :n, :n] = plant.M
+    K[..., :n, n:] = A.swapaxes(-1, -2)
+    K[..., n:, :n] = A
+    axis = -1 if qdot.ndim == 1 else -2     # a 1-D vector, or a stack's columns
+    rhs = np.concatenate([f + plant.f_g - plant.C @ qdot, -Adot @ qdot], axis=axis)
+    sol = np.stack([np.linalg.lstsq(K_i, rhs_i, rcond=None)[0] for K_i, rhs_i
+                    in zip(K.reshape(-1, n + m, n + m), rhs.reshape(-1, n + m, 1))])
+    return tuple(np.split(sol.reshape(rhs.shape), [n], axis=axis))

@@ -1,0 +1,68 @@
+"""The invariant battery behind `projdyn check`: its inputs are built once
+per shape with each member's own bits, and its arguments are checked."""
+
+import numpy as np
+import pytest
+
+from projdyn import battery
+from projdyn.battery import run_battery
+
+
+def test_an_unknown_fault_is_rejected():
+    """A misspelt fault is an error that names the known one, not a clean
+    battery that records the typo as its fault and passes."""
+    with pytest.raises(ValueError, match="cbar-sign"):
+        run_battery(seed=0, fault="cbar_sign")
+
+
+def test_linalg_cost_of_a_run(monkeypatch):
+    """One run at seed 0 takes one QR per shape group of random masses (the
+    spectrum law's and the oblique check's groups, 55 in all, against 250
+    masses drawn), at most 494 SVDs, and one lstsq per catalog state of the
+    oracle check (5 systems x 60)."""
+    calls = {"qr": [], "svd": [], "lstsq": []}
+    for name, seen in calls.items():
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _seen=seen, _fn=original, **kwargs):
+            _seen.append(np.shape(a))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    groups = []
+    by_shape = battery._groups
+    monkeypatch.setattr(battery, "_groups",
+                        lambda draws: groups.append(len(stacks := by_shape(draws))) or stacks)
+    run_battery(seed=0)
+    _, spectrum, oblique = groups            # projector algebra draws no masses
+    assert len(calls["qr"]) == spectrum + oblique == 55
+    assert all(len(shape) == 3 for shape in calls["qr"])        # every QR is a stack
+    assert len(calls["svd"]) <= 494 and len(calls["lstsq"]) == 300
+
+
+def test_stacked_qr_and_mass_keep_each_members_bits():
+    """The stacked build of the random masses gives each member the bits of
+    its own QR and of Q @ diag(d) @ Q.T, for every n the battery draws."""
+    rng = np.random.default_rng(23)
+    for n in range(2, 9):
+        G, d = rng.standard_normal((9, n, n)), rng.uniform(0.5, 3.0, size=(9, n))
+        Q, R = np.linalg.qr(G)
+        M = battery._spd_plant(G, d, np.eye(n)).M
+        for i in range(9):
+            Q_i, R_i = np.linalg.qr(G[i])
+            assert Q_i.tobytes() == Q[i].tobytes() and R_i.tobytes() == R[i].tobytes()
+            assert M[i].tobytes() == (Q_i @ np.diag(d[i]) @ Q_i.T).tobytes(), (n, i)
+
+
+def test_a_stacked_matvec_keeps_each_members_bits():
+    """(N, r, c) @ (N, c, 1) gives each member the bits of its 1-D matvec,
+    also on a transposed view: the products kkt_oracle and the oracle check
+    take on the stack (C q', Adot q', A^T lam)."""
+    rng = np.random.default_rng(29)
+    for r in range(1, 10):
+        for c in range(1, 10):
+            X, v = rng.standard_normal((7, r, c)), rng.standard_normal((7, c))
+            Xt = rng.standard_normal((7, c, r)).swapaxes(-1, -2)
+            for Y in (X, Xt):
+                stacked = Y @ v[..., None]
+                for i in range(7):
+                    assert (Y[i] @ v[i]).tobytes() == stacked[i, :, 0].tobytes(), (r, c, i)

@@ -473,7 +473,7 @@ def test_per_step_linalg_cost(monkeypatch):
 def test_a_switch_at_a_grid_time_costs_one_svd(monkeypatch):
     """The standard step's end takes one SVD with the old rows and one, its
     only projection, with the new: one SVD more than the same run without
-    the switch, and no solve, since record evaluates that state once."""
+    the switch, and no solve, since _apply_event evaluates that state once."""
     system = switching_particle()
     free, switched = (Scenario(system=system, q0=np.zeros(2), qdot0=np.array([1.0, 0.5]),
                                horizon=1.0, dt=1e-2, initial_active=(), events=events)

@@ -7,7 +7,8 @@ import pytest
 from projdyn import (AdmissibilityError, ConstraintJacobian, InvalidTargetError,
                      PlantMatrices, acceleration, acceleration_nonminimal,
                      assemble, build_projectors, constraint_force,
-                     force_split_for_control, kkt_oracle, pseudo_inverse)
+                     force_split_for_control, kkt_oracle, pseudo_inverse,
+                     redundant_pendulum, slider_crank)
 
 
 def pendulum_proj(q=(0.0, -1.0), qd=(0.0, 0.0)):
@@ -205,6 +206,45 @@ class TestKktOracle:
             scale = 1 + np.linalg.norm(qdd_o)
             assert np.linalg.norm(qdd - qdd_o) / scale < 1e-8
             assert np.linalg.norm(f_c - (-jac.A.T @ lam)) / scale < 1e-8
+
+    def test_a_stack_has_the_bits_of_its_members(self):
+        """On a stack, with f and q' as columns (..., n, 1), each member gets
+        the bits of its own call with 1-D vectors, also with two leading
+        axes: random SPD M with nonzero C and f_g, the redundant pendulum, and
+        the crank at its fold, where rank(A) drops from 3 to 2."""
+        rng = np.random.default_rng(37)
+        groups = []
+        for n, m in [(2, 1), (4, 2), (5, 4), (6, 6), (3, 5)]:
+            states = []
+            for _ in range(6):
+                X = rng.standard_normal((n, n))
+                plant = PlantMatrices(M=X @ X.T + n * np.eye(n), C=rng.standard_normal((n, n)),
+                                      f_g=rng.standard_normal(n), B=np.eye(n))
+                jac = ConstraintJacobian(A=rng.standard_normal((m, n)),
+                                         Adot=rng.standard_normal((m, n)))
+                states.append((plant, jac, rng.standard_normal(n), rng.standard_normal(n)))
+            groups.append(states)
+        pend, crank = redundant_pendulum(), slider_crank()
+        groups.append([(pend.plant(q, qd), pend.jacobian(q, qd), rng.standard_normal(2), qd)
+                       for q, qd in (pend.sample_state(rng) for _ in range(6))])
+        fold = np.array([0.0, 1.0, 0.0, 0.0])
+        groups.append([(crank.plant(fold, qd), crank.jacobian(fold, qd), rng.standard_normal(4), qd)
+                       for qd in rng.standard_normal((6, 4))])
+        assert build_projectors(groups[-1][0][1]).rank == 2
+        for states in groups:
+            plants, jacs, f, qd = zip(*states)
+            M, C, f_g, B = (np.stack([getattr(p, k) for p in plants]) for k in "M C f_g B".split())
+            A, Adot = (np.stack([getattr(j, k) for j in jacs]) for k in ("A", "Adot"))
+            f, qd = np.stack(f)[..., None], np.stack(qd)[..., None]
+            stacked = kkt_oracle(PlantMatrices(M, C, f_g[..., None], B),
+                                 ConstraintJacobian(A, Adot), f, qd)
+            for i, state in enumerate(states):
+                for alone, x in zip(kkt_oracle(*state), stacked):
+                    assert alone.tobytes() == x[i, :, 0].tobytes()
+            two = [x.reshape((2, 3) + x.shape[1:]) for x in (M, C, f_g[..., None], B, A, Adot, f, qd)]
+            lead = kkt_oracle(PlantMatrices(*two[:4]), ConstraintJacobian(*two[4:6]), *two[6:])
+            for x, y in zip(lead, stacked):
+                assert x.shape == (2, 3) + y.shape[1:] and x.tobytes() == y.tobytes()
 
 
 class TestActuation:

@@ -189,6 +189,14 @@ class TestPdotFiniteDifference:
         with pytest.raises(ValueError):
             pdot_fd_check(self.pendulum_path, 0.0, 0.0)
 
+    @pytest.mark.parametrize("h", [np.nan, np.inf])
+    def test_rejects_a_non_finite_step(self, h):
+        """On a path that stays finite, a NaN step would give a NaN residual
+        and an infinite one the norm of Pdot, with no difference taken."""
+        jac = ConstraintJacobian(A=[[1.0, 2.0]], Adot=[[0.5, -1.0]])
+        with pytest.raises(ValueError, match="step h must be positive and finite"):
+            pdot_fd_check(lambda t: jac, 0.0, h)
+
 
 class TestLazyAttribute:
     def test_computed_once_per_instance(self):
