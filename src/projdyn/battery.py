@@ -6,11 +6,12 @@ so reports are reproducible.  A check first draws its random inputs as plain
 arrays, one state at a time and in a fixed order, and then builds them once
 per shape: one stacked ConstraintJacobian (which validates every member), one
 PlantMatrices, one QR for the stack of random masses, and one evaluation of
-the stack.  Each member has the bits it would have alone.  Only the oblique
-check's candidate test runs per state, since it decides what is drawn next.
-The worst residual keeps NaN, so a non-finite residual fails its check.  The
-optional fault injection flips a sign in Cbar before the skew-symmetry
-check, to prove the harness actually rejects a broken model.
+the stack.  A catalog system gives a stack's A, Adot and plant through its
+own jacobian and plant.  Each member has the bits it would have alone.  Only
+the oblique check's candidate test runs per state, since it decides what is
+drawn next.  The worst residual keeps NaN, so a non-finite residual fails its
+check.  The optional fault injection flips a sign in Cbar before the
+skew-symmetry check, to prove the harness actually rejects a broken model.
 """
 
 from __future__ import annotations
@@ -49,21 +50,6 @@ def _spd_plant(G, d, B):
     return PlantMatrices(M, np.zeros_like(M), np.zeros(M.shape[:-1] + (1,)), B)
 
 
-def _jacobian(system, q, qd):
-    """The system's A and Adot at each state of the stacks q and qd (..., n),
-    as one ConstraintJacobian."""
-    return ConstraintJacobian(np.stack([system.constraint(x) for x in q]),
-                              np.stack([system.constraint_rate(x, v) for x, v in zip(q, qd)]))
-
-
-def _plant(system, q, qd):
-    """The system's plant at each state of the stacks q and qd (..., n), as
-    one PlantMatrices with f_g a column."""
-    plants = [system.plant(x, v) for x, v in zip(q, qd)]
-    M, C, f_g, B = map(np.stack, zip(*((p.M, p.C, p.f_g, p.B) for p in plants)))
-    return PlantMatrices(M, C, f_g[..., None], B)
-
-
 def _norms(X):
     """The Frobenius norm of each matrix or vector of a stack, bit-equal to
     np.linalg.norm of each: one dot product per member (norm(axis=...)
@@ -86,10 +72,9 @@ def _catalog_states(rng):
     for system in catalog():
         q, qd, f = map(np.stack, zip(*((*system.sample_state(rng), rng.standard_normal(system.n))
                                        for _ in range(60))))
-        jac = _jacobian(system, q, qd)
-        proj = build_projectors(jac)
+        proj = build_projectors(jac := system.jacobian(q, qd))
         qd = proj.P @ qd[..., None]
-        plant = _plant(system, q, qd[..., 0])
+        plant = system.plant(q, qd[..., 0])
         yield jac, assemble(plant, proj, optimal_mu(plant, proj)), qd, f[..., None]
 
 
@@ -148,8 +133,7 @@ def check_skew_symmetry(rng, fault=None):
         q, qd = map(np.stack, zip(*(system.sample_state(rng) for _ in range(40))))
 
         def model_at(qq):
-            return assemble(_plant(system, qq, qd),
-                            build_projectors(_jacobian(system, qq, qd)), 2.0)
+            return assemble(system.plant(qq, qd), build_projectors(system.jacobian(qq, qd)), 2.0)
 
         Cbar = model_at(q).Cbar
         if fault == "cbar-sign":

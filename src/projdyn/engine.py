@@ -66,7 +66,7 @@ class Scenario:
     dt: float
     mu: object = "auto"                  # "auto" (geometric mean) or a positive float
     controller: SetpointRegulator | None = None
-    force_schedule: object = None        # callable (t, q, qdot) -> f
+    force_schedule: object = None        # callable (t, q, qdot) -> f, shape (n,); no controller
     events: tuple = ()                   # ((time, active-row-tuple), ...)
     initial_active: tuple | None = None  # None = all rows active
     drift_tol = 1e-12                    # |A qdot| <= drift_tol (1 + |qdot|); not a field
@@ -82,6 +82,11 @@ class Scenario:
                                   and c.gains.Kp.shape == c.gains.Kd.shape == (n, n)):
             raise ValueError(f"controller must regulate {n} coordinates: a finite q_star "
                              f"of shape ({n},) and Kp, Kd of shape ({n}, {n})")
+        if (fs := self.force_schedule) is not None:
+            if not callable(fs):
+                raise ValueError(f"force_schedule must be callable (t, q, qdot) -> f, got {fs!r}")
+            if c is not None:
+                raise ValueError("give a controller or a force_schedule, not both")
         for name in ("dt", "horizon"):
             if not _positive_finite(v := getattr(self, name)):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
@@ -250,8 +255,8 @@ class _Runner:
 
     def _evaluate(self, ev):
         """Evaluate ev's model at the current mu, then its force (f, u) (the
-        regulator's law, else the force schedule at ev.t, else zero), then
-        qdd; returns ev."""
+        regulator's law or the force schedule at ev.t, else zero), then qdd;
+        returns ev."""
         sc = self.sc
         ev.model = model = assemble(ev.plant, ev.proj, self.mu_value)
         if (c := sc.controller) is not None:
@@ -260,6 +265,9 @@ class _Runner:
             f, u = _unforced(self.system.n, ev.plant.k)
             if sc.force_schedule is not None:
                 f = np.asarray(sc.force_schedule(ev.t, ev.q, ev.qdot), dtype=float)
+                if f.shape != (n := self.system.n,):
+                    raise ValueError(f"force_schedule returned shape {f.shape} at t = {ev.t:g}; "
+                                     f"a force has shape ({n},)")
         ev.force = f, u
         ev.qdd = forces.acceleration(model, f, ev.qdot)
         return ev
@@ -384,14 +392,10 @@ def _pack(records, logs, sc: Scenario) -> SimulationTrace:
     trace.t, trace.q, trace.qdot, trace.qdd, trace.f, trace.u, trace.rank, trace.drift = (
         np.array(rows) for rows in (t, q, qdot, qdd, f, u, rank, drift))
     S, Omega, Mbar = np.array(S), np.array(Omega), np.array(Mbar)
-    # a constant plant is one object: a stack of one, broadcast over the rows
-    if all(p is plants[0] for p in plants):
-        plants = plants[:1]
-    M, C, f_g, B = (np.stack([getattr(p, x) for p in plants]) for x in ("M", "C", "f_g", "B"))
+    plant = PlantMatrices.stack(plants)   # a constant plant: a stack of one
     q, qdot = trace.q[..., None], trace.qdot[..., None]
-    trace.f_c = forces._constraint_force(S, PlantMatrices(M, C, f_g[..., None], B), Omega,
-                                         trace.f[..., None], qdot)[..., 0]
-    trace.kinetic = kinetic_energy(M, qdot)
+    trace.f_c = forces._constraint_force(S, plant, Omega, trace.f[..., None], qdot)[..., 0]
+    trace.kinetic = kinetic_energy(plant.M, qdot)
     potential = sc.system.potential
     trace.potential = (np.array([float(potential(x)) for x in trace.q]) if potential
                        else np.zeros(len(trace.t)))

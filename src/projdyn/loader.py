@@ -183,7 +183,7 @@ def load_system(source) -> MechanicalSystem:
     if np.linalg.eigvalsh(M)[0] <= 0.0:
         raise ValueError("mass matrix must be positive definite")
     f_g = _vector(spec.get("gravity_force", [0.0] * n), n, "gravity_force")
-    B = _matrix(spec.get("input_map", np.eye(n).tolist()), n, "input_map")
+    B = _matrix(spec["input_map"], n, "input_map") if "input_map" in spec else np.eye(n)
 
     constraints = _list(spec.get("constraints", []), "constraints", "a list of polynomials")
     # without constraints A and Adot are one zero row: a polynomial of no terms

@@ -47,6 +47,14 @@ class PlantMatrices:
     def k(self) -> int:
         return self.B.shape[-1]
 
+    @classmethod
+    def stack(cls, plants) -> PlantMatrices:
+        """The stack of one-state plants, f_g a column.  A plant that every
+        member shares, as every constant plant is, is a stack of one."""
+        if all(p is plants[0] for p in plants):
+            plants = plants[:1]
+        return cls(*map(np.stack, zip(*((p.M, p.C, p.f_g[:, None], p.B) for p in plants))))
+
 
 @dataclass(frozen=True)
 class ConstrainedModel:

@@ -51,11 +51,13 @@ class MechanicalSystem:
     default_events: tuple = ()
 
     def jacobian(self, q, qdot) -> ConstraintJacobian:
-        """A and Adot at a state.  The system's own matrices go to
-        ConstraintJacobian, which converts and checks each once."""
-        q = np.asarray(q, dtype=float)
-        return ConstraintJacobian(A=self.constraint(q),
-                                  Adot=self.constraint_rate(q, np.asarray(qdot, dtype=float)))
+        """A and Adot at a state (n,), or at each state of a stack (N, n): the
+        system's own matrices, which ConstraintJacobian converts and checks."""
+        q, qdot = np.asarray(q, dtype=float), np.asarray(qdot, dtype=float)
+        if q.ndim > 1:
+            return ConstraintJacobian(*map(np.stack, zip(*(
+                (self.constraint(x), self.constraint_rate(x, v)) for x, v in _members(q, qdot)))))
+        return ConstraintJacobian(A=self.constraint(q), Adot=self.constraint_rate(q, qdot))
 
     def with_active(self, rows) -> MechanicalSystem:
         """The system with only the constraint rows in rows active: its A, Adot
@@ -78,8 +80,17 @@ class MechanicalSystem:
             residual=None if residual is None else lambda q: np.where(keep, residual(q), 0.0))
 
     def plant(self, q, qdot) -> PlantMatrices:
-        """M, C, f_g and B at a state."""
+        """M, C, f_g and B at a state (n,); at each state of an ndarray (N, n), stacked."""
+        if type(q) is np.ndarray and q.ndim > 1:   # np.ndim costs more than plant_at
+            return PlantMatrices.stack([self.plant_at(x, v) for x, v in _members(q, qdot)])
         return self.plant_at(q, qdot)
+
+
+def _members(q, qdot):
+    """The states (q_i, qdot_i) of a stack: each field takes one state."""
+    if q.ndim != 2 or q.shape != np.shape(qdot):
+        raise ValueError(f"a stack's q {q.shape} and qdot {np.shape(qdot)} must be (N, n)")
+    return zip(q, qdot)
 
 
 def pendulum(mass_val=1.0) -> MechanicalSystem:

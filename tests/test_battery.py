@@ -6,6 +6,7 @@ import pytest
 
 from projdyn import battery
 from projdyn.battery import run_battery
+from projdyn.systems import MechanicalSystem
 
 
 def test_an_unknown_fault_is_rejected():
@@ -37,6 +38,22 @@ def test_linalg_cost_of_a_run(monkeypatch):
     assert len(calls["qr"]) == spectrum + oblique == 55
     assert all(len(shape) == 3 for shape in calls["qr"])        # every QR is a stack
     assert len(calls["svd"]) <= 494 and len(calls["lstsq"]) == 300
+
+
+def test_system_evaluations_of_a_run(monkeypatch):
+    """A catalog system's stack goes through its own jacobian and plant: two
+    stacks per catalog system (the oracle and the route checks) and three
+    per skew-symmetry system, 16 calls of each, every one on a 2-D stack."""
+    calls = {"jacobian": [], "plant": []}
+    for name, seen in calls.items():
+        original = getattr(MechanicalSystem, name)
+
+        def counted(system, q, qdot, _seen=seen, _fn=original):
+            _seen.append(np.ndim(q))
+            return _fn(system, q, qdot)
+        monkeypatch.setattr(MechanicalSystem, name, counted)
+    run_battery(seed=0)
+    assert calls == {"jacobian": [2] * 16, "plant": [2] * 16}
 
 
 def test_stacked_qr_and_mass_keep_each_members_bits():

@@ -169,6 +169,34 @@ class TestValidation:
             run(scenario)
         assert excinfo.value.last_state is not None
 
+    def test_rejects_a_force_schedule_beside_a_controller(self):
+        # the regulator's law would set every force, and the schedule would
+        # never be called
+        gains = RegulationGains(Kp=np.eye(2), Kd=np.eye(2), sigma=1.5)
+        with pytest.raises(ValueError, match="^give a controller or a force_schedule, not both$"):
+            Scenario(system=pendulum(), q0=np.array([0.0, -1.0]), qdot0=np.zeros(2),
+                     horizon=0.1, dt=0.01, force_schedule=lambda t, q, qd: np.zeros(2),
+                     controller=SetpointRegulator(np.array([0.0, -1.0]), gains))
+
+    def test_rejects_a_force_schedule_that_is_not_callable(self):
+        with pytest.raises(ValueError, match=r"^force_schedule must be callable .* got \[1\.0, 0\.0\]$"):
+            Scenario(system=pendulum(), q0=np.array([0.0, -1.0]), qdot0=np.zeros(2),
+                     horizon=0.1, dt=0.01, force_schedule=[1.0, 0.0])
+
+    @pytest.mark.parametrize("force", [np.array([1.0]), 1.0], ids=["length-1", "scalar"])
+    def test_rejects_a_force_of_another_shape_where_it_enters(self, force):
+        # neither broadcasts over the coordinates nor fails after the run:
+        # the first state's force, at t = 0, is rejected
+        calls = []
+        scenario = Scenario(system=switching_particle(), q0=np.zeros(2),
+                            qdot0=np.array([1.0, 0.5]), horizon=0.1, dt=0.01,
+                            initial_active=(),
+                            force_schedule=lambda t, q, qd: calls.append(t) or force)
+        with pytest.raises(ValueError, match=r"^force_schedule returned shape \(1?,?\) at "
+                                             r"t = 0; a force has shape \(2,\)$"):
+            run(scenario)
+        assert calls == [0.0]
+
 
 class TestEvents:
     def scenario(self, **kw):

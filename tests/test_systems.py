@@ -12,7 +12,7 @@ from projdyn import (AdmissibilityError, assemble, build_projectors, catalog,
                      project_to_constraints, redundant_pendulum, self_test, slider_crank,
                      switching_particle)
 from projdyn.loader import regulator
-from test_engine import LOADED_SLIDER_CRANK
+from test_engine import LOADED_SLIDER_CRANK, _case
 
 
 class TestCatalog:
@@ -201,6 +201,12 @@ PENDULUM_SPEC = {
 }
 
 
+# q2^3: A keeps q2^2, which numpy's array ** would round unlike pow()
+CUBIC_SPEC = {"name": "cubic", "n": 3, "mass": {"diag": [1, 2, 3]},
+              "constraints": [{"terms": [{"coeff": 2, "powers": [1, 1, 0]},
+                                         {"coeff": -1, "powers": [0, 0, 3]}]}]}
+
+
 def _first_term(**fields):
     """PENDULUM_SPEC's constraints with fields set in the first term."""
     terms = PENDULUM_SPEC["constraints"][0]["terms"]
@@ -258,13 +264,8 @@ class TestLoader:
         np.testing.assert_allclose(system.constraint_rate(q, qd), Afd,
                                    atol=1e-7)
 
-    @pytest.mark.parametrize("spec", [
-        PENDULUM_SPEC, LOADED_SLIDER_CRANK,
-        # q2^3: A keeps q2^2, which numpy's array ** would round unlike pow()
-        {"n": 3, "mass": {"diag": [1, 2, 3]},
-         "constraints": [{"terms": [{"coeff": 2, "powers": [1, 1, 0]},
-                                    {"coeff": -1, "powers": [0, 0, 3]}]}]},
-    ], ids=["pendulum", "slider-crank", "cubic"])
+    @pytest.mark.parametrize("spec", [PENDULUM_SPEC, LOADED_SLIDER_CRANK, CUBIC_SPEC],
+                             ids=["pendulum", "slider-crank", "cubic"])
     def test_compiled_polynomials_have_the_term_by_term_bits(self, spec):
         system = load_system(spec)
         Phi, A, Adot = term_by_term(spec)
@@ -340,6 +341,13 @@ class TestLoader:
         with pytest.raises(ValueError, match=message):
             load_system(json.dumps(dict(PENDULUM_SPEC, **change)))
 
+    def test_input_map_defaults_to_the_identity(self):
+        system = load_system(PENDULUM_SPEC)
+        B = system.plant(np.array([1.0, 0.0]), np.zeros(2)).B
+        assert B.tobytes() == np.eye(2).tobytes() and B.shape == (2, 2)
+        explicit = load_system(dict(PENDULUM_SPEC, input_map=[[1, 0], [0, 1]]))
+        assert explicit.plant(np.array([1.0, 0.0]), np.zeros(2)).B.tobytes() == B.tobytes()
+
     def test_input_map_column_is_accepted(self):
         system = load_system(dict(PENDULUM_SPEC, input_map=[1, 0]))
         assert system.plant(np.array([1.0, 0.0]), np.zeros(2)).k == 1
@@ -352,3 +360,38 @@ class TestLoader:
         assert not model.admissible
         with pytest.raises(AdmissibilityError, match="rank\\(P B\\) = 0"):
             model.Gamma
+
+
+STACKED = catalog() + [slider_crank().with_active((0, 1)), load_system(LOADED_SLIDER_CRANK),
+                       load_system(CUBIC_SPEC), _case("state-dependent-plant").system]
+
+
+@pytest.mark.parametrize("system", STACKED,
+                         ids=[*(s.name for s in catalog()), "slider-crank-released",
+                              "loaded-slider-crank", "cubic", "state-dependent-plant"])
+def test_a_stack_has_the_bits_of_its_members(system):
+    """system.jacobian and system.plant of a stack (N, n) equal N one-state
+    calls bit for bit; a plant every member shares is a stack of one."""
+    rng = np.random.default_rng(24)
+    Q, Qd = rng.standard_normal((2, 7, system.n))
+    jac, plant = system.jacobian(Q, Qd), system.plant(Q, Qd)
+    shared = system.plant(Q[0], Qd[0]) is system.plant(Q[1], Qd[1])
+    assert len(plant.M) == (1 if shared else 7)
+    assert plant.f_g.shape == (len(plant.M), system.n, 1)
+    for i, (q, qd) in enumerate(zip(Q, Qd)):
+        one, alone = system.jacobian(q, qd), system.plant(q, qd)
+        assert jac.A[i].tobytes() == one.A.tobytes()
+        assert jac.Adot[i].tobytes() == one.Adot.tobytes()
+        j = 0 if shared else i
+        for got, want in ((plant.M, alone.M), (plant.C, alone.C), (plant.B, alone.B),
+                          (plant.f_g[..., 0], alone.f_g)):
+            assert got[j].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("qdot_shape", [(5, 2), (7, 3), (2,), (1, 7, 2)])
+def test_a_stack_with_mismatched_states_is_rejected(qdot_shape):
+    # zip would silently truncate the longer stack
+    system, Q = pendulum(), np.zeros((7, 2))
+    for method in (system.jacobian, system.plant):
+        with pytest.raises(ValueError, match=r"^a stack's q \(7, 2\) and qdot "):
+            method(Q, np.zeros(qdot_shape))
