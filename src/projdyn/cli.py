@@ -163,10 +163,6 @@ def cmd_analyze(args) -> int:
     plant = system.plant(q0, qd0)
     lam, nonzero = pmp_eigenvalues(plant, proj)
     lam = lam[nonzero]
-    if lam.size == 0:
-        print("P = 0 at this state: no admissible direction, cond(Mbar) = 1 "
-              "for every mu")
-        return 0
     lo, hi = float(lam[0]), float(lam[-1])
     print(f"system: {system.name}  rank(A) = {proj.rank}  dof = {system.n - proj.rank}")
     print(f"nonzero eigenvalues of P M P: {np.array2string(lam, precision=6)}")

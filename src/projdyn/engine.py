@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 from numbers import Real
 
 import numpy as np
@@ -208,14 +207,6 @@ class _Eval:
             t, q, qdot, proj, plant, drift)
 
 
-@lru_cache(maxsize=64)
-def _unforced(n, k):
-    """The (f, u) of an unforced state: read-only zeros, built once per shape."""
-    f, u = np.zeros(n), np.zeros(k)
-    f.flags.writeable = u.flags.writeable = False
-    return f, u
-
-
 class _Runner:
     """One simulation run; owns the phase state: the system with the
     phase's active rows (MechanicalSystem.with_active) and mu."""
@@ -262,7 +253,7 @@ class _Runner:
         if (c := sc.controller) is not None:
             f, u = control_force(ev.q, ev.qdot, c.q_star, c.gains, model)
         else:
-            f, u = _unforced(self.system.n, ev.plant.k)
+            f, u = np.zeros(self.system.n), np.zeros(ev.plant.k)
             if sc.force_schedule is not None:
                 f = np.asarray(sc.force_schedule(ev.t, ev.q, ev.qdot), dtype=float)
                 if f.shape != (n := self.system.n,):

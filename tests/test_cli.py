@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from projdyn import assemble, build_projectors, catalog, forces, get_system, pendulum
+from projdyn import Scenario, assemble, build_projectors, catalog, forces, get_system, pendulum
 from projdyn.cli import main
+from test_engine import LOADED_SLIDER_CRANK
 
 
 def read_csv(path):
@@ -394,6 +395,49 @@ class TestSimulate:
         records = [json.loads(l) for l in out.read_text().splitlines()]
         assert len(records) == 11 and "energy" in records[0]
 
+    def test_jsonl_keys_are_the_trace_layout(self, tmp_path):
+        # written out here, not read from TRACE_KEYS, which to_jsonl builds
+        # the keys from
+        out = tmp_path / "trace.jsonl"
+        assert main(["simulate", "--system", "switching-particle", "--horizon", "0.1",
+                     "--dt", "0.01", "--out", str(out), "--format", "jsonl"]) == 0
+        first = json.loads(out.read_text().splitlines()[0])
+        assert list(first) == ["t", "q", "qdot", "qdd", "f", "u", "f_c", "kinetic",
+                               "potential", "energy", "lyapunov", "rank", "cond_mbar",
+                               "drift"]
+
+    @pytest.mark.parametrize("system", catalog(), ids=lambda s: s.name)
+    def test_every_catalog_system_runs_from_its_flags(self, system):
+        assert main(["simulate", "--system", system.name, "--horizon", "0.5",
+                     "--dt", "0.01"]) == 0
+
+    def test_scenario_file_switch_is_logged(self, tmp_path, capsys):
+        # the crank starts with its slider row released and recaptures it,
+        # so the switch raises the rank from 2 to 3
+        spec = {"system": "slider-crank", "q0": [1, 0, 2, 0], "horizon": 0.5, "dt": 0.01,
+                "initial_active": [0, 1], "events": [[0.2, [0, 1, 2]]]}
+        path = tmp_path / "topology.json"
+        path.write_text(json.dumps(spec))
+        assert main(["simulate", "--scenario-file", str(path)]) == 0
+        assert "event t=0.2: rank 2 -> 3" in capsys.readouterr().out
+
+    def test_scenario_file_inline_system_runs(self, tmp_path, capsys):
+        # its A and Adot are compiled from the file's polynomials
+        spec = {"system": LOADED_SLIDER_CRANK, "q0": [1, 0, 2, 0], "horizon": 0.5, "dt": 0.01}
+        path = tmp_path / "crank.json"
+        path.write_text(json.dumps(spec))
+        assert main(["simulate", "--scenario-file", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "system: loaded-slider-crank" in out and "steps: 50 " in out
+
+    def test_drift_beyond_tolerance_exits_1(self, monkeypatch, capsys):
+        # a domain failure of the run, not a usage error
+        monkeypatch.setattr(Scenario, "drift_tol", -1.0)
+        assert main(["simulate", "--system", "pendulum", "--horizon", "0.1",
+                     "--dt", "0.01"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: step 1: velocity drift") and "Traceback" not in err
+
     def test_default_event_beyond_horizon_is_dropped(self, capsys):
         # the catalog's capture at t = 1 s is a default, not a request
         rc = main(["simulate", "--system", "switching-particle",
@@ -573,3 +617,17 @@ class TestUsage:
             main([command, "--system", "pendulum", "--rank-tol", "1e-8"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --rank-tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--system", "pendulum", "--target", "1,x"],
+         "--target must be a list of numbers"),
+        (["simulate", "--system", "pendulum", "--target", "1"],
+         "--target must have 2 components, got 1"),
+        (["analyze", "--system", "slider-crank", "--state", "0,1"],
+         "--state must have 4 components, got 2"),
+    ], ids=["text-target", "short-target", "short-state"])
+    def test_malformed_vector_flag_is_usage_error(self, capsys, argv, message):
+        # rejected before any run or analysis starts
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err

@@ -32,6 +32,19 @@ class TestProjectToConstraints:
         with pytest.raises(InconsistentStateError):
             project_to_constraints(np.zeros(2), pendulum())
 
+    def test_needs_a_position_residual(self):
+        with pytest.raises(ValueError, match="provides no position residual"):
+            project_to_constraints(np.zeros(2), switching_particle())
+
+    def test_last_step_is_tested_after_the_loop(self):
+        # |Phi| is 1e-3, then 9.990e-07, then 2.5e-13: the second step lands
+        # on the circle and only the test after the loop sees it
+        q = project_to_constraints(np.array([0.0, -1.001]), pendulum(), max_iter=2)
+        np.testing.assert_allclose(q, [0.0, -1.0], atol=1e-10)
+        with pytest.raises(InconsistentStateError,
+                           match=r"^retraction stalled with \|Phi\| = 9\.990e-07$"):
+            project_to_constraints(np.array([0.0, -1.001]), pendulum(), max_iter=1)
+
 
 class TestIntegration:
     def test_free_particle_is_exact(self):
@@ -168,6 +181,16 @@ class TestValidation:
                 np.errstate(invalid="ignore"):
             run(scenario)
         assert excinfo.value.last_state is not None
+
+    def test_drift_beyond_tolerance_stops_the_run(self, monkeypatch):
+        # no drift passes a negative tolerance, so the first step's end stops
+        monkeypatch.setattr(Scenario, "drift_tol", -1.0)
+        scenario = Scenario(system=pendulum(), q0=np.array([0.0, -1.0]), qdot0=np.zeros(2),
+                            horizon=0.1, dt=0.01)
+        with pytest.raises(DivergenceError,
+                           match=r"^step 1: velocity drift .* exceeds tolerance$") as excinfo:
+            run(scenario)
+        assert excinfo.value.last_state.t == 0.01
 
     def test_rejects_a_force_schedule_beside_a_controller(self):
         # the regulator's law would set every force, and the schedule would

@@ -29,6 +29,13 @@ class TestCatalog:
         report = self_test(system, samples=60, rng=np.random.default_rng(1))
         assert report["passed"], report
 
+    def test_self_test_without_rng_is_reproducible(self):
+        assert self_test(double_pendulum(), samples=3) == self_test(double_pendulum(), samples=3)
+
+    def test_self_test_needs_a_state_sampler(self):
+        with pytest.raises(ValueError, match="has no state sampler"):
+            self_test(load_system(LOADED_SLIDER_CRANK))
+
     @pytest.mark.parametrize("system", catalog(), ids=lambda s: s.name)
     def test_constant_plant_parts_are_shared_and_read_only(self, system):
         rng = np.random.default_rng(2)
