@@ -9,9 +9,13 @@ PlantMatrices, one QR for the stack of random masses, and one evaluation of
 the stack.  A catalog system gives a stack's A, Adot and plant through its
 own jacobian and plant.  Each member has the bits it would have alone.  Only
 the oblique check's candidate test runs per state, since it decides what is
-drawn next.  The worst residual keeps NaN, so a non-finite residual fails its
-check.  The optional fault injection flips a sign in Cbar before the
-skew-symmetry check, to prove the harness actually rejects a broken model.
+drawn next.  The pdot check's reference is the Richardson extrapolation
+(4 D(h/2) - D(h)) / 3 of central differences D of P (Hairer, Norsett &
+Wanner, Solving ODEs I, II.9), whose O(h^4) error, unlike D's O(h^2), stays
+within tolerance near a rank drop.  The worst residual keeps NaN, so a
+non-finite residual fails its check.  The optional fault injection flips a
+sign in Cbar before the skew-symmetry check, to prove the harness actually
+rejects a broken model.
 """
 
 from __future__ import annotations
@@ -93,6 +97,14 @@ def check_projector_algebra(rng):
     return "projector-algebra", _worst(residuals), 1e-10
 
 
+def _central_difference(jac_at, t, h):
+    """(P(t + h) - P(t - h)) / 2h along jac_at's path, whose ConstraintJacobian
+    is one state or a stack."""
+    plus = build_projectors(jac_at(t + h))
+    minus = build_projectors(jac_at(t - h))
+    return (plus.P - minus.P) / (2.0 * h)
+
+
 def pdot_fd_check(jac_at, t: float, h: float) -> float:
     """Residual between the closed-form Pdot and a central finite difference.
 
@@ -102,25 +114,25 @@ def pdot_fd_check(jac_at, t: float, h: float) -> float:
     """
     if not 0.0 < h < np.inf:
         raise ValueError(f"step h must be positive and finite, got {h!r}")
-    plus = build_projectors(jac_at(t + h))
-    minus = build_projectors(jac_at(t - h))
-    center = build_projectors(jac_at(t))
-    fd = (plus.P - minus.P) / (2.0 * h)
-    return float(np.linalg.norm(fd - center.Pdot))
+    fd = _central_difference(jac_at, t, h)
+    return float(np.linalg.norm(fd - build_projectors(jac_at(t)).Pdot))
 
 
 def check_pdot_finite_difference(rng):
-    residuals = []
+    draws = []
     for _ in range(20):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, n))
-        A0, A1, A2 = (rng.standard_normal((m, n)) for _ in range(3))
-
+        draws.append(tuple(rng.standard_normal((3, m, n))))    # A0, A1, A2
+    residuals = []
+    for A0, A1, A2 in _groups(draws):
         def jac_at(t):
-            return ConstraintJacobian(A=A0 + t * A1 + np.sin(t) * A2,
-                                      Adot=A1 + np.cos(t) * A2)
+            return ConstraintJacobian(A0 + t * A1 + np.sin(t) * A2, A1 + np.cos(t) * A2)
 
-        residuals.append(pdot_fd_check(jac_at, 0.3, 1e-4))
+        h = 1e-4
+        fd = (4.0 * _central_difference(jac_at, 0.3, h / 2)
+              - _central_difference(jac_at, 0.3, h)) / 3.0
+        residuals.append(_norms(fd - build_projectors(jac_at(0.3)).Pdot))
     return "pdot-finite-difference", _worst(residuals), 1e-5
 
 

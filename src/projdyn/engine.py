@@ -10,8 +10,15 @@ Each state of a run is evaluated once, where it is made, after its phase's
 mu is chosen, in the order projectors, plant, model, force, q'': an RK4
 stage, a step's end state at its grid time, a post-switch state and a run's
 or step()'s start state alike.  Each part goes through the public entry
-points (system.jacobian, build_projectors, assemble, forces.acceleration,
-control_force); an RK4 step takes 4 SVDs and 4 solves (8 when regulated).
+points (system.plant, assemble, forces.acceleration, control_force).  So do
+the projectors of an RK4 stage and of step()'s start (system.jacobian,
+build_projectors), but not those of a run's start, a step's end or a
+post-capture state: _Runner._projected reads the phase system's constraint
+and constraint_rate fields and builds them through configuration_projectors
+and with_adot, so one SVD of A serves the velocity before and after its
+projection.  A step without a switch thus calls system.jacobian 3 times, for
+its inner stages, and evaluates A and Adot 4 times each.  An RK4 step takes
+4 SVDs and 4 solves (8 when regulated).
 """
 
 from __future__ import annotations

@@ -203,7 +203,9 @@ def build_projectors(jac: ConstraintJacobian) -> ProjectorBundle:
 
 def with_adot(proj: ProjectorBundle, Adot) -> ProjectorBundle:
     """The bundle of the same A (same q) with another Adot (another velocity),
-    checked finite: only Lambda and Omega are rebuilt, from the stored
-    pinv(A)."""
-    return ProjectorBundle(proj.P, proj.Q, *_rates(proj.A_pinv, _checked(Adot)), proj.rank,
-                           proj.A_pinv)
+    checked finite and of A's shape: only Lambda and Omega are rebuilt, from
+    the stored pinv(A)."""
+    Adot = _checked(Adot)
+    if Adot.shape != (shape := proj.A_pinv.swapaxes(-1, -2).shape):
+        raise ValueError(f"A {shape} and Adot {Adot.shape} differ in shape")
+    return ProjectorBundle(proj.P, proj.Q, *_rates(proj.A_pinv, Adot), proj.rank, proj.A_pinv)

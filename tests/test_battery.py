@@ -1,6 +1,8 @@
 """The invariant battery behind `projdyn check`: its inputs are built once
 per shape with each member's own bits, and its arguments are checked."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,9 @@ def test_an_unknown_fault_is_rejected():
 def test_linalg_cost_of_a_run(monkeypatch):
     """One run at seed 0 takes one QR per shape group of random masses (the
     spectrum law's and the oblique check's groups, 55 in all, against 250
-    masses drawn), at most 494 SVDs, and one lstsq per catalog state of the
-    oracle check (5 systems x 60)."""
+    masses drawn), at most 479 SVDs (the pdot check's five per shape group of
+    paths among them), and one lstsq per catalog state of the oracle check
+    (5 systems x 60)."""
     calls = {"qr": [], "svd": [], "lstsq": []}
     for name, seen in calls.items():
         original = getattr(np.linalg, name)
@@ -34,10 +37,24 @@ def test_linalg_cost_of_a_run(monkeypatch):
     monkeypatch.setattr(battery, "_groups",
                         lambda draws: groups.append(len(stacks := by_shape(draws))) or stacks)
     run_battery(seed=0)
-    _, spectrum, oblique = groups            # projector algebra draws no masses
+    _, _, spectrum, oblique = groups         # projector algebra and pdot draw no masses
     assert len(calls["qr"]) == spectrum + oblique == 55
     assert all(len(shape) == 3 for shape in calls["qr"])        # every QR is a stack
-    assert len(calls["svd"]) <= 494 and len(calls["lstsq"]) == 300
+    assert len(calls["svd"]) <= 479 and len(calls["lstsq"]) == 300
+
+
+def test_the_pdot_check_evaluates_stacks(monkeypatch):
+    """The pdot check evaluates its 20 paths as one stack per shape group at
+    each of its five points, t, t +- h and t +- h/2: no one-state
+    build_projectors call."""
+    shapes = []
+    original = battery.build_projectors
+    monkeypatch.setattr(battery, "build_projectors",
+                        lambda jac: shapes.append(jac.A.shape) or original(jac))
+    battery.check_pdot_finite_difference(np.random.default_rng(0))
+    assert all(len(shape) == 3 for shape in shapes)
+    per_group = Counter(shapes)
+    assert set(per_group.values()) == {5} and sum(shape[0] for shape in per_group) == 20
 
 
 def test_system_evaluations_of_a_run(monkeypatch):

@@ -515,9 +515,10 @@ class TestSimulate:
 
 
 class TestCheck:
-    def test_battery_passes(self, tmp_path, capsys):
+    @pytest.mark.parametrize("seed", range(20))
+    def test_battery_passes(self, seed, tmp_path, capsys):
         report_path = tmp_path / "report.json"
-        rc = main(["check", "--seed", "0", "--report", str(report_path)])
+        rc = main(["check", "--seed", str(seed), "--report", str(report_path)])
         assert rc == 0
         text = capsys.readouterr().out
         assert "FAIL" not in text

@@ -1,6 +1,7 @@
 """Projector construction: examples, Moore-Penrose oracle, rate identities."""
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -345,6 +346,20 @@ def test_a_nonfinite_part_raises_on_every_route(part):
     with pytest.raises(NonFiniteInputError):
         run(Scenario(system=system, q0=q, qdot0=qdot, horizon=0.02, dt=0.01,
                      controller=SetpointRegulator(np.array([0.0, -1.0]), gains)))
+
+
+@pytest.mark.parametrize("A_shape, Adot_shape", [((3, 2, 4), (2, 4)), ((2, 4), (3, 4)),
+                                                  ((2, 4), (2, 5))],
+                         ids=["one-for-a-stack", "more-rows", "more-columns"])
+def test_with_adot_rejects_an_adot_of_another_shape(A_shape, Adot_shape):
+    """An Adot must have its bundle's A shape, as in ConstraintJacobian: one
+    Adot is not broadcast to every member of a stack, and a wrong row or
+    column count is named, not left to numpy's matmul or broadcast error."""
+    rng = np.random.default_rng(27)
+    proj = configuration_projectors(rng.standard_normal(A_shape))
+    message = f"A {A_shape} and Adot {Adot_shape} differ in shape"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with_adot(proj, rng.standard_normal(Adot_shape))
 
 
 def test_projector_algebra_holds_on_every_seed():
