@@ -1,6 +1,7 @@
 """Projection-operator modeling, simulation and control of constrained
 mechanical systems in dependent coordinates."""
 
+from .battery import self_test
 from .control import (RegulationGains, SetpointRegulator, control_force,
                       lyapunov_value)
 from .engine import (GeneralizedState, Scenario, SimulationTrace,
@@ -16,7 +17,6 @@ from .loader import load_scenario, load_system
 from .model import (ConstrainedModel, PlantMatrices, assemble, kinetic_energy,
                     optimal_mu)
 from .systems import (MechanicalSystem, catalog, double_pendulum, get_system,
-                      pendulum, redundant_pendulum, self_test, slider_crank,
-                      switching_particle)
+                      pendulum, redundant_pendulum, slider_crank, switching_particle)
 
 __version__ = "0.1.0"

@@ -1,21 +1,24 @@
-"""Invariant battery behind `projdyn check`.
+"""Invariant checks: the battery behind `projdyn check`, and self_test.
 
-Each check returns (name, max_residual, tolerance); the battery passes when
-every residual is within its tolerance.  All randomness flows from one seed,
-so reports are reproducible.  A check first draws its random inputs as plain
-arrays, one state at a time and in a fixed order, and then builds them once
-per shape: one stacked ConstraintJacobian (which validates every member), one
-PlantMatrices, one QR for the stack of random masses, and one evaluation of
-the stack.  A catalog system gives a stack's A, Adot and plant through its
-own jacobian and plant.  Each member has the bits it would have alone.  Only
-the oblique check's candidate test runs per state, since it decides what is
-drawn next.  The pdot check's reference is the Richardson extrapolation
-(4 D(h/2) - D(h)) / 3 of central differences D of P (Hairer, Norsett &
-Wanner, Solving ODEs I, II.9), whose O(h^4) error, unlike D's O(h^2), stays
-within tolerance near a rank drop.  The worst residual keeps NaN, so a
-non-finite residual fails its check.  The optional fault injection flips a
-sign in Cbar before the skew-symmetry check, to prove the harness actually
-rejects a broken model.
+Each battery check returns (name, max_residual, tolerance); the battery
+passes when every residual is within its tolerance.  All randomness flows
+from one seed, so reports are reproducible.  A check first draws its random
+inputs as plain arrays, one state at a time and in a fixed order, and then
+builds them once per shape: one stacked ConstraintJacobian (which validates
+every member), one PlantMatrices, one QR for the stack of random masses, and
+one evaluation of the stack.  A system gives a stack's A, Adot and plant
+through its own jacobian and plant; so does self_test's one stack of a
+system's sampled states.  Each member has the bits it would have alone.
+Only the oblique check's candidate test runs per state, since it decides
+what is drawn next.  Every derivative check takes _central_difference: of P
+along a path (the pdot checks), of Mbar along q' (the skew check) and of M
+and A along q' (self_test).  The pdot check's reference is the Richardson
+extrapolation (4 D(h/2) - D(h)) / 3 of central differences D of P (Hairer,
+Norsett & Wanner, Solving ODEs I, II.9), whose O(h^4) error, unlike D's
+O(h^2), stays within tolerance near a rank drop.  The worst residual keeps
+NaN, so a non-finite residual fails its check.  The optional fault
+injection flips a sign in Cbar before the skew-symmetry check, to prove the
+harness actually rejects a broken model.
 """
 
 from __future__ import annotations
@@ -97,12 +100,9 @@ def check_projector_algebra(rng):
     return "projector-algebra", _worst(residuals), 1e-10
 
 
-def _central_difference(jac_at, t, h):
-    """(P(t + h) - P(t - h)) / 2h along jac_at's path, whose ConstraintJacobian
-    is one state or a stack."""
-    plus = build_projectors(jac_at(t + h))
-    minus = build_projectors(jac_at(t - h))
-    return (plus.P - minus.P) / (2.0 * h)
+def _central_difference(f, t, h):
+    """(f(t + h) - f(t - h)) / 2h, for f of one state or of a stack."""
+    return (f(t + h) - f(t - h)) / (2.0 * h)
 
 
 def pdot_fd_check(jac_at, t: float, h: float) -> float:
@@ -114,7 +114,7 @@ def pdot_fd_check(jac_at, t: float, h: float) -> float:
     """
     if not 0.0 < h < np.inf:
         raise ValueError(f"step h must be positive and finite, got {h!r}")
-    fd = _central_difference(jac_at, t, h)
+    fd = _central_difference(lambda s: build_projectors(jac_at(s)).P, t, h)
     return float(np.linalg.norm(fd - build_projectors(jac_at(t)).Pdot))
 
 
@@ -129,16 +129,15 @@ def check_pdot_finite_difference(rng):
         def jac_at(t):
             return ConstraintJacobian(A0 + t * A1 + np.sin(t) * A2, A1 + np.cos(t) * A2)
 
-        h = 1e-4
-        fd = (4.0 * _central_difference(jac_at, 0.3, h / 2)
-              - _central_difference(jac_at, 0.3, h)) / 3.0
+        h, P_at = 1e-4, lambda t: build_projectors(jac_at(t)).P
+        fd = (4.0 * _central_difference(P_at, 0.3, h / 2)
+              - _central_difference(P_at, 0.3, h)) / 3.0
         residuals.append(_norms(fd - build_projectors(jac_at(0.3)).Pdot))
     return "pdot-finite-difference", _worst(residuals), 1e-5
 
 
 def check_skew_symmetry(rng, fault=None):
     residuals = []
-    h = 1e-5
     # non-unit masses and mu != eig(M) keep Mbar genuinely state-dependent,
     # so a sign error in Cbar cannot hide behind a constant Mbar
     for system in (pendulum(mass_val=1.3), double_pendulum(m1=1.2, m2=0.7)):
@@ -151,9 +150,34 @@ def check_skew_symmetry(rng, fault=None):
         if fault == "cbar-sign":
             Cbar = -Cbar
         # first-order state transport is enough for an O(h^2) quotient
-        X = (model_at(q + h * qd).Mbar - model_at(q - h * qd).Mbar) / (2 * h) - 2.0 * Cbar
+        X = _central_difference(lambda t: model_at(q + t * qd).Mbar, 0.0, 1e-5) - 2.0 * Cbar
         residuals.append(_norms(X + X.swapaxes(-1, -2)))
     return "mbar-rate-skew-symmetry", _worst(residuals), 1e-6
+
+
+def self_test(system, samples=100, rng=None) -> dict:
+    """Verify the structural invariants of a system at samples random
+    reachable states, evaluated as one stack: M symmetric and positive
+    definite, dM/dt - 2C skew, and the analytic Adot against a central
+    difference of A along the velocity.  Report-only; returns the worst
+    violations."""
+    if type(samples) is bool or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be a positive int, got {samples!r}")
+    rng = np.random.default_rng(0) if rng is None else rng
+    if system.sample_state is None:
+        raise ValueError(f"system {system.name!r} has no state sampler")
+    q, qd = map(np.stack, zip(*(system.sample_state(rng) for _ in range(samples))))
+    plant, h = system.plant(q, qd), 1e-5
+    M, Mt = plant.M, plant.M.swapaxes(-1, -2)
+    X = _central_difference(lambda t: system.plant(q + t * qd, qd).M, 0.0, h) - 2.0 * plant.C
+    Afd = _central_difference(lambda t: system.jacobian(q + t * qd, qd).A, 0.0, h)
+    report = {"M_asym": _worst([_norms(M - Mt)]),
+              "M_min_eig": float(np.min(np.linalg.eigvalsh(0.5 * (M + Mt))[:, 0])),
+              "skew": _worst([_norms(X + X.swapaxes(-1, -2))]),
+              "Adot_fd": _worst([_norms(system.jacobian(q, qd).Adot - Afd)])}
+    report["passed"] = (report["M_asym"] <= 1e-12 and report["M_min_eig"] > 0.0
+                        and report["skew"] <= 1e-6 and report["Adot_fd"] <= 1e-6)
+    return report
 
 
 def check_spectrum_law(rng):

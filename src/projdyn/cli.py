@@ -143,6 +143,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     report = battery.run_battery(seed=args.seed, fault=args.inject_fault)
     for c in report["checks"]:
         status = "PASS" if c["passed"] else "FAIL"

@@ -249,36 +249,3 @@ def get_system(name: str) -> MechanicalSystem:
             return sys_
     raise KeyError(f"unknown system {name!r}; known: "
                    + ", ".join(s.name for s in catalog()))
-
-
-def self_test(system: MechanicalSystem, samples=100, rng=None) -> dict:
-    """Verify the structural invariants of a system at random reachable states.
-
-    Checks M symmetry and positive definiteness, skew-symmetry of
-    (dM/dt - 2C), and the analytic Adot against a finite difference of A
-    along the velocity.  Report-only; returns the worst violations.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if system.sample_state is None:
-        raise ValueError(f"system {system.name!r} has no state sampler")
-    worst = {"M_asym": 0.0, "M_min_eig": np.inf, "skew": 0.0, "Adot_fd": 0.0}
-    fd_step = 1e-5
-    for _ in range(samples):
-        q, qd = system.sample_state(rng)
-        plant = system.plant(q, qd)
-        M, C = plant.M, plant.C
-        worst["M_asym"] = max(worst["M_asym"], float(np.linalg.norm(M - M.T)))
-        worst["M_min_eig"] = min(worst["M_min_eig"],
-                                 float(np.linalg.eigvalsh(0.5 * (M + M.T))[0]))
-        Mdot = (system.plant(q + fd_step * qd, qd).M
-                - system.plant(q - fd_step * qd, qd).M) / (2 * fd_step)
-        X = Mdot - 2.0 * C
-        worst["skew"] = max(worst["skew"], float(np.linalg.norm(X + X.T)))
-        jac = system.jacobian(q, qd)
-        Afd = (np.atleast_2d(system.constraint(q + fd_step * qd))
-               - np.atleast_2d(system.constraint(q - fd_step * qd))) / (2 * fd_step)
-        worst["Adot_fd"] = max(worst["Adot_fd"], float(np.linalg.norm(jac.Adot - Afd)))
-    worst["passed"] = (worst["M_asym"] <= 1e-12 and worst["M_min_eig"] > 0.0
-                       and worst["skew"] <= 1e-6 and worst["Adot_fd"] <= 1e-6)
-    return worst

@@ -1,14 +1,17 @@
-"""The invariant battery behind `projdyn check`: its inputs are built once
-per shape with each member's own bits, and its arguments are checked."""
+"""The invariant checks, the battery behind `projdyn check` and self_test:
+their inputs are built once per shape with each member's own bits, and
+their arguments are checked."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from projdyn import battery
-from projdyn.battery import run_battery
-from projdyn.systems import MechanicalSystem
+import projdyn
+from projdyn import PlantMatrices, battery, double_pendulum, pendulum, systems
+from projdyn.battery import run_battery, self_test
+from projdyn.systems import GRAVITY, MechanicalSystem
 
 
 def test_an_unknown_fault_is_rejected():
@@ -57,20 +60,65 @@ def test_the_pdot_check_evaluates_stacks(monkeypatch):
     assert set(per_group.values()) == {5} and sum(shape[0] for shape in per_group) == 20
 
 
-def test_system_evaluations_of_a_run(monkeypatch):
-    """A catalog system's stack goes through its own jacobian and plant: two
-    stacks per catalog system (the oracle and the route checks) and three
-    per skew-symmetry system, 16 calls of each, every one on a 2-D stack."""
+def _system_calls(monkeypatch):
+    """The shapes of q at each MechanicalSystem.jacobian and .plant call, by
+    method name, filled in as the calls are made."""
     calls = {"jacobian": [], "plant": []}
     for name, seen in calls.items():
         original = getattr(MechanicalSystem, name)
 
         def counted(system, q, qdot, _seen=seen, _fn=original):
-            _seen.append(np.ndim(q))
+            _seen.append(np.shape(q))
             return _fn(system, q, qdot)
         monkeypatch.setattr(MechanicalSystem, name, counted)
+    return calls
+
+
+def test_system_evaluations_of_a_run(monkeypatch):
+    """A catalog system's stack goes through its own jacobian and plant: two
+    stacks per catalog system (the oracle and the route checks) and three
+    per skew-symmetry system, 16 calls of each, every one on a 2-D stack."""
+    calls = _system_calls(monkeypatch)
     run_battery(seed=0)
-    assert calls == {"jacobian": [2] * 16, "plant": [2] * 16}
+    assert {name: [len(shape) for shape in shapes] for name, shapes in calls.items()} == {
+        "jacobian": [2] * 16, "plant": [2] * 16}
+
+
+def test_self_test_lives_in_the_battery():
+    assert projdyn.self_test is self_test and not hasattr(systems, "self_test")
+
+
+def test_self_test_evaluates_one_stack(monkeypatch):
+    """self_test evaluates its samples as one (N, n) stack at q and q +- h qd:
+    three jacobian and three plant calls, whatever the sample count."""
+    calls = _system_calls(monkeypatch)
+    assert self_test(double_pendulum(), samples=7, rng=np.random.default_rng(4))["passed"]
+    assert calls == {"jacobian": [(7, 4)] * 3, "plant": [(7, 4)] * 3}
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_self_test_needs_a_sample(samples):
+    """A run that checks no state is an error, not a pass."""
+    with pytest.raises(ValueError, match="samples must be a positive int"):
+        self_test(pendulum(), samples=samples)
+
+
+@pytest.mark.parametrize("coriolis, passed", [(0.5, True), (0.0, False)])
+def test_self_test_sees_mdot(coriolis, passed):
+    """A pendulum with M = (1 + 0.5 x^2) I, so Mdot = x xdot I is not zero,
+    and C = coriolis x xdot I.  At coriolis 0.5, Mdot - 2C = 0 and the
+    report passes (skew measured at 4.3e-11); at 0 it fails (2.70).  Every
+    catalog plant has Mdot = 0 and C = 0, so this is the test that sees
+    self_test drop either term of Mdot - 2C."""
+    def plant_at(q, qdot):
+        return PlantMatrices(M=(1.0 + 0.5 * q[0] ** 2) * np.eye(2),
+                             C=coriolis * q[0] * qdot[0] * np.eye(2),
+                             f_g=[0.0, -GRAVITY], B=np.eye(2))
+
+    system = dataclasses.replace(pendulum(), plant_at=plant_at)
+    report = self_test(system, samples=60, rng=np.random.default_rng(1))
+    assert report["passed"] is passed
+    assert report["skew"] < 1e-9 if passed else report["skew"] > 1.0
 
 
 def test_stacked_qr_and_mass_keep_each_members_bits():

@@ -1,10 +1,15 @@
 """Command-line frontend: exit codes, outputs, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import projdyn
 from projdyn import Scenario, assemble, build_projectors, catalog, forces, get_system, pendulum
 from projdyn.cli import main
 from test_engine import LOADED_SLIDER_CRANK
@@ -544,6 +549,11 @@ class TestCheck:
             assert np.isnan(checks[name]["max_residual"]) and not checks[name]["passed"]
         assert checks["projector-algebra"]["passed"]
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        # named as the flag, not as numpy's default_rng argument
+        assert main(["check", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+
     def test_seed_reproducible(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["check", "--seed", "3", "--report", str(a)]) == 0
@@ -632,3 +642,16 @@ class TestUsage:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    def test_module_entry_point_exits_with_mains_code(self):
+        """python -m projdyn.cli exits with main's return code: 0 for a passing
+        battery, 1 for a detected fault, 2 for a usage error."""
+        # the child imports the projdyn under test, installed or from a checkout
+        path = [str(pathlib.Path(projdyn.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        for argv, code in [(["check", "--seed", "0"], 0),
+                           (["check", "--seed", "0", "--inject-fault", "cbar-sign"], 1),
+                           (["simulate"], 2)]:
+            done = subprocess.run([sys.executable, "-m", "projdyn.cli", *argv],
+                                  capture_output=True, text=True, env=env)
+            assert done.returncode == code, (argv, done.stderr)
