@@ -18,7 +18,8 @@ and constraint_rate fields and builds them through configuration_projectors
 and with_adot, so one SVD of A serves the velocity before and after its
 projection.  A step without a switch thus calls system.jacobian 3 times, for
 its inner stages, and evaluates A and Adot 4 times each.  An RK4 step takes
-4 SVDs and 4 solves (8 when regulated).
+4 SVDs and 4 solves; a regulated one takes 4 more SVDs, of P B, unless the
+input map is the identity, where Gamma is P.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ class NonFiniteInputError(ProjdynError):
 
 
 class AdmissibilityError(ProjdynError):
-    """range(P B) does not span the admissible velocity space."""
+    """range(P B) is not the admissible velocity space: rank(P B) != rank(P)."""
 
 
 class InvalidTargetError(ProjdynError):

@@ -102,14 +102,19 @@ class ConstrainedModel:
 
     @_lazy
     def _pb_pinv(self):
-        """(pinv(P B), rank(P B)) from one truncated SVD, cut like rank(A); unlike
-        (B^T P B)^{-1} B^T P it stays the minimum-norm map under redundant
+        """(pinv(P B), rank(P B)).  For B = I (at every member of a stack) that is
+        (P, n - rank(A)): P is its own pseudo-inverse, and the kernel's rank the
+        one rank decision.  Any other B takes one truncated SVD, cut like rank(A);
+        unlike (B^T P B)^{-1} B^T P it stays the minimum-norm map under redundant
         actuation.  At rank(A) = n, P B = 0: rank 0 = n - n, so Gamma = 0."""
-        return pseudo_inverse(self.proj.P @ self.plant.B)   # P is finite: this checks B
+        P, B, n = self.proj.P, self.plant.B, self.proj.n
+        if B.shape[-2:] == (n, n) and (B == _identity(n)).all():
+            return P, n - self.proj.rank
+        return pseudo_inverse(P @ B)   # P is finite: this checks B
 
     @_lazy
     def admissible(self) -> bool:
-        """True iff range(P B) spans the admissible space null(A)."""
+        """True iff range(P B) is null(A): rank(P B) = rank(P) = n - rank(A)."""
         return self._pb_pinv[1] == self.proj.n - self.proj.rank
 
     @_lazy
@@ -118,9 +123,12 @@ class ConstrainedModel:
         P B u = f_par.  Raises AdmissibilityError unless admissible (at every
         member of a stack)."""
         if not _every(self.admissible):
-            raise AdmissibilityError(
-                "range(P B) does not span null(A): rank(P B) = "
-                f"{self._pb_pinv[1]} < rank(P) = {self.proj.n - self.proj.rank}")
+            r, want = self._pb_pinv[1], self.proj.n - self.proj.rank
+            if _every(r <= want):
+                raise AdmissibilityError("range(P B) does not span null(A): "
+                                         f"rank(P B) = {r} < rank(P) = {want}")
+            raise AdmissibilityError(f"rank(P B) = {r} > rank(P) = {want}: round-off in P, "
+                                     "with A near a rank drop, exceeds the rank cutoff")
         return self._pb_pinv[0]
 
     @_lazy

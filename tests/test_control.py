@@ -5,7 +5,8 @@ import pytest
 
 from projdyn import (RANK_TOL, AdmissibilityError, ConstraintJacobian, PlantMatrices,
                      RegulationGains, Scenario, SetpointRegulator, assemble,
-                     build_projectors, control_force, lyapunov_value, pendulum, run)
+                     build_projectors, control_force, lyapunov_value, pendulum, run,
+                     slider_crank)
 from projdyn.control import EPS_V, fallback_direction, velocity_direction
 
 
@@ -201,3 +202,18 @@ class TestLyapunov:
         e1 = np.linalg.norm(trace.q[-1] - q_star)
         assert e1 < 0.5 * e0
         assert trace.lyapunov[-1] < 0.2 * trace.lyapunov[0]
+
+    @pytest.mark.parametrize("short", [1e-6, 1e-7])
+    def test_fully_actuated_crank_leaves_its_fold(self, short):
+        # from rest 1e-6 and 1e-7 rad short of the fold (0, 1, 0, 0), where
+        # round-off in P once made rank(P B) exceed rank(P) and the run raise
+        th = np.pi / 2 - short
+        x1, y1 = np.cos(th), np.sin(th)   # placed as slider_crank's sample_state places it
+        q0 = np.array([x1, y1, x1 + np.sqrt(1.0 - y1 ** 2), 0.0])
+        q_star = np.array([np.cos(1.2), np.sin(1.2), 2 * np.cos(1.2), 0.0])
+        gains = RegulationGains(Kp=10 * np.eye(4), Kd=10 * np.eye(4), sigma=1.5)
+        trace = run(Scenario(system=slider_crank(), q0=q0, qdot0=np.zeros(4),
+                             horizon=2.0, dt=5e-3,
+                             controller=SetpointRegulator(q_star, gains)))
+        assert trace.t[-1] == pytest.approx(2.0)
+        assert np.diff(trace.lyapunov).max() <= 0.0

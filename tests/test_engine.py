@@ -509,16 +509,24 @@ def _per_step_linalg_calls(monkeypatch, scenario):
 
 
 def test_per_step_linalg_cost(monkeypatch):
-    """4 state evaluations per RK4 step, one SVD per A and one per P B.  No
-    step takes a spectrum: a run takes two, optimal_mu's of P M P and the
-    recorded states' Mbar for cond_mbar, as one stack."""
+    """4 state evaluations per RK4 step, one SVD per A, and one per P B
+    unless the input map is the identity, where Gamma is P.  No step takes a
+    spectrum: a run takes two, optimal_mu's of P M P and the recorded states'
+    Mbar for cond_mbar, as one stack."""
     free = Scenario(system=pendulum(), q0=np.array([1.0, 0.0]), qdot0=np.zeros(2),
                     horizon=0.05, dt=5e-3)
     (svd, solve, eig), eig_runs = _per_step_linalg_calls(monkeypatch, free)
     assert svd <= 4 and solve <= 4 and eig == 0 and eig_runs == [2, 2]
-    (svd, solve, eig), eig_runs = _per_step_linalg_calls(monkeypatch,
-                                                         _case("regulated-pendulum"))
-    assert svd <= 8 and solve <= 4 and eig == 0 and eig_runs == [2, 2]
+    regulated = _case("regulated-pendulum")
+    (svd, solve, eig), eig_runs = _per_step_linalg_calls(monkeypatch, regulated)
+    assert svd <= 4 and solve <= 4 and eig == 0 and eig_runs == [2, 2]
+    # any other input map, here 2 I, still takes the SVD of P B at each state
+    plant_at = regulated.system.plant_at
+    doubled = dataclasses.replace(regulated.system, plant_at=lambda q, qdot: dataclasses.replace(
+        plant_at(q, qdot), B=2.0 * np.eye(2)))
+    (svd, solve, eig), eig_runs = _per_step_linalg_calls(
+        monkeypatch, dataclasses.replace(regulated, system=doubled))
+    assert svd == 8 and solve <= 4 and eig == 0 and eig_runs == [2, 2]
 
 
 def test_a_switch_at_a_grid_time_costs_one_svd(monkeypatch):

@@ -1,6 +1,8 @@
 """Force resolution: oblique projectors, actuation, accelerations, reactions,
 DAE oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,24 @@ class TestAdmissibility:
         assert not model.admissible
         with pytest.raises(AdmissibilityError, match=r"rank\(P B\) = 0 < rank\(P\) = 1"):
             model.Gamma
+
+    @pytest.mark.parametrize("short", [1e-6, 1e-7])
+    def test_round_off_above_rank_p_is_not_called_a_deficit(self, short):
+        # 1e-6 and 1e-7 rad short of the crank's fold, round-off in P lifts
+        # rank(P B) of B = 2 I above rank(P); B = I reads the kernel's rank
+        th = np.pi / 2 - short
+        x1, y1 = np.cos(th), np.sin(th)   # placed as slider_crank's sample_state places it
+        q, qd = np.array([x1, y1, x1 + np.sqrt(1.0 - y1 ** 2), 0.0]), np.zeros(4)
+        crank = slider_crank()
+        proj = build_projectors(crank.jacobian(q, qd))
+        plant = crank.plant(q, qd)
+        assert assemble(plant, proj, 1.0).admissible
+        model = assemble(dataclasses.replace(plant, B=2 * np.eye(4)), proj, 1.0)
+        assert not model.admissible
+        with pytest.raises(AdmissibilityError, match=r"^rank\(P B\) = [23] > rank\(P\) = 1: "
+                                                     r".*round-off in P") as err:
+            model.Gamma
+        assert "does not span" not in str(err.value)
 
     def test_gamma_raises_when_inadmissible(self):
         model = pendulum_model(np.array([[0.0], [1.0]]))

@@ -1,5 +1,7 @@
 """Non-minimal model assembly: spectrum law, virtual-mass selection, invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -226,16 +228,22 @@ def test_lazy_pdot_and_cbar_equal_the_eager_formulas():
         spectrum = np.linalg.eigvalsh(model.Mbar)
         np.testing.assert_array_equal(model.spectrum, spectrum)
         assert model.cond == spectrum[-1] / spectrum[0]
+        # B = I: Gamma is P, so 0 at rank(A) = n, where there is nothing to actuate
+        assert model.admissible
+        np.testing.assert_array_equal(model.Gamma, P)
+        np.testing.assert_array_equal(model.R, plant.B @ P)
+        # any other B: Gamma is pinv(P B) from the same state
+        doubled = assemble(dataclasses.replace(plant, B=2 * np.eye(n)), proj, mu)
         if proj.rank < n:
-            Gamma, rank_pb = pseudo_inverse(P @ plant.B)
-            assert model.admissible and rank_pb == n - proj.rank
-            np.testing.assert_array_equal(model.Gamma, Gamma)
-            np.testing.assert_array_equal(model.R, plant.B @ model.Gamma)
+            Gamma, rank_pb = pseudo_inverse(P @ doubled.plant.B)
+            assert doubled.admissible and rank_pb == n - proj.rank
+            np.testing.assert_array_equal(doubled.Gamma, Gamma)
+            np.testing.assert_array_equal(doubled.R, doubled.plant.B @ doubled.Gamma)
         else:
             # rank(A) = n: P B is round-off and there is nothing to actuate
-            assert model.admissible
-            np.testing.assert_array_equal(model.Gamma, np.zeros((n, n)))
-            np.testing.assert_array_equal(model.R, np.zeros((n, n)))
+            assert doubled.admissible
+            np.testing.assert_array_equal(doubled.Gamma, np.zeros((n, n)))
+            np.testing.assert_array_equal(doubled.R, np.zeros((n, n)))
 
 
 def test_cond_of_a_stack_with_two_batch_axes():
@@ -265,7 +273,8 @@ def test_cond_of_a_stack_with_two_batch_axes():
 
 
 def test_admissible_and_the_actuation_maps_share_one_svd(monkeypatch):
-    """model.admissible, model.Gamma and model.R all come from one SVD of P B."""
+    """model.admissible, model.Gamma and model.R all come from one SVD of P B,
+    or from none where B = I."""
     rng = np.random.default_rng(12)
     n, m = 4, 2
     proj = build_projectors(ConstraintJacobian(A=rng.standard_normal((m, n)),
@@ -279,3 +288,9 @@ def test_admissible_and_the_actuation_maps_share_one_svd(monkeypatch):
     assert model.admissible
     assert model.Gamma.shape == (3, n) and model.R.shape == (n, n)
     assert len(calls) == 1
+    # the identity input map takes none: Gamma is P, and the rank is the kernel's
+    calls.clear()
+    model = assemble(dataclasses.replace(plant, B=np.eye(n)), proj, 1.0)
+    assert model.admissible
+    assert model.Gamma.tobytes() == proj.P.tobytes() and model.R.shape == (n, n)
+    assert model._pb_pinv[1] == n - proj.rank and calls == []
