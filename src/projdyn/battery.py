@@ -40,7 +40,7 @@ def _groups(draws):
     groups = {}
     for draw in draws:
         groups.setdefault(draw[0].shape, []).append(draw)
-    return [tuple(map(np.stack, zip(*group))) for group in groups.values()]
+    return [tuple(map(np.array, zip(*group))) for group in groups.values()]
 
 
 def _spd_draw(rng, n):
@@ -77,7 +77,7 @@ def _catalog_states(rng):
     velocity projected onto the constraints, and the model is at the optimal
     mu of each state."""
     for system in catalog():
-        q, qd, f = map(np.stack, zip(*((*system.sample_state(rng), rng.standard_normal(system.n))
+        q, qd, f = map(np.array, zip(*((*system.sample_state(rng), rng.standard_normal(system.n))
                                        for _ in range(60))))
         proj = build_projectors(jac := system.jacobian(q, qd))
         qd = proj.P @ qd[..., None]
@@ -141,7 +141,7 @@ def check_skew_symmetry(rng, fault=None):
     # non-unit masses and mu != eig(M) keep Mbar genuinely state-dependent,
     # so a sign error in Cbar cannot hide behind a constant Mbar
     for system in (pendulum(mass_val=1.3), double_pendulum(m1=1.2, m2=0.7)):
-        q, qd = map(np.stack, zip(*(system.sample_state(rng) for _ in range(40))))
+        q, qd = map(np.array, zip(*(system.sample_state(rng) for _ in range(40))))
 
         def model_at(qq):
             return assemble(system.plant(qq, qd), build_projectors(system.jacobian(qq, qd)), 2.0)
@@ -166,7 +166,7 @@ def self_test(system, samples=100, rng=None) -> dict:
     rng = np.random.default_rng(0) if rng is None else rng
     if system.sample_state is None:
         raise ValueError(f"system {system.name!r} has no state sampler")
-    q, qd = map(np.stack, zip(*(system.sample_state(rng) for _ in range(samples))))
+    q, qd = map(np.array, zip(*(system.sample_state(rng) for _ in range(samples))))
     plant, h = system.plant(q, qd), 1e-5
     M, Mt = plant.M, plant.M.swapaxes(-1, -2)
     X = _central_difference(lambda t: system.plant(q + t * qd, qd).M, 0.0, h) - 2.0 * plant.C

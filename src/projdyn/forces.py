@@ -99,6 +99,6 @@ def kkt_oracle(plant: PlantMatrices, jac, f, qdot):
     K[..., n:, :n] = A
     axis = -1 if qdot.ndim == 1 else -2     # a 1-D vector, or a stack's columns
     rhs = np.concatenate([f + plant.f_g - plant.C @ qdot, -Adot @ qdot], axis=axis)
-    sol = np.stack([np.linalg.lstsq(K_i, rhs_i, rcond=None)[0] for K_i, rhs_i
+    sol = np.array([np.linalg.lstsq(K_i, rhs_i, rcond=None)[0] for K_i, rhs_i
                     in zip(K.reshape(-1, n + m, n + m), rhs.reshape(-1, n + m, 1))])
     return tuple(np.split(sol.reshape(rhs.shape), [n], axis=axis))

@@ -53,7 +53,7 @@ class PlantMatrices:
         member shares, as every constant plant is, is a stack of one."""
         if all(p is plants[0] for p in plants):
             plants = plants[:1]
-        return cls(*map(np.stack, zip(*((p.M, p.C, p.f_g[:, None], p.B) for p in plants))))
+        return cls(*map(np.array, zip(*((p.M, p.C, p.f_g[:, None], p.B) for p in plants))))
 
 
 @dataclass(frozen=True)

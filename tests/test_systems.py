@@ -1,5 +1,6 @@
 """Built-in system catalog and the structured-definition loader."""
 
+import dataclasses
 import itertools
 import json
 import warnings
@@ -12,6 +13,7 @@ from projdyn import (AdmissibilityError, assemble, build_projectors, catalog,
                      project_to_constraints, redundant_pendulum, self_test, slider_crank,
                      switching_particle)
 from projdyn.loader import regulator
+from projdyn.model import PlantMatrices
 from test_engine import LOADED_SLIDER_CRANK, _case
 
 
@@ -402,3 +404,21 @@ def test_a_stack_with_mismatched_states_is_rejected(qdot_shape):
     for method in (system.jacobian, system.plant):
         with pytest.raises(ValueError, match=r"^a stack's q \(7, 2\) and qdot "):
             method(Q, np.zeros(qdot_shape))
+
+
+def test_a_stack_whose_members_differ_in_shape_is_rejected():
+    # members with one and two constraint rows cannot form one stack; only
+    # the type is asserted, since the message is numpy's, not projdyn's
+    base = pendulum()
+    system = dataclasses.replace(
+        base, constraint=lambda q: np.tile(base.constraint(q), (1 + (q[0] < 0), 1)),
+        constraint_rate=lambda q, qd: np.tile(base.constraint_rate(q, qd), (1 + (q[0] < 0), 1)))
+    Q = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    assert system.jacobian(Q[0], Q[0]).A.shape == (1, 2)
+    assert system.jacobian(Q[1], Q[1]).A.shape == (2, 2)
+    with pytest.raises(ValueError):
+        system.jacobian(Q, np.zeros_like(Q))
+    plants = [pendulum().plant(np.array([0.0, -1.0]), np.zeros(2)),
+              double_pendulum().plant(np.array([0.0, -1.0, 0.0, -2.0]), np.zeros(4))]
+    with pytest.raises(ValueError):
+        PlantMatrices.stack(plants)
