@@ -63,7 +63,7 @@ def fallback_direction(proj: ProjectorBundle) -> np.ndarray:
     return np.zeros(proj.n)
 
 
-def velocity_direction(qdot, spring, proj: ProjectorBundle) -> np.ndarray:
+def velocity_direction(qdot, e, Kp, proj: ProjectorBundle) -> np.ndarray:
     """eta = q'/|q'| above the EPS_V threshold, tapered as q'/EPS_V below it.
 
     The raw unit vector is discontinuous at q' = 0 and, interpreted by any
@@ -73,15 +73,15 @@ def velocity_direction(qdot, spring, proj: ProjectorBundle) -> np.ndarray:
     descent inequality (q'^T eta >= 0 still holds) while restoring smooth
     convergence.  The constant admissible direction of fallback_direction
     takes over only at the stalled rest points it exists to escape: at rest
-    with a spring force spring = Kp e != 0 but none in the motion space
-    (P Kp e = 0), where the tapered law would sit forever.  At rank(A) = n
-    there is no admissible direction to take and nothing to escape: P = 0,
-    Gamma = 0, and eta = 0.
+    with a spring force Kp e != 0 but none in the motion space (P Kp e = 0),
+    where the tapered law would sit forever.  Kp e is computed only at rest.
+    At rank(A) = n there is no admissible direction to take and nothing to
+    escape: P = 0, Gamma = 0, and eta = 0.
     """
     qdot = np.asarray(qdot, dtype=float)
-    spring = np.asarray(spring, dtype=float)
     speed = _norm(qdot)
     if speed <= 1e-15:
+        spring = Kp @ np.asarray(e, dtype=float)
         force = _norm(spring)
         if force > 0.0 and _norm(proj.P @ spring) <= 1e-9 * (1.0 + force):
             return fallback_direction(proj)
@@ -98,7 +98,7 @@ def control_force(q, qdot, q_star, gains: RegulationGains, model: ConstrainedMod
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
     e = q - np.asarray(q_star, dtype=float)
-    eta = velocity_direction(qdot, gains.Kp @ e, model.proj)
+    eta = velocity_direction(qdot, e, gains.Kp, model.proj)
     inner = model.plant.f_g + gains.Kp @ (e + gains.sigma * _norm(e) * eta) \
         + gains.Kd @ qdot
     u = -(model.Gamma @ inner)

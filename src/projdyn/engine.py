@@ -19,7 +19,9 @@ and with_adot, so one SVD of A serves the velocity before and after its
 projection.  A step without a switch thus calls system.jacobian 3 times, for
 its inner stages, and evaluates A and Adot 4 times each.  An RK4 step takes
 4 SVDs and 4 solves; a regulated one takes 4 more SVDs, of P B, unless the
-input map is the identity, where Gamma is P.
+input map is the identity, where Gamma is P.  That B is the identity is
+decided once per PlantMatrices, so once per run for a constant plant; an
+unforced state's zero force is built once per phase.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ import numpy as np
 from . import forces
 from .control import SetpointRegulator, control_force, lyapunov_value
 from .errors import DivergenceError, InconsistentStateError
-from .kernel import (_float_array, _norm, build_projectors, configuration_projectors,
-                     pseudo_inverse, with_adot)
+from .kernel import (_finite, _float_array, _norm, build_projectors,
+                     configuration_projectors, pseudo_inverse, with_adot)
 from .model import PlantMatrices, _condition, assemble, kinetic_energy, optimal_mu
 from .systems import MechanicalSystem
 
@@ -217,20 +219,25 @@ class _Eval:
 
 class _Runner:
     """One simulation run; owns the phase state: the system with the
-    phase's active rows (MechanicalSystem.with_active) and mu."""
+    phase's active rows (MechanicalSystem.with_active), mu and the zero
+    force of an unforced state."""
 
     def __init__(self, scenario: Scenario):
         self.sc = sc = scenario
         self.system = (sc.system if sc.initial_active is None
                        else sc.system.with_active(sc.initial_active))
-        self.mu_value = None
+        self.mu_value = self.unforced = None
 
     # --- model evaluation -------------------------------------------------
 
     def _start(self, ev):
-        """Begin a phase at ev: select mu on it, then evaluate ev; returns ev."""
+        """Begin a phase at ev: select mu on it and build the phase's read-only
+        zero force (f, u), then evaluate ev; returns ev."""
         self.mu_value = (optimal_mu(ev.plant, ev.proj)
                          if self.sc.mu == "auto" else float(self.sc.mu))
+        self.unforced = np.zeros(self.system.n), np.zeros(ev.plant.k)
+        for zero in self.unforced:
+            zero.flags.writeable = False
         return self._evaluate(ev)
 
     def _state(self, t, q, qdot):
@@ -254,14 +261,14 @@ class _Runner:
 
     def _evaluate(self, ev):
         """Evaluate ev's model at the current mu, then its force (f, u) (the
-        regulator's law or the force schedule at ev.t, else zero), then qdd;
-        returns ev."""
+        regulator's law or the force schedule at ev.t, else the phase's zero
+        force), then qdd; returns ev."""
         sc = self.sc
         ev.model = model = assemble(ev.plant, ev.proj, self.mu_value)
         if (c := sc.controller) is not None:
             f, u = control_force(ev.q, ev.qdot, c.q_star, c.gains, model)
         else:
-            f, u = np.zeros(self.system.n), np.zeros(ev.plant.k)
+            f, u = self.unforced
             if sc.force_schedule is not None:
                 f = np.asarray(sc.force_schedule(ev.t, ev.q, ev.qdot), dtype=float)
                 if f.shape != (n := self.system.n,):
@@ -283,7 +290,7 @@ class _Runner:
         s4 = evaluate(state(t + h, q + h * s3.qdot, qdot + h * s3.qdd))
         q_new = q + (h / 6.0) * (qdot + 2 * s2.qdot + 2 * s3.qdot + s4.qdot)
         v_new = qdot + (h / 6.0) * (ev.qdd + 2 * s2.qdd + 2 * s3.qdd + s4.qdd)
-        if not (np.isfinite(q_new).all() and np.isfinite(v_new).all()):
+        if not (_finite(q_new) and _finite(v_new)):
             raise DivergenceError("state became non-finite",
                                   last_state=GeneralizedState(t, q, qdot))
         return q_new, v_new

@@ -58,6 +58,11 @@ def _norm(v) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _finite(x) -> bool:
+    """np.isfinite(x).all() as one ufunc reduction, without the method's dispatch."""
+    return np.logical_and.reduce(np.isfinite(x), axis=None)
+
+
 def _float_array(x) -> np.ndarray:
     """x as a float array with at least two axes; a float ndarray that has
     them already is returned as it is, not converted again."""
@@ -78,10 +83,12 @@ class ConstraintJacobian:
         A, Adot = _float_array(self.A), _float_array(self.Adot)
         if A.shape != Adot.shape:
             raise ValueError(f"A {A.shape} and Adot {Adot.shape} differ in shape")
-        if not (np.isfinite(A).all() and np.isfinite(Adot).all()):
+        if not (_finite(A) and _finite(Adot)):
             raise NonFiniteInputError("constraint matrices must be finite")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "Adot", Adot)
+        if A is not self.A:
+            object.__setattr__(self, "A", A)
+        if Adot is not self.Adot:
+            object.__setattr__(self, "Adot", Adot)
 
 
 @dataclass(frozen=True)
@@ -132,7 +139,7 @@ def _identity(n: int) -> np.ndarray:   # built once per n, read-only
 def _checked(A) -> np.ndarray:
     """A as a float array (..., m, n), checked finite."""
     A = _float_array(A)
-    if not np.isfinite(A).all():
+    if not _finite(A):
         raise NonFiniteInputError("constraint and input matrices must be finite")
     return A
 

@@ -27,7 +27,9 @@ from .kernel import ProjectorBundle, _every, _identity, _lazy, _per_member, pseu
 class PlantMatrices:
     """Unconstrained plant at one state: M(q), C(q,q'), f_g(q), B(q); or
     stacks of them, with f_g a column (..., n, 1).  A 1-D B is read as one
-    column only for one state."""
+    column only for one state.  Its arrays must not be modified after
+    construction: what is decided from them, such as identity_input, is
+    decided once per object, which for a constant plant means once per run."""
 
     M: np.ndarray
     C: np.ndarray
@@ -46,6 +48,12 @@ class PlantMatrices:
     @property
     def k(self) -> int:
         return self.B.shape[-1]
+
+    @_lazy
+    def identity_input(self) -> bool:
+        """True iff B is exactly the n x n identity, at every member of a stack."""
+        n = self.M.shape[-1]
+        return self.B.shape[-2:] == (n, n) and bool((self.B == _identity(n)).all())
 
     @classmethod
     def stack(cls, plants) -> PlantMatrices:
@@ -102,15 +110,15 @@ class ConstrainedModel:
 
     @_lazy
     def _pb_pinv(self):
-        """(pinv(P B), rank(P B)).  For B = I (at every member of a stack) that is
+        """(pinv(P B), rank(P B)).  For B = I (plant.identity_input) that is
         (P, n - rank(A)): P is its own pseudo-inverse, and the kernel's rank the
         one rank decision.  Any other B takes one truncated SVD, cut like rank(A);
         unlike (B^T P B)^{-1} B^T P it stays the minimum-norm map under redundant
         actuation.  At rank(A) = n, P B = 0: rank 0 = n - n, so Gamma = 0."""
-        P, B, n = self.proj.P, self.plant.B, self.proj.n
-        if B.shape[-2:] == (n, n) and (B == _identity(n)).all():
-            return P, n - self.proj.rank
-        return pseudo_inverse(P @ B)   # P is finite: this checks B
+        proj = self.proj
+        if self.plant.identity_input:
+            return proj.P, proj.n - proj.rank
+        return pseudo_inverse(proj.P @ self.plant.B)   # P is finite: this checks B
 
     @_lazy
     def admissible(self) -> bool:
@@ -121,8 +129,8 @@ class ConstrainedModel:
     def Gamma(self) -> np.ndarray:
         """Gamma = pinv(P B): u = Gamma f_par is the smallest u with
         P B u = f_par.  Raises AdmissibilityError unless admissible (at every
-        member of a stack)."""
-        if not _every(self.admissible):
+        member of a stack), which B = I always is."""
+        if not (self.plant.identity_input or _every(self.admissible)):
             r, want = self._pb_pinv[1], self.proj.n - self.proj.rank
             if _every(r <= want):
                 raise AdmissibilityError("range(P B) does not span null(A): "

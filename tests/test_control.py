@@ -46,20 +46,20 @@ class TestVelocityDirection:
     def test_unit_above_threshold(self):
         proj = build_projectors(ConstraintJacobian(A=np.zeros((1, 2)),
                                                    Adot=np.zeros((1, 2))))
-        eta = velocity_direction(np.array([0.0, -2.0]), np.ones(2), proj)
+        eta = velocity_direction(np.array([0.0, -2.0]), np.ones(2), np.eye(2), proj)
         np.testing.assert_allclose(eta, [0.0, -1.0], atol=1e-14)
 
     def test_tapered_below_threshold(self):
         proj = build_projectors(ConstraintJacobian(A=np.zeros((1, 2)),
                                                    Adot=np.zeros((1, 2))))
         qd = np.array([0.1, 0.0])
-        eta = velocity_direction(qd, np.ones(2), proj)
+        eta = velocity_direction(qd, np.ones(2), np.eye(2), proj)
         np.testing.assert_allclose(eta, qd / EPS_V, atol=1e-14)
 
     def test_rest_with_reachable_error_gives_zero(self):
         proj = build_projectors(ConstraintJacobian(A=np.zeros((1, 2)),
                                                    Adot=np.zeros((1, 2))))
-        eta = velocity_direction(np.zeros(2), np.array([0.3, 0.0]), proj)
+        eta = velocity_direction(np.zeros(2), np.array([0.3, 0.0]), np.eye(2), proj)
         np.testing.assert_array_equal(eta, np.zeros(2))
 
     def test_stalled_rest_uses_fallback(self):
@@ -68,7 +68,7 @@ class TestVelocityDirection:
         q = np.array([0.0, -1.0])
         proj = build_projectors(ConstraintJacobian(A=2 * q[None, :],
                                                    Adot=np.zeros((1, 2))))
-        eta = velocity_direction(np.zeros(2), np.array([0.0, -2.0]), proj)
+        eta = velocity_direction(np.zeros(2), np.array([0.0, -2.0]), np.eye(2), proj)
         assert np.linalg.norm(eta) == pytest.approx(1.0)
         assert np.linalg.norm(proj.Q @ eta) < 1e-12
 

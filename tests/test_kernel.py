@@ -329,7 +329,9 @@ def test_a_nonfinite_part_raises_on_every_route(part):
     ConstraintJacobian, A at configuration_projectors, Adot at with_adot, the
     input map at P B.  A non-finite one raises NonFiniteInputError through
     build_projectors (or model.Gamma for the input map), through with_adot
-    and through a regulated run."""
+    and through a regulated run; so does one non-finite member of a stack,
+    through ConstraintJacobian, configuration_projectors and with_adot (or
+    model.Gamma)."""
     system = _nan_pendulum(part)
     q, qdot = np.array([1.0, 0.0]), np.array([0.0, 0.5])
     with pytest.raises(NonFiniteInputError):
@@ -346,6 +348,21 @@ def test_a_nonfinite_part_raises_on_every_route(part):
     with pytest.raises(NonFiniteInputError):
         run(Scenario(system=system, q0=q, qdot0=qdot, horizon=0.02, dt=0.01,
                      controller=SetpointRegulator(np.array([0.0, -1.0]), gains)))
+    # a stack of three states whose middle member alone is non-finite
+    Q, Qdot = np.array([[0.6, -0.8], q, [0.0, -1.0]]), np.array([[0.8, 0.6], qdot, [0.5, 0.0]])
+    jac = pendulum().jacobian(Q, Qdot)
+    if part == "B":
+        plants = [pendulum().plant(x, v) for x, v in zip(Q, Qdot)]
+        plants[1] = system.plant(q, qdot)
+        with pytest.raises(NonFiniteInputError):
+            assemble(PlantMatrices.stack(plants), build_projectors(jac), 1.0).Gamma
+        return
+    A, Adot = jac.A.copy(), jac.Adot.copy()
+    {"A": A, "Adot": Adot}[part][1] = np.nan
+    with pytest.raises(NonFiniteInputError):
+        ConstraintJacobian(A=A, Adot=Adot)
+    with pytest.raises(NonFiniteInputError):
+        with_adot(configuration_projectors(A), Adot)   # A fails first, else Adot
 
 
 @pytest.mark.parametrize("A_shape, Adot_shape", [((3, 2, 4), (2, 4)), ((2, 4), (3, 4)),

@@ -5,8 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from projdyn import (ConstraintJacobian, PlantMatrices, assemble, build_projectors,
-                     kinetic_energy, optimal_mu, pseudo_inverse)
+from projdyn import (ConstraintJacobian, PlantMatrices, RegulationGains, Scenario,
+                     SetpointRegulator, assemble, build_projectors, kinetic_energy,
+                     optimal_mu, pendulum, pseudo_inverse, run)
 from projdyn.model import pmp_eigenvalues
 
 
@@ -294,3 +295,39 @@ def test_admissible_and_the_actuation_maps_share_one_svd(monkeypatch):
     assert model.admissible
     assert model.Gamma.tobytes() == proj.P.tobytes() and model.R.shape == (n, n)
     assert model._pb_pinv[1] == n - proj.rank and calls == []
+
+
+def test_the_identity_decision_is_made_once_per_plant(monkeypatch):
+    """Whether B = I is decided once per PlantMatrices object: once in a
+    regulated pendulum run on the catalog's constant plant, and once per
+    state where plant_at builds a new plant per state, here with B = 2 I,
+    whose states still take the SVD of P B: 8 SVDs per step."""
+    decided = []
+    decide = PlantMatrices.identity_input.fn
+    monkeypatch.setattr(PlantMatrices.identity_input, "fn",
+                        lambda plant: decided.append(plant) or decide(plant))
+    system = pendulum()
+    gains = RegulationGains(Kp=10 * np.eye(2), Kd=10 * np.eye(2), sigma=1.5)
+    regulated = Scenario(system=system, q0=np.array([1.0, 0.0]), qdot0=np.zeros(2),
+                         horizon=0.1, dt=0.01,
+                         controller=SetpointRegulator(np.array([0.0, -1.0]), gains))
+    run(regulated)
+    assert len(decided) == 1 and decided[0] is system.plant_at(None, None)
+    plants, svds = [], []
+
+    def doubled(q, qdot):
+        plants.append(dataclasses.replace(system.plant_at(q, qdot), B=2.0 * np.eye(2)))
+        return plants[-1]
+
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.append(1) or svd(*a, **kw))
+    counts = []
+    for steps in (10, 20):
+        for calls in (decided, plants, svds):
+            calls.clear()
+        run(dataclasses.replace(regulated, system=dataclasses.replace(system, plant_at=doubled),
+                                horizon=steps * regulated.dt))
+        assert len(decided) == len(plants) == 4 * steps + 1
+        assert all(d is p for d, p in zip(decided, plants))
+        counts.append(len(svds))
+    assert counts[1] - counts[0] == 8 * 10
