@@ -1,6 +1,9 @@
 """Setpoint regulation of the dependent coordinates.
 
-Control law:  f = -R(q) ( f_g(q) + Kp (e + sigma |e| eta) + Kd q' )
+A run's controller is a law (t, q, qdot, model) -> (f, u), called at each
+evaluated state with its ConstrainedModel; a method lyapunov(t, q, qdot, Mbar)
+of the law fills the trace's lyapunov column from the stack of recorded rows.
+SetpointRegulator is one:  f = -R(q) ( f_g(q) + Kp (e + sigma |e| eta) + Kd q' )
 with e = q - q*, eta the unit vector along q' (tapered below the speed
 EPS_V; the first nonzero column of P, normalized, at a stalled rest point),
 and R = B Gamma the oblique projector of the state's ConstrainedModel.
@@ -126,3 +129,11 @@ class SetpointRegulator:
 
     def __post_init__(self):
         object.__setattr__(self, "q_star", np.asarray(self.q_star, dtype=float))
+
+    def __call__(self, t, q, qdot, model):
+        """The law at the state of model: control_force's (f, u)."""
+        return control_force(q, qdot, self.q_star, self.gains, model)
+
+    def lyapunov(self, t, q, qdot, Mbar):
+        """lyapunov_value of one state or a stack of them, with their Mbar."""
+        return lyapunov_value(q, qdot, self.q_star, self.gains, Mbar)

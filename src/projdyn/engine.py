@@ -9,9 +9,9 @@ component is removed by the new P); matrix dimensions never change.
 Each state of a run is evaluated once, where it is made, after its phase's
 mu is chosen, in the order projectors, plant, model, force, q'': an RK4
 stage, a step's end state at its grid time, a post-switch state and a run's
-or step()'s start state alike.  Each part goes through the public entry
-points (system.plant, assemble, forces.acceleration, control_force).  So do
-the projectors of an RK4 stage and of step()'s start (system.jacobian,
+or step()'s start state alike.  Each part goes through a public entry point
+(system.plant, assemble, the scenario's controller law, forces.acceleration).
+So do the projectors of an RK4 stage and of step()'s start (system.jacobian,
 build_projectors), but not those of a run's start, a step's end or a
 post-capture state: _Runner._projected reads the phase system's constraint
 and constraint_rate fields and builds them through configuration_projectors
@@ -34,7 +34,7 @@ from numbers import Real
 import numpy as np
 
 from . import forces
-from .control import SetpointRegulator, control_force, lyapunov_value
+from .control import SetpointRegulator
 from .errors import DivergenceError, InconsistentStateError
 from .kernel import (_finite, _float_array, _norm, build_projectors,
                      configuration_projectors, pseudo_inverse, with_adot)
@@ -74,8 +74,7 @@ class Scenario:
     horizon: float
     dt: float
     mu: object = "auto"                  # "auto" (geometric mean) or a positive float
-    controller: SetpointRegulator | None = None
-    force_schedule: object = None        # callable (t, q, qdot) -> f, shape (n,); no controller
+    controller: object = None            # a law (t, q, qdot, model) -> (f, u); None: unforced
     events: tuple = ()                   # ((time, active-row-tuple), ...)
     initial_active: tuple | None = None  # None = all rows active
     drift_tol = 1e-12                    # |A qdot| <= drift_tol (1 + |qdot|); not a field
@@ -87,15 +86,13 @@ class Scenario:
                 raise ValueError(f"{name} must have shape ({self.system.n},) and finite "
                                  f"entries, got {v!r}")
         n, c = self.system.n, self.controller
-        if c is not None and not (c.q_star.shape == (n,) and np.isfinite(c.q_star).all()
-                                  and c.gains.Kp.shape == c.gains.Kd.shape == (n, n)):
+        if not (c is None or callable(c)):
+            raise ValueError(f"controller must be a law (t, q, qdot, model) -> (f, u), got {c!r}")
+        if isinstance(c, SetpointRegulator) and not (
+                c.q_star.shape == (n,) and np.isfinite(c.q_star).all()
+                and c.gains.Kp.shape == c.gains.Kd.shape == (n, n)):
             raise ValueError(f"controller must regulate {n} coordinates: a finite q_star "
                              f"of shape ({n},) and Kp, Kd of shape ({n}, {n})")
-        if (fs := self.force_schedule) is not None:
-            if not callable(fs):
-                raise ValueError(f"force_schedule must be callable (t, q, qdot) -> f, got {fs!r}")
-            if c is not None:
-                raise ValueError("give a controller or a force_schedule, not both")
         for name in ("dt", "horizon"):
             if not _positive_finite(v := getattr(self, name)):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
@@ -261,19 +258,17 @@ class _Runner:
 
     def _evaluate(self, ev):
         """Evaluate ev's model at the current mu, then its force (f, u) (the
-        regulator's law or the force schedule at ev.t, else the phase's zero
+        controller law at (ev.t, ev.q, ev.qdot, model), else the phase's zero
         force), then qdd; returns ev."""
-        sc = self.sc
         ev.model = model = assemble(ev.plant, ev.proj, self.mu_value)
-        if (c := sc.controller) is not None:
-            f, u = control_force(ev.q, ev.qdot, c.q_star, c.gains, model)
-        else:
+        if (law := self.sc.controller) is None:
             f, u = self.unforced
-            if sc.force_schedule is not None:
-                f = np.asarray(sc.force_schedule(ev.t, ev.q, ev.qdot), dtype=float)
-                if f.shape != (n := self.system.n,):
-                    raise ValueError(f"force_schedule returned shape {f.shape} at t = {ev.t:g}; "
-                                     f"a force has shape ({n},)")
+        else:
+            f, u = law(ev.t, ev.q, ev.qdot, model)
+            f, u = np.asarray(f, dtype=float), np.asarray(u, dtype=float)
+            if (f.shape, u.shape) != ((n := self.system.n,), (k := ev.plant.k,)):
+                raise ValueError(f"controller returned f of shape {f.shape} and u of shape "
+                                 f"{u.shape} at t = {ev.t:g}; f has shape ({n},), u ({k},)")
         ev.force = f, u
         ev.qdd = forces.acceleration(model, f, ev.qdot)
         return ev
@@ -406,8 +401,8 @@ def _pack(records, logs, sc: Scenario) -> SimulationTrace:
     trace.potential = (np.array([float(potential(x)) for x in trace.q]) if potential
                        else np.zeros(len(trace.t)))
     trace.energy = trace.kinetic + trace.potential
-    c = sc.controller
-    trace.lyapunov = (lyapunov_value(q, qdot, c.q_star, c.gains, Mbar) if c is not None
+    lyapunov = getattr(sc.controller, "lyapunov", None)
+    trace.lyapunov = (lyapunov(trace.t, q, qdot, Mbar) if lyapunov is not None
                       else np.full(len(trace.t), np.nan))
     trace.cond_mbar = _condition(np.linalg.eigvalsh(Mbar))
     return trace

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from projdyn import control
 from projdyn import (RANK_TOL, AdmissibilityError, ConstraintJacobian, PlantMatrices,
                      RegulationGains, Scenario, SetpointRegulator, assemble,
                      build_projectors, control_force, lyapunov_value, pendulum, run,
@@ -217,3 +218,18 @@ class TestLyapunov:
                              controller=SetpointRegulator(q_star, gains)))
         assert trace.t[-1] == pytest.approx(2.0)
         assert np.diff(trace.lyapunov).max() <= 0.0
+
+
+def test_the_regulator_calls_control_force_by_its_module_name(monkeypatch):
+    """perfbench's tracer counts the law's evaluations by replacing
+    projdyn.control.control_force; a regulator that bound the function
+    elsewhere would hide them.  One step calls it 5 times: the start state,
+    3 inner stages and the end state."""
+    calls, original = [], control.control_force
+    monkeypatch.setattr(control, "control_force",
+                        lambda *args: calls.append(1) or original(*args))
+    gains = RegulationGains(Kp=10 * np.eye(2), Kd=10 * np.eye(2), sigma=1.5)
+    run(Scenario(system=pendulum(), q0=np.array([0.0, -1.0]), qdot0=np.zeros(2),
+                 horizon=0.01, dt=0.01,
+                 controller=SetpointRegulator(np.array([np.sin(1.0), -np.cos(1.0)]), gains)))
+    assert len(calls) == 5

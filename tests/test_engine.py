@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from projdyn import engine
 from projdyn import (ConstrainedModel, DivergenceError, GeneralizedState,
                      InconsistentStateError, PlantMatrices, ProjectorBundle, RegulationGains,
                      Scenario, SetpointRegulator, acceleration,
-                     assemble, build_projectors, constraint_force, control_force,
-                     double_pendulum, kinetic_energy, load_system, lyapunov_value,
+                     assemble, build_projectors, constraint_force,
+                     double_pendulum, kinetic_energy, load_system,
                      optimal_mu, pendulum, project_to_constraints, redundant_pendulum, run,
                      slider_crank, step, switching_particle)
 from projdyn.systems import GRAVITY
@@ -172,11 +173,11 @@ class TestValidation:
                          horizon=1.0, dt=1e-3, controller=SetpointRegulator(q_star, gains))
 
     def test_divergence_reports_last_state(self):
-        blowup = lambda t, q, qd: np.array([np.inf, np.inf])
+        blowup = lambda t, q, qd, m: (np.array([np.inf, np.inf]), np.zeros(m.plant.k))
         scenario = Scenario(system=switching_particle(), q0=np.zeros(2),
                             qdot0=np.zeros(2), horizon=1.0, dt=0.1,
                             initial_active=(), events=(),
-                            force_schedule=blowup)
+                            controller=blowup)
         with pytest.raises(DivergenceError) as excinfo, \
                 np.errstate(invalid="ignore"):
             run(scenario)
@@ -192,31 +193,26 @@ class TestValidation:
             run(scenario)
         assert excinfo.value.last_state.t == 0.01
 
-    def test_rejects_a_force_schedule_beside_a_controller(self):
-        # the regulator's law would set every force, and the schedule would
-        # never be called
-        gains = RegulationGains(Kp=np.eye(2), Kd=np.eye(2), sigma=1.5)
-        with pytest.raises(ValueError, match="^give a controller or a force_schedule, not both$"):
+    def test_rejects_a_controller_that_is_not_callable(self):
+        with pytest.raises(ValueError, match=r"^controller must be a law .* got \[1\.0, 0\.0\]$"):
             Scenario(system=pendulum(), q0=np.array([0.0, -1.0]), qdot0=np.zeros(2),
-                     horizon=0.1, dt=0.01, force_schedule=lambda t, q, qd: np.zeros(2),
-                     controller=SetpointRegulator(np.array([0.0, -1.0]), gains))
+                     horizon=0.1, dt=0.01, controller=[1.0, 0.0])
 
-    def test_rejects_a_force_schedule_that_is_not_callable(self):
-        with pytest.raises(ValueError, match=r"^force_schedule must be callable .* got \[1\.0, 0\.0\]$"):
-            Scenario(system=pendulum(), q0=np.array([0.0, -1.0]), qdot0=np.zeros(2),
-                     horizon=0.1, dt=0.01, force_schedule=[1.0, 0.0])
-
-    @pytest.mark.parametrize("force", [np.array([1.0]), 1.0], ids=["length-1", "scalar"])
+    @pytest.mark.parametrize("force", [
+        (np.array([1.0]), np.zeros(2)), (1.0, np.zeros(2)), (np.zeros(2), np.zeros(3))],
+        ids=["length-1", "scalar", "u-of-length-3"])
     def test_rejects_a_force_of_another_shape_where_it_enters(self, force):
-        # neither broadcasts over the coordinates nor fails after the run:
-        # the first state's force, at t = 0, is rejected
+        # neither f nor u broadcasts or fails after the run: the first
+        # state's force, at t = 0, is rejected
         calls = []
         scenario = Scenario(system=switching_particle(), q0=np.zeros(2),
                             qdot0=np.array([1.0, 0.5]), horizon=0.1, dt=0.01,
                             initial_active=(),
-                            force_schedule=lambda t, q, qd: calls.append(t) or force)
-        with pytest.raises(ValueError, match=r"^force_schedule returned shape \(1?,?\) at "
-                                             r"t = 0; a force has shape \(2,\)$"):
+                            controller=lambda t, q, qd, m: calls.append(t) or force)
+        f_shape, u_shape = (np.shape(x) for x in force)
+        with pytest.raises(ValueError, match=re.escape(
+                f"controller returned f of shape {f_shape} and u of shape {u_shape} at "
+                "t = 0; f has shape (2,), u (2,)")):
             run(scenario)
         assert calls == [0.0]
 
@@ -294,7 +290,7 @@ class TestEvents:
         # stays at its analytic value at the event time
         te = 0.9995
         trace = run(self.scenario(horizon=1.2, events=((te, (0,)),),
-                                  force_schedule=push))
+                                  controller=pushed))
         y_e = 0.5 * te - te ** 2 / 2 - te ** 3 / 6
         np.testing.assert_allclose(trace.q[trace.t > te, 1], y_e, rtol=0, atol=1e-12)
 
@@ -377,6 +373,11 @@ def push(t, q, qdot):
     return np.array([0.5 * t, -1.0 - t])
 
 
+def pushed(t, q, qdot, model):
+    """push as an open-loop law: it reads no model, and its actuators rest."""
+    return push(t, q, qdot), np.zeros(model.plant.k)
+
+
 def _case(name):
     rng = np.random.default_rng(3)
     if name == "free-double-pendulum":
@@ -393,7 +394,7 @@ def _case(name):
         return Scenario(system=switching_particle(), q0=np.zeros(2),
                         qdot0=np.array([1.0, 0.5]), horizon=1.2, dt=1e-3,
                         initial_active=(), events=((0.9995, (0,)),),
-                        force_schedule=push)
+                        controller=pushed)
     if name == "redundant-pendulum":
         return Scenario(system=redundant_pendulum(),
                         q0=np.array([np.sin(0.4), -np.cos(0.4)]),
@@ -421,7 +422,7 @@ def test_record_equals_a_fresh_evaluation(name):
     go stale across steps, events or the choice of mu."""
     sc = _case(name)
     trace = run(sc)
-    system, reg = sc.system, sc.controller
+    system, law = sc.system, sc.controller
     mu = None
     for i, t in enumerate(trace.t):
         active = sc.initial_active
@@ -437,12 +438,9 @@ def test_record_equals_a_fresh_evaluation(name):
         mu = optimal_mu(plant, proj) if mu is None else mu
         model = assemble(plant, proj, mu)
         f, u = np.zeros(system.n), np.zeros(plant.k)
-        V = np.nan
-        if reg is not None:
-            f, u = control_force(q, qdot, reg.q_star, reg.gains, model)
-            V = lyapunov_value(q, qdot, reg.q_star, reg.gains, model.Mbar)
-        elif sc.force_schedule is not None:
-            f = sc.force_schedule(t, q, qdot)
+        if law is not None:
+            f, u = law(t, q, qdot, model)
+        V = law.lyapunov(t, q, qdot, model.Mbar) if hasattr(law, "lyapunov") else np.nan
         ke = kinetic_energy(plant.M, qdot)
         pe = float(system.potential(q)) if system.potential else 0.0
         assert (trace.kinetic[i], trace.potential[i], trace.energy[i]) == (ke, pe, ke + pe)
@@ -452,6 +450,28 @@ def test_record_equals_a_fresh_evaluation(name):
         np.testing.assert_array_equal(trace.u[i], u)
         assert trace.cond_mbar[i] == model.cond
         np.testing.assert_array_equal(trace.lyapunov[i], V)
+
+
+def test_a_law_reads_its_state_model():
+    """A law sees the model the engine built for its state: u = Gamma (-f_g)
+    and f = R (-f_g) = B u cancel gravity in the motion space, and the
+    pendulum released at rest at theta = 0.7 stays there (unforced, it moves
+    by 1.29 in 1 s).  Measured: max |q - q0| 0.0 and max |qdot| 1.5e-16; the
+    bound 1e-14 leaves a margin of 60 over the speed."""
+    def law(t, q, qdot, model):
+        return model.R @ -model.plant.f_g, model.Gamma @ -model.plant.f_g
+
+    system, q0 = pendulum(), np.array([np.sin(0.7), -np.cos(0.7)])
+    held, free = (run(Scenario(system=system, q0=q0, qdot0=np.zeros(2), horizon=1.0,
+                               dt=1e-2, controller=c)) for c in (law, None))
+    assert np.abs(free.q - q0).max() > 1.0
+    assert np.abs(held.q - q0).max() <= 1e-14
+    assert np.abs(held.qdot).max() <= 1e-14
+    for q, qdot, u in zip(held.q, held.qdot, held.u):
+        model = assemble(system.plant(q, qdot), build_projectors(system.jacobian(q, qdot)),
+                         1.0)   # Gamma does not depend on mu
+        np.testing.assert_array_equal(u, law(0.0, q, qdot, model)[1])
+    assert np.isnan(held.lyapunov).all()
 
 
 def test_event_state_is_evaluated_at_the_reselected_mu(monkeypatch):
