@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import ProjectorBundle, _norm
+from .kernel import ProjectorBundle, _mm, _norm
 from .model import ConstrainedModel, kinetic_energy
 
 EPS_V = 0.3   # speed below which eta tapers linearly to zero
@@ -84,9 +84,9 @@ def velocity_direction(qdot, e, Kp, proj: ProjectorBundle) -> np.ndarray:
     qdot = np.asarray(qdot, dtype=float)
     speed = _norm(qdot)
     if speed <= 1e-15:
-        spring = Kp @ np.asarray(e, dtype=float)
+        spring = _mm(Kp, np.asarray(e, dtype=float))
         force = _norm(spring)
-        if force > 0.0 and _norm(proj.P @ spring) <= 1e-9 * (1.0 + force):
+        if force > 0.0 and _norm(_mm(proj.P, spring)) <= 1e-9 * (1.0 + force):
             return fallback_direction(proj)
         return np.zeros_like(qdot)
     return qdot / max(speed, EPS_V)
@@ -102,10 +102,10 @@ def control_force(q, qdot, q_star, gains: RegulationGains, model: ConstrainedMod
     qdot = np.asarray(qdot, dtype=float)
     e = q - np.asarray(q_star, dtype=float)
     eta = velocity_direction(qdot, e, gains.Kp, model.proj)
-    inner = model.plant.f_g + gains.Kp @ (e + gains.sigma * _norm(e) * eta) \
-        + gains.Kd @ qdot
-    u = -(model.Gamma @ inner)
-    return model.plant.B @ u, u
+    inner = model.plant.f_g + _mm(gains.Kp, e + gains.sigma * _norm(e) * eta) \
+        + _mm(gains.Kd, qdot)
+    u = -_mm(model.Gamma, inner)
+    return _mm(model.plant.B, u), u
 
 
 def lyapunov_value(q, qdot, q_star, gains: RegulationGains, Mbar) -> float | np.ndarray:

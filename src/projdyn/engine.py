@@ -21,7 +21,9 @@ its inner stages, and evaluates A and Adot 4 times each.  An RK4 step takes
 4 SVDs and 4 solves; a regulated one takes 4 more SVDs, of P B, unless the
 input map is the identity, where Gamma is P.  That B is the identity is
 decided once per PlantMatrices, so once per run for a constant plant; an
-unforced state's zero force is built once per phase.
+unforced state's zero force is built once per phase.  A state's matrix
+products take ndarray.dot through kernel._mm, and _pack's products on the
+stack of recorded states take @: each gives a member the same bits.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from . import forces
 from .control import SetpointRegulator
 from .errors import DivergenceError, InconsistentStateError
-from .kernel import (_finite, _float_array, _norm, build_projectors,
+from .kernel import (_finite, _float_array, _mm, _norm, build_projectors,
                      configuration_projectors, pseudo_inverse, with_adot)
 from .model import PlantMatrices, _condition, assemble, kinetic_energy, optimal_mu
 from .systems import MechanicalSystem
@@ -189,7 +191,7 @@ def project_to_constraints(q_raw, system: MechanicalSystem, tol=1e-10,
         Jp, r = pseudo_inverse(system.constraint(q))
         if r == 0:
             break
-        q = q - Jp @ phi
+        q = q - _mm(Jp, phi)
     phi = np.asarray(system.residual(q), dtype=float)
     if np.linalg.norm(phi) <= tol:
         return q
@@ -252,9 +254,9 @@ class _Runner:
         system = self.system
         A = _float_array(system.constraint(q))
         config = configuration_projectors(A)
-        qdot = config.P @ qdot
+        qdot = _mm(config.P, qdot)
         proj = with_adot(config, system.constraint_rate(q, qdot))
-        return _Eval(t, q, qdot, proj, system.plant(q, qdot), _norm(A @ qdot))
+        return _Eval(t, q, qdot, proj, system.plant(q, qdot), _norm(_mm(A, qdot)))
 
     def _evaluate(self, ev):
         """Evaluate ev's model at the current mu, then its force (f, u) (the
@@ -360,7 +362,7 @@ def run(scenario: Scenario) -> SimulationTrace:
 
     if runner.system.residual is not None:
         phi = np.asarray(runner.system.residual(q), dtype=float)
-        if np.linalg.norm(phi) > 1e-8:
+        if not np.linalg.norm(phi) <= 1e-8:   # not >: a NaN residual fails too
             raise InconsistentStateError(
                 f"initial configuration violates constraints: |Phi| = "
                 f"{np.linalg.norm(phi):.3e}; retract with project_to_constraints")

@@ -21,27 +21,28 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidTargetError
+from .kernel import _mm
 from .model import ConstrainedModel, PlantMatrices
 
 
 def nonlinear_vector(plant: PlantMatrices, qdot) -> np.ndarray:
     """h(q, q') = f_g - C q'."""
     qdot = np.asarray(qdot, dtype=float)
-    return plant.f_g - plant.C @ qdot
+    return plant.f_g - _mm(plant.C, qdot)
 
 
 def acceleration(model: ConstrainedModel, f, qdot) -> np.ndarray:
     """q'' = Mbar^{-1} P (f + h) + S^T Omega q'."""
     qdot = np.asarray(qdot, dtype=float)
-    return (model.X @ (np.asarray(f, dtype=float) + nonlinear_vector(model.plant, qdot))
-            + model.S.swapaxes(-1, -2) @ (model.proj.Omega @ qdot))
+    return (_mm(model.X, np.asarray(f, dtype=float) + nonlinear_vector(model.plant, qdot))
+            + _mm(model.S.swapaxes(-1, -2), _mm(model.proj.Omega, qdot)))
 
 
 def acceleration_nonminimal(model: ConstrainedModel, f, qdot) -> np.ndarray:
     """Cross-check route: solve Mbar q'' = P (f + f_g) - Cbar q' directly."""
     f = np.asarray(f, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
-    rhs = model.proj.P @ (f + model.plant.f_g) - model.Cbar @ qdot
+    rhs = _mm(model.proj.P, f + model.plant.f_g) - _mm(model.Cbar, qdot)
     return np.linalg.solve(model.Mbar, rhs)
 
 
@@ -54,8 +55,8 @@ def _constraint_force(S, plant: PlantMatrices, Omega, f, qdot) -> np.ndarray:
     """constraint_force from the parts of the model it reads: S, the plant
     and Omega (or stacks of them, which may broadcast a constant plant)."""
     qdot = np.asarray(qdot, dtype=float)
-    return -S @ (np.asarray(f, dtype=float) + nonlinear_vector(plant, qdot)
-                 - plant.M @ (Omega @ qdot))
+    return _mm(-S, np.asarray(f, dtype=float) + nonlinear_vector(plant, qdot)
+               - _mm(plant.M, _mm(Omega, qdot)))
 
 
 def force_split_for_control(f_par, f_c_desired, model: ConstrainedModel,
@@ -69,7 +70,7 @@ def force_split_for_control(f_par, f_c_desired, model: ConstrainedModel,
     f_par = np.asarray(f_par, dtype=float)
     fc_d = np.asarray(f_c_desired, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
-    leak = np.linalg.norm(model.proj.P @ fc_d)
+    leak = np.linalg.norm(_mm(model.proj.P, fc_d))
     if leak > 1e-8 * (1.0 + np.linalg.norm(fc_d)):
         raise InvalidTargetError(
             f"desired constraint force has a motion-space component |P f_c| = {leak:.3e}")

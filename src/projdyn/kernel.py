@@ -16,7 +16,10 @@ through the same code: a single matrix is the stack of one, with the same
 bits as each member of a stack.  Only rank changes type, a Python int for one
 matrix and an int array for a stack.  In a stack a vector is a column,
 (..., n, 1), so that M @ v and solve(M, v) keep the form they have for one
-state.
+state.  The products of the per-state chain here and in model, forces,
+control and engine go through _mm: on operands without batch axes it takes
+ndarray.dot, which reaches matmul's BLAS call without the ufunc's dispatch
+and gives its bits; a stack takes @.
 """
 
 from __future__ import annotations
@@ -56,6 +59,16 @@ def _norm(v) -> float:
     """|v| of a 1-D float array: the sqrt(v . v) that np.linalg.norm computes
     for such a vector, without its dispatch."""
     return math.sqrt(v.dot(v))
+
+
+def _mm(a, b):
+    """a @ b of float arrays.  Where neither has batch axes, ndarray.dot: the
+    same BLAS call without the matmul ufunc's dispatch, and the same bits.  A
+    stack, and a one-element a, take @: for a 1 x 1 a, matmul's loop gives a
+    zero product as +0.0 where dot gives -0.0."""
+    if a.ndim < 3 and b.ndim < 3 and a.size > 1:
+        return a.dot(b)
+    return a @ b
 
 
 def _finite(x) -> bool:
@@ -114,7 +127,7 @@ class ProjectorBundle:
 
     @_lazy
     def Pdot(self) -> np.ndarray:
-        return self.Lambda @ self.P + self.P @ self.Lambda.swapaxes(-1, -2)
+        return _mm(self.Lambda, self.P) + _mm(self.P, self.Lambda.swapaxes(-1, -2))
 
 
 def _per_member(x):
@@ -166,7 +179,7 @@ def _pinv(A):
     # U / s, not U * (1 / s): the product rounds differently
     W = np.divide(U, s[..., None, :], out=np.zeros(U.shape), where=keep[..., None, :])
     r = np.count_nonzero(keep, axis=-1) if keep.ndim > 1 else int(np.count_nonzero(keep))
-    return Vt.swapaxes(-1, -2) @ W.swapaxes(-1, -2), r
+    return _mm(Vt.swapaxes(-1, -2), W.swapaxes(-1, -2)), r
 
 
 def _configuration(A):
@@ -180,7 +193,7 @@ def _configuration(A):
     """
     Apinv, r = _pinv(A)
     eye = _identity(n := Apinv.shape[-2])
-    P = eye - Apinv @ A
+    P = eye - _mm(Apinv, A)
     P = 0.5 * (P + P.swapaxes(-1, -2))
     if not _every(r < n):   # where, not a product: the zeros are +0.0
         P = np.where(_per_member(r < n), P, 0.0)
@@ -197,7 +210,7 @@ def configuration_projectors(A) -> ProjectorBundle:
 
 def _rates(Apinv, Adot):
     """Lambda = -pinv(A) Adot and Omega = Lambda - Lambda^T."""
-    Lam = -Apinv @ Adot
+    Lam = _mm(-Apinv, Adot)
     return Lam, Lam - Lam.swapaxes(-1, -2)
 
 

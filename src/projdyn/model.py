@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError
-from .kernel import ProjectorBundle, _every, _identity, _lazy, _per_member, pseudo_inverse
+from .kernel import (ProjectorBundle, _every, _identity, _lazy, _mm, _per_member,
+                     pseudo_inverse)
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ class ConstrainedModel:
     @_lazy
     def S(self) -> np.ndarray:
         """S = I - M X, the oblique projector onto the reaction space."""
-        return _identity(self.proj.n) - self.plant.M @ self.X
+        return _identity(self.proj.n) - _mm(self.plant.M, self.X)
 
     @_lazy
     def spectrum(self) -> np.ndarray:
@@ -105,8 +106,8 @@ class ConstrainedModel:
     def Cbar(self) -> np.ndarray:
         """Cbar = P C P + P M Pdot - mu Lambda P."""
         P, Lam, plant = self.proj.P, self.proj.Lambda, self.plant
-        return (P @ plant.C @ P + P @ plant.M @ self.proj.Pdot
-                - _per_member(self.mu) * (Lam @ P))
+        return (_mm(_mm(P, plant.C), P) + _mm(_mm(P, plant.M), self.proj.Pdot)
+                - _per_member(self.mu) * _mm(Lam, P))
 
     @_lazy
     def _pb_pinv(self):
@@ -118,7 +119,7 @@ class ConstrainedModel:
         proj = self.proj
         if self.plant.identity_input:
             return proj.P, proj.n - proj.rank
-        return pseudo_inverse(proj.P @ self.plant.B)   # P is finite: this checks B
+        return pseudo_inverse(_mm(proj.P, self.plant.B))   # P is finite: this checks B
 
     @_lazy
     def admissible(self) -> bool:
@@ -143,7 +144,7 @@ class ConstrainedModel:
     def R(self) -> np.ndarray:
         """R = B Gamma, the oblique projector that maps a desired motion-space
         force to the realizable one B u."""
-        return self.plant.B @ self.Gamma
+        return _mm(self.plant.B, self.Gamma)
 
 
 def _condition(spectrum) -> float | np.ndarray:
@@ -165,7 +166,7 @@ def assemble(plant: PlantMatrices, proj: ProjectorBundle, mu) -> ConstrainedMode
         bad = mu <= 0.0
     if bad:
         raise ValueError("virtual mass mu must be positive")
-    Mbar = proj.P @ plant.M @ proj.P + _per_member(mu) * proj.Q
+    Mbar = _mm(_mm(proj.P, plant.M), proj.P) + _per_member(mu) * proj.Q
     return ConstrainedModel(0.5 * (Mbar + Mbar.swapaxes(-1, -2)), mu, plant, proj)
 
 
@@ -173,7 +174,7 @@ def pmp_eigenvalues(plant: PlantMatrices, proj: ProjectorBundle):
     """Eigenvalues of P M P, ascending, and the mask of the nonzero ones: the
     largest n - rank(A), since P M P has rank(P) nonzero eigenvalues (M is
     positive definite).  At rank(A) = n the mask is empty."""
-    PMP = proj.P @ plant.M @ proj.P
+    PMP = _mm(_mm(proj.P, plant.M), proj.P)
     lam = np.linalg.eigvalsh(0.5 * (PMP + PMP.swapaxes(-1, -2)))
     return lam, np.arange(proj.n) >= np.asarray(proj.rank)[..., None]
 
@@ -204,5 +205,5 @@ def kinetic_energy(M, qdot) -> float | np.ndarray:
     member."""
     qdot = np.asarray(qdot, dtype=float)
     if qdot.ndim == 1:
-        return 0.5 * float(qdot @ M @ qdot)
-    return 0.5 * (qdot.swapaxes(-1, -2) @ M @ qdot)[..., 0, 0]
+        return 0.5 * float(_mm(_mm(qdot, M), qdot))
+    return 0.5 * _mm(_mm(qdot.swapaxes(-1, -2), M), qdot)[..., 0, 0]

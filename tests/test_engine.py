@@ -111,6 +111,23 @@ class TestValidation:
         with pytest.raises(InconsistentStateError):
             run(scenario)
 
+    def test_rejects_a_nan_initial_residual(self):
+        # x^2 - y^2 - 1 overflows to inf - inf at (1e200, 1e200): |Phi| is NaN,
+        # which a run rejects as it rejects the finite |Phi| = 7 at (3, 1)
+        system = load_system({"n": 2, "mass": {"diag": [1, 1]}, "constraints": [{"terms": [
+            {"coeff": 1, "powers": [2, 0]}, {"coeff": -1, "powers": [0, 2]},
+            {"coeff": -1, "powers": [0, 0]}]}]})
+
+        def scenario(q0):
+            return Scenario(system=system, q0=np.array(q0), qdot0=np.zeros(2),
+                            horizon=0.01, dt=0.01)
+
+        with pytest.raises(InconsistentStateError, match=r"\|Phi\| = 7\.000e\+00;"):
+            run(scenario([3.0, 1.0]))
+        with pytest.raises(InconsistentStateError, match=r"\|Phi\| = nan;"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
+            run(scenario([1e200, 1e200]))
+
     def test_initial_velocity_is_projected(self):
         # a normal velocity component is removed before integration starts
         scenario = Scenario(system=pendulum(), q0=np.array([0.0, -1.0]),

@@ -13,7 +13,7 @@ from projdyn import (ConstraintJacobian, NonFiniteInputError, PlantMatrices, Pro
                      optimal_mu, pendulum, pseudo_inverse, run)
 from projdyn.battery import check_projector_algebra, pdot_fd_check
 from projdyn.forces import acceleration_nonminimal
-from projdyn.kernel import _lazy, _norm, configuration_projectors, with_adot
+from projdyn.kernel import _lazy, _mm, _norm, configuration_projectors, with_adot
 from projdyn.model import pmp_eigenvalues
 
 
@@ -246,10 +246,57 @@ def assert_one_bundle_is_the_split_one(jac):
     assert np.array_equal(one.rank, split.rank) and type(one.rank) is type(split.rank)
 
 
+def assert_stack_has_the_bits_of_its_members(rng, n, m):
+    """The members of stacks of m x n constraint matrices of every rank, with
+    random plants, forces and velocities, against the same calls on each
+    member alone."""
+    A = []
+    for r in range(min(m, n) + 1):
+        full = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+        zeroed = full.copy()
+        zeroed[rng.integers(m)] = 0.0          # an inactive constraint row
+        A += [full, zeroed]
+    A = np.stack(A)
+    N = len(A)
+    Adot = rng.standard_normal(A.shape)
+    G = rng.standard_normal((N, n, n))
+    M = G @ G.swapaxes(-1, -2) + n * np.eye(n)
+    C, f_g = rng.standard_normal((N, n, n)), rng.standard_normal((N, n))
+    mu = rng.uniform(0.2, 5.0, size=N)
+    f, qdot = rng.standard_normal((N, n)), rng.standard_normal((N, n))
+    gains, q_star = RegulationGains(Kp=M[0], Kd=M[0], sigma=2.0), f[0]
+
+    def outputs(A, Adot, M, C, f_g, mu, f, qdot):
+        Apinv, rank = pseudo_inverse(A)
+        proj = build_projectors(ConstraintJacobian(A=A, Adot=Adot))
+        assert_one_bundle_is_the_split_one(ConstraintJacobian(A=A, Adot=Adot))
+        plant = PlantMatrices(M=M, C=C, f_g=f_g, B=np.eye(n))
+        model = assemble(plant, proj, mu)
+        mu_opt = np.asarray(optimal_mu(plant, proj))
+        return rank, [Apinv, proj.P, proj.Q, proj.Lambda, proj.Omega, proj.Pdot,
+                      *pmp_eigenvalues(plant, proj), mu_opt,
+                      model.Mbar, np.asarray(model.cond), model.X, model.S,
+                      model.Cbar, model.Gamma,
+                      acceleration(model, f, qdot), constraint_force(model, f, qdot),
+                      acceleration_nonminimal(model, f, qdot),
+                      np.asarray(kinetic_energy(M, qdot)),
+                      np.asarray(lyapunov_value(f, qdot, q_star, gains, model.Mbar))]
+
+    ranks, stacked = outputs(A, Adot, M, C, f_g[..., None], mu, f[..., None],
+                             qdot[..., None])
+    assert ranks.dtype.kind == "i" and ranks.shape == (N,)
+    for i in range(N):
+        rank, alone = outputs(A[i], Adot[i], M[i], C[i], f_g[i], mu[i], f[i], qdot[i])
+        assert type(rank) is int and rank == ranks[i]
+        assert alone[0].tobytes() == sliced_pinv(A[i]).tobytes(), (n, m, i)
+        for k, (x, y) in enumerate(zip(alone, stacked)):
+            assert x.tobytes() == y[i].tobytes(), (n, m, i, k)
+
+
 def test_a_stack_has_the_bits_of_its_members():
     """Kernel, model, force and energy functions take (..., m, n) stacks, with
     vectors as (..., n, 1) columns: each member of a stacked call is byte for
-    byte the call on that member alone, for n from 2 to 8, every rank down
+    byte the call on that member alone, for n from 1 to 8, every rank down
     to 0 and zeroed rows; and one matrix keeps the bits of the SVD sliced at
     its rank.  build_projectors has the bits of configuration_projectors plus
     with_adot, for one matrix, for stacks and for matrices without rows or
@@ -257,50 +304,40 @@ def test_a_stack_has_the_bits_of_its_members():
     rng = np.random.default_rng(21)
     for n in range(2, 9):
         for m in sorted({1, n - 1, n, n + 1}):
-            A = []
-            for r in range(min(m, n) + 1):
-                full = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
-                zeroed = full.copy()
-                zeroed[rng.integers(m)] = 0.0          # an inactive constraint row
-                A += [full, zeroed]
-            A = np.stack(A)
-            N = len(A)
-            Adot = rng.standard_normal(A.shape)
-            G = rng.standard_normal((N, n, n))
-            M = G @ G.swapaxes(-1, -2) + n * np.eye(n)
-            C, f_g = rng.standard_normal((N, n, n)), rng.standard_normal((N, n))
-            mu = rng.uniform(0.2, 5.0, size=N)
-            f, qdot = rng.standard_normal((N, n)), rng.standard_normal((N, n))
-            gains, q_star = RegulationGains(Kp=M[0], Kd=M[0], sigma=2.0), f[0]
-
-            def outputs(A, Adot, M, C, f_g, mu, f, qdot):
-                Apinv, rank = pseudo_inverse(A)
-                proj = build_projectors(ConstraintJacobian(A=A, Adot=Adot))
-                assert_one_bundle_is_the_split_one(ConstraintJacobian(A=A, Adot=Adot))
-                plant = PlantMatrices(M=M, C=C, f_g=f_g, B=np.eye(n))
-                model = assemble(plant, proj, mu)
-                mu_opt = np.asarray(optimal_mu(plant, proj))
-                return rank, [Apinv, proj.P, proj.Q, proj.Lambda, proj.Omega, proj.Pdot,
-                              *pmp_eigenvalues(plant, proj), mu_opt,
-                              model.Mbar, np.asarray(model.cond), model.X, model.S,
-                              model.Cbar, model.Gamma,
-                              acceleration(model, f, qdot), constraint_force(model, f, qdot),
-                              acceleration_nonminimal(model, f, qdot),
-                              np.asarray(kinetic_energy(M, qdot)),
-                              np.asarray(lyapunov_value(f, qdot, q_star, gains, model.Mbar))]
-
-            ranks, stacked = outputs(A, Adot, M, C, f_g[..., None], mu, f[..., None],
-                                     qdot[..., None])
-            assert ranks.dtype.kind == "i" and ranks.shape == (N,)
-            for i in range(N):
-                rank, alone = outputs(A[i], Adot[i], M[i], C[i], f_g[i], mu[i], f[i], qdot[i])
-                assert type(rank) is int and rank == ranks[i]
-                assert alone[0].tobytes() == sliced_pinv(A[i]).tobytes(), (n, m, i)
-                for k, (x, y) in enumerate(zip(alone, stacked)):
-                    assert x.tobytes() == y[i].tobytes(), (n, m, i, k)
+            assert_stack_has_the_bits_of_its_members(rng, n, m)
+    # one coordinate: a 1 x 1 product, where matmul and ndarray.dot differ in
+    # the sign of a zero; its own generator keeps the draws above
+    rng = np.random.default_rng(1)
+    for m in (1, 2):
+        assert_stack_has_the_bits_of_its_members(rng, 1, m)
     for shape in [(0, 3), (3, 0), (2, 0, 3), (2, 3, 0)]:
         assert_one_bundle_is_the_split_one(ConstraintJacobian(A=np.zeros(shape),
                                                               Adot=np.zeros(shape)))
+
+
+def test_a_one_state_product_has_the_bits_of_matmul():
+    """_mm(a, b) is byte for byte a @ b in the layouts of the per-state chain:
+    matrix times matrix, vector or transposed view, vector times matrix or
+    vector, inner dimension 1 and 1 x 1 operands, stacks, with zero, -0.0 and
+    identity operands.  On a 1 x 1 or one-element a, ndarray.dot would give
+    -0.0 where matmul gives +0.0."""
+    rng = np.random.default_rng(33)
+
+    def operands(shape):
+        x = rng.standard_normal(shape)
+        signed_zeros = np.where(rng.random(shape) < 0.4, np.copysign(0.0, x), x)
+        out = [x, signed_zeros, np.zeros(shape), -np.zeros(shape)]
+        return out + [np.eye(shape[0])] if shape[0] == shape[1] else out
+
+    sizes = (1, 2, 3, 5)
+    for m, k, p in ((m, k, p) for m in sizes for k in sizes for p in sizes):
+        for a in operands((m, k)):
+            for b in operands((k, p)):
+                pairs = [(a, b), (np.asfortranarray(a), b), (a, np.asfortranarray(b)),
+                         (a, b[:, 0].copy()), (a[0], b), (a[0], b[:, 0].copy()),
+                         (a.T, a), (a, a.T), (b.T, a.T), (np.stack([a, -a]), b)]
+                for x, y in pairs:
+                    assert _mm(x, y).tobytes() == (x @ y).tobytes(), (x, y)
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (2, 0, 3), (2, 3, 0)],
