@@ -6,19 +6,24 @@ from one seed, so reports are reproducible.  A check first draws its random
 inputs as plain arrays, one state at a time and in a fixed order, and then
 builds them once per shape: one stacked ConstraintJacobian (which validates
 every member), one PlantMatrices, one QR for the stack of random masses, and
-one evaluation of the stack.  A system gives a stack's A, Adot and plant
-through its own jacobian and plant; so does self_test's one stack of a
-system's sampled states.  Each member has the bits it would have alone.
-Only the oblique check's candidate test runs per state, since it decides
-what is drawn next.  Every derivative check takes _central_difference: of P
-along a path (the pdot checks), of Mbar along q' (the skew check) and of M
-and A along q' (self_test).  The pdot check's reference is the Richardson
-extrapolation (4 D(h/2) - D(h)) / 3 of central differences D of P (Hairer,
-Norsett & Wanner, Solving ODEs I, II.9), whose O(h^4) error, unlike D's
-O(h^2), stays within tolerance near a rank drop.  The worst residual keeps
-NaN, so a non-finite residual fails its check.  The optional fault
-injection flips a sign in Cbar before the skew-symmetry check, to prove the
-harness actually rejects a broken model.
+one evaluation of the stack.  Each operator is stacked by the shape it
+reads: A by (m, n), and the n x n operators of the spectrum law and the
+oblique check (their masses, Mbar, R, S and X) by n.  A system gives a
+stack's A, Adot and plant through its own jacobian and plant; so does
+self_test's one stack of a system's sampled states.  Each member has the
+bits it would have alone.  The oblique check's candidate test decides
+whether the next draws are the candidate's M and mu, so it draws the
+candidates still needed as if each passed, tests them on stacks, keeps
+those before the first that fails, and rewinds the generator to just before
+that one's M: the stream is the per-candidate test's.  Every derivative
+check takes _central_difference: of P along a path (the pdot checks), of
+Mbar along q' (the skew check) and of M and A along q' (self_test).  The
+pdot check's reference is the Richardson extrapolation (4 D(h/2) - D(h)) / 3
+of central differences D of P (Hairer, Norsett & Wanner, Solving ODEs I,
+II.9), whose O(h^4) error, unlike D's O(h^2), stays within tolerance near a
+rank drop.  The worst residual keeps NaN, so a non-finite residual fails its
+check.  The optional fault injection flips a sign in Cbar before the
+skew-symmetry check, to prove the harness actually rejects a broken model.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from . import forces
 from .kernel import (RANK_TOL, ConstraintJacobian, ProjectorBundle, build_projectors,
-                     configuration_projectors, pseudo_inverse, with_adot)
+                     configuration_projectors, pseudo_inverse)
 from .model import PlantMatrices, assemble, optimal_mu, pmp_eigenvalues
 from .systems import catalog, pendulum, double_pendulum
 
@@ -185,11 +190,15 @@ def check_spectrum_law(rng):
     for _ in range(100):
         n = int(rng.integers(2, 9))
         m = int(rng.integers(1, n))
-        draws.append((*rng.standard_normal((2, m, n)), *_spd_draw(rng, n),
-                      rng.uniform(0.2, 5.0)))
+        A, _ = rng.standard_normal((2, m, n))    # Adot: drawn, not read
+        draws.append((A, *_spd_draw(rng, n), rng.uniform(0.2, 5.0)))
+    members = []
+    for A, G, d, mu in _groups(draws):
+        proj = configuration_projectors(A)
+        members += zip(proj.P, proj.Q, proj.rank, G, d, mu)
     residuals = []
-    for A, Adot, G, d, mu in _groups(draws):
-        proj = build_projectors(ConstraintJacobian(A, Adot))
+    for P, Q, rank, G, d, mu in _groups(members):       # the rest reads n x n: by n
+        proj = ProjectorBundle(P, Q, None, None, rank, None)
         plant = _spd_plant(G, d, np.eye(proj.n))
         model = assemble(plant, proj, mu)
         lam, _ = pmp_eigenvalues(plant, proj)
@@ -215,21 +224,33 @@ def check_oracle_equivalence(rng):
 def check_oblique_identities(rng):
     draws = []
     while len(draws) < 150:
-        n = int(rng.integers(2, 9))
-        m = int(rng.integers(1, n))
-        A, Adot = rng.standard_normal((2, m, n))
-        proj = configuration_projectors(A)
-        B = rng.standard_normal((n, n))
-        # the test decides whether the next draws are this state's M and mu: per candidate
-        sv = np.linalg.svd(proj.P @ B, compute_uv=False)
-        if sv[max(n - proj.rank - 1, 0)] < 0.1:
-            continue                     # keep tests away from near-inadmissibility
-        draws.append((Adot, proj.P, proj.Q, proj.rank, proj.A_pinv, B,
-                      *_spd_draw(rng, n), rng.uniform(0.2, 5.0)))
+        # the states still needed, drawn as if each passed its test, which
+        # decides whether the next draws are its M and mu
+        candidates, masses, states = [], [], []
+        for i in range(150 - len(draws)):
+            n = int(rng.integers(2, 9))
+            m = int(rng.integers(1, n))
+            A, _ = rng.standard_normal((2, m, n))    # Adot: drawn, not read
+            candidates.append((A, rng.standard_normal((n, n)), i))
+            states.append(rng.bit_generator.state)
+            masses.append((*_spd_draw(rng, n), rng.uniform(0.2, 5.0)))
+        tested = [None] * len(candidates)
+        for A, B, index in _groups(candidates):
+            proj = configuration_projectors(A)
+            sv = np.linalg.svd(proj.P @ B, compute_uv=False)
+            # keep tests away from near-inadmissibility
+            rejected = sv[np.arange(len(sv)), A.shape[-1] - proj.rank - 1] < 0.1
+            for i, *member in zip(index, proj.P, proj.Q, proj.rank, B, rejected):
+                tested[i] = member
+        # keep those before the first that fails, and rewind to just before its M
+        for i, ((*member, rejected), mass) in enumerate(zip(tested, masses)):
+            if rejected:
+                rng.bit_generator.state = states[i]
+                break
+            draws.append((*member, *mass))
     residuals = []
-    for Adot, P, Q, rank, A_pinv, B, G, d, mu in _groups(draws):
-        # each candidate's configuration bundle, stacked: A takes no second SVD
-        proj = with_adot(ProjectorBundle(P, Q, None, None, rank, A_pinv), Adot)
+    for P, Q, rank, B, G, d, mu in _groups(draws):      # R, S and X read n x n: by n
+        proj = ProjectorBundle(P, Q, None, None, rank, None)
         plant = _spd_plant(G, d, B)
         model = assemble(plant, proj, mu)
         R, S = model.R, model.S

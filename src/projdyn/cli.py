@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from . import battery
-from .engine import Scenario, _grid_step, run
+from .engine import Scenario, _grid_step, check_configuration, run
 from .errors import ProjdynError
 from .kernel import build_projectors
 from .loader import GAINS, RUN, load_scenario, regulator
@@ -161,6 +161,7 @@ def cmd_analyze(args) -> int:
     q0, qd0 = system.default_state
     if args.state:
         q0 = _parse_vector(args.state, system.n, "--state")
+        check_configuration(system, q0)
     proj = build_projectors(system.jacobian(q0, qd0))
     plant = system.plant(q0, qd0)
     lam, nonzero = pmp_eigenvalues(plant, proj)

@@ -199,6 +199,18 @@ def project_to_constraints(q_raw, system: MechanicalSystem, tol=1e-10,
         f"retraction stalled with |Phi| = {np.linalg.norm(phi):.3e}")
 
 
+def check_configuration(system: MechanicalSystem, q) -> None:
+    """Raise InconsistentStateError unless q is on the manifold Phi(q) = 0 of
+    the system's position residual, to |Phi| <= 1e-8; a system without a
+    residual accepts every q."""
+    if system.residual is not None:
+        phi = np.asarray(system.residual(q), dtype=float)
+        if not np.linalg.norm(phi) <= 1e-8:   # not >: a NaN residual fails too
+            raise InconsistentStateError(
+                f"configuration violates constraints: |Phi| = "
+                f"{np.linalg.norm(phi):.3e}; retract with project_to_constraints")
+
+
 class _Eval:
     """One state (t, q, qdot) of a run and the parts a step reads of it.
 
@@ -360,12 +372,7 @@ def run(scenario: Scenario) -> SimulationTrace:
     runner = _Runner(sc)
     q = sc.q0.copy()
 
-    if runner.system.residual is not None:
-        phi = np.asarray(runner.system.residual(q), dtype=float)
-        if not np.linalg.norm(phi) <= 1e-8:   # not >: a NaN residual fails too
-            raise InconsistentStateError(
-                f"initial configuration violates constraints: |Phi| = "
-                f"{np.linalg.norm(phi):.3e}; retract with project_to_constraints")
+    check_configuration(runner.system, q)
     ev = runner._start(runner._projected(0.0, q, sc.qdot0.copy()))
 
     switches = {}   # step -> (switches inside it, switches at its end)

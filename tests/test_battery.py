@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import projdyn
-from projdyn import PlantMatrices, battery, double_pendulum, pendulum, systems
+from projdyn import (PlantMatrices, ProjectorBundle, assemble, battery, double_pendulum,
+                     pendulum, pseudo_inverse, systems)
+from projdyn.kernel import configuration_projectors, with_adot
 from projdyn.battery import run_battery, self_test
 from projdyn.systems import GRAVITY, MechanicalSystem
 
@@ -22,12 +24,12 @@ def test_an_unknown_fault_is_rejected():
 
 
 def test_linalg_cost_of_a_run(monkeypatch):
-    """One run at seed 0 takes one QR per shape group of random masses (the
-    spectrum law's and the oblique check's groups, 55 in all, against 250
-    masses drawn), at most 479 SVDs (the pdot check's five per shape group of
-    paths among them), and one lstsq per catalog state of the oracle check
-    (5 systems x 60)."""
-    calls = {"qr": [], "svd": [], "lstsq": []}
+    """One run at seed 0 stacks each operator by the shape it reads: one QR
+    per n of random masses in each of the spectrum law's and the oblique
+    check's (14 in all, against 250 masses drawn), 193 SVDs, 22 solves and
+    24 eigvalsh, every SVD, QR and solve on a stack, and one lstsq per
+    catalog state of the oracle check (5 systems x 60)."""
+    calls = {"qr": [], "svd": [], "solve": [], "eigvalsh": [], "lstsq": []}
     for name, seen in calls.items():
         original = getattr(np.linalg, name)
 
@@ -35,15 +37,51 @@ def test_linalg_cost_of_a_run(monkeypatch):
             _seen.append(np.shape(a))
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    groups = []
-    by_shape = battery._groups
-    monkeypatch.setattr(battery, "_groups",
-                        lambda draws: groups.append(len(stacks := by_shape(draws))) or stacks)
     run_battery(seed=0)
-    _, _, spectrum, oblique = groups         # projector algebra and pdot draw no masses
-    assert len(calls["qr"]) == spectrum + oblique == 55
-    assert all(len(shape) == 3 for shape in calls["qr"])        # every QR is a stack
-    assert len(calls["svd"]) <= 479 and len(calls["lstsq"]) == 300
+    assert {name: len(shapes) for name, shapes in calls.items()} == {
+        "qr": 14, "svd": 193, "solve": 22, "eigvalsh": 24, "lstsq": 300}
+    assert sorted(shape[-1] for shape in calls["qr"]) == sorted([*range(2, 9)] * 2)
+    assert all(len(shape) == 3 for name in ("qr", "svd", "solve") for shape in calls[name])
+
+
+def _oblique_identities_per_candidate(rng):
+    """The oblique check with its candidate test run one state at a time:
+    the reference for the draw stream of the stacked test."""
+    draws = []
+    while len(draws) < 150:
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(1, n))
+        A, Adot = rng.standard_normal((2, m, n))
+        proj = configuration_projectors(A)
+        B = rng.standard_normal((n, n))
+        sv = np.linalg.svd(proj.P @ B, compute_uv=False)
+        if sv[max(n - proj.rank - 1, 0)] < 0.1:
+            continue
+        draws.append((Adot, proj.P, proj.Q, proj.rank, proj.A_pinv, B,
+                      *battery._spd_draw(rng, n), rng.uniform(0.2, 5.0)))
+    residuals = []
+    for Adot, P, Q, rank, A_pinv, B, G, d, mu in battery._groups(draws):
+        proj = with_adot(ProjectorBundle(P, Q, None, None, rank, A_pinv), Adot)
+        plant = battery._spd_plant(G, d, B)
+        model = assemble(plant, proj, mu)
+        R, S = model.R, model.S
+        PMP = P @ plant.M @ P
+        pmp_pinv, _ = pseudo_inverse(0.5 * (PMP + PMP.swapaxes(-1, -2)))
+        residuals += [battery._norms(R @ R - R), battery._norms(P @ R - P),
+                      battery._norms(R @ P - R), battery._norms(S @ S - S),
+                      battery._norms(Q @ S - S), battery._norms(S @ Q - Q),
+                      battery._norms(model.X - pmp_pinv)]
+    return "oblique-identities", battery._worst(residuals), 1e-10
+
+
+@pytest.mark.parametrize("seed", [2, 4, 24])     # 0, 2 and 3 candidates rejected
+def test_the_oblique_rewind_keeps_the_draw_stream(seed):
+    """The stacked candidate test draws what the per-candidate test draws:
+    the same report, and the generator left in the same state for the
+    checks after it."""
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert battery.check_oblique_identities(rng) == _oblique_identities_per_candidate(reference)
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_the_pdot_check_evaluates_stacks(monkeypatch):

@@ -579,6 +579,14 @@ class TestAnalyze:
         assert rc == 0
         assert "rank(A) = 2" in capsys.readouterr().out
 
+    def test_a_state_off_the_manifold_is_rejected(self, capsys):
+        # |Phi| = 1.414 at (0, 0, 0, 0): the crank cannot be there, and a run
+        # from there is rejected by the same check
+        assert main(["analyze", "--system", "slider-crank", "--state", "0,0,0,0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration violates constraints: |Phi| = 1.414e+00" in captured.err
+
     @pytest.mark.parametrize("system, state", [
         ("slider-crank", [0.0, 1.0, 0.0, 0.0]), ("double-pendulum", None),
         ("pendulum", None), ("redundant-pendulum", None)])
