@@ -11,11 +11,9 @@ reads: A by (m, n), and the n x n operators of the spectrum law and the
 oblique check (their masses, Mbar, R, S and X) by n.  A system gives a
 stack's A, Adot and plant through its own jacobian and plant; so does
 self_test's one stack of a system's sampled states.  Each member has the
-bits it would have alone.  The oblique check's candidate test decides
-whether the next draws are the candidate's M and mu, so it draws the
-candidates still needed as if each passed, tests them on stacks, keeps
-those before the first that fails, and rewinds the generator to just before
-that one's M: the stream is the per-candidate test's.  Every derivative
+bits it would have alone.  The oblique check draws each candidate whole,
+its M and mu too, tests the candidates once on stacks, keeps those that
+pass and draws fresh ones for those that fail.  Every derivative
 check takes _central_difference: of P along a path (the pdot checks), of
 Mbar along q' (the skew check) and of M and A along q' (self_test).  The
 pdot check's reference is the Richardson extrapolation (4 D(h/2) - D(h)) / 3
@@ -222,34 +220,23 @@ def check_oracle_equivalence(rng):
 
 
 def check_oblique_identities(rng):
-    draws = []
-    while len(draws) < 150:
-        # the states still needed, drawn as if each passed its test, which
-        # decides whether the next draws are its M and mu
-        candidates, masses, states = [], [], []
-        for i in range(150 - len(draws)):
+    kept = []
+    while len(kept) < 150:
+        candidates = []
+        for _ in range(150 - len(kept)):        # each drawn whole, M and mu too
             n = int(rng.integers(2, 9))
             m = int(rng.integers(1, n))
             A, _ = rng.standard_normal((2, m, n))    # Adot: drawn, not read
-            candidates.append((A, rng.standard_normal((n, n)), i))
-            states.append(rng.bit_generator.state)
-            masses.append((*_spd_draw(rng, n), rng.uniform(0.2, 5.0)))
-        tested = [None] * len(candidates)
-        for A, B, index in _groups(candidates):
+            candidates.append((A, rng.standard_normal((n, n)), *_spd_draw(rng, n),
+                               rng.uniform(0.2, 5.0)))
+        for A, B, G, d, mu in _groups(candidates):
             proj = configuration_projectors(A)
             sv = np.linalg.svd(proj.P @ B, compute_uv=False)
             # keep tests away from near-inadmissibility
             rejected = sv[np.arange(len(sv)), A.shape[-1] - proj.rank - 1] < 0.1
-            for i, *member in zip(index, proj.P, proj.Q, proj.rank, B, rejected):
-                tested[i] = member
-        # keep those before the first that fails, and rewind to just before its M
-        for i, ((*member, rejected), mass) in enumerate(zip(tested, masses)):
-            if rejected:
-                rng.bit_generator.state = states[i]
-                break
-            draws.append((*member, *mass))
+            kept += zip(*(x[~rejected] for x in (proj.P, proj.Q, proj.rank, B, G, d, mu)))
     residuals = []
-    for P, Q, rank, B, G, d, mu in _groups(draws):      # R, S and X read n x n: by n
+    for P, Q, rank, B, G, d, mu in _groups(kept):       # R, S and X read n x n: by n
         proj = ProjectorBundle(P, Q, None, None, rank, None)
         plant = _spd_plant(G, d, B)
         model = assemble(plant, proj, mu)

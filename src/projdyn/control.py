@@ -30,8 +30,8 @@ EPS_V = 0.3   # speed below which eta tapers linearly to zero
 
 @dataclass(frozen=True)
 class RegulationGains:
-    """Gains of the regulation law; Kp, Kd finite, symmetric positive
-    definite, sigma finite and > 1."""
+    """Gains of the regulation law; Kp, Kd square, finite, symmetric
+    positive definite, sigma finite and > 1."""
 
     Kp: np.ndarray
     Kd: np.ndarray
@@ -41,6 +41,9 @@ class RegulationGains:
         Kp = np.atleast_2d(np.asarray(self.Kp, dtype=float))
         Kd = np.atleast_2d(np.asarray(self.Kd, dtype=float))
         for name, K in (("Kp", Kp), ("Kd", Kd)):
+            if K.ndim != 2 or K.shape[0] != K.shape[1] or not K.size:
+                raise ValueError(f"{name} must be a square matrix, got shape "
+                                 f"{np.shape(getattr(self, name))}")
             if not np.isfinite(K).all():
                 raise ValueError(f"{name} must be finite")
             if not np.allclose(K, K.T):

@@ -2,6 +2,7 @@
 their inputs are built once per shape with each member's own bits, and
 their arguments are checked."""
 
+import copy
 import dataclasses
 from collections import Counter
 
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import projdyn
-from projdyn import (PlantMatrices, ProjectorBundle, assemble, battery, double_pendulum,
-                     pendulum, pseudo_inverse, systems)
+from projdyn import (ConstrainedModel, PlantMatrices, ProjectorBundle, assemble, battery,
+                     double_pendulum, pendulum, pseudo_inverse, systems)
 from projdyn.kernel import configuration_projectors, with_adot
 from projdyn.battery import run_battery, self_test
 from projdyn.systems import GRAVITY, MechanicalSystem
@@ -21,6 +22,15 @@ def test_an_unknown_fault_is_rejected():
     battery that records the typo as its fault and passes."""
     with pytest.raises(ValueError, match="cbar-sign"):
         run_battery(seed=0, fault="cbar_sign")
+
+
+def test_a_wrong_sign_in_r_fails_the_oblique_check_alone(monkeypatch):
+    """R = -B Gamma is no projector, and only the oblique check reads R: with
+    that fault every other check of a run passes."""
+    monkeypatch.setattr(ConstrainedModel, "R",
+                        property(lambda model: -(model.plant.B @ model.Gamma)))
+    report = run_battery(seed=0)
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == ["oblique-identities"]
 
 
 def test_linalg_cost_of_a_run(monkeypatch):
@@ -45,20 +55,22 @@ def test_linalg_cost_of_a_run(monkeypatch):
 
 
 def _oblique_identities_per_candidate(rng):
-    """The oblique check with its candidate test run one state at a time:
-    the reference for the draw stream of the stacked test."""
-    draws = []
+    """The oblique check run one candidate at a time, each drawn whole before
+    its test: the reference for the draw stream of the stacked test.
+    Returns the check's result and the number of candidates rejected."""
+    draws, rejected = [], 0
     while len(draws) < 150:
         n = int(rng.integers(2, 9))
         m = int(rng.integers(1, n))
         A, Adot = rng.standard_normal((2, m, n))
         proj = configuration_projectors(A)
         B = rng.standard_normal((n, n))
+        mass = (*battery._spd_draw(rng, n), rng.uniform(0.2, 5.0))
         sv = np.linalg.svd(proj.P @ B, compute_uv=False)
-        if sv[max(n - proj.rank - 1, 0)] < 0.1:
+        if sv[n - proj.rank - 1] < 0.1:
+            rejected += 1
             continue
-        draws.append((Adot, proj.P, proj.Q, proj.rank, proj.A_pinv, B,
-                      *battery._spd_draw(rng, n), rng.uniform(0.2, 5.0)))
+        draws.append((Adot, proj.P, proj.Q, proj.rank, proj.A_pinv, B, *mass))
     residuals = []
     for Adot, P, Q, rank, A_pinv, B, G, d, mu in battery._groups(draws):
         proj = with_adot(ProjectorBundle(P, Q, None, None, rank, A_pinv), Adot)
@@ -71,17 +83,34 @@ def _oblique_identities_per_candidate(rng):
                       battery._norms(R @ P - R), battery._norms(S @ S - S),
                       battery._norms(Q @ S - S), battery._norms(S @ Q - Q),
                       battery._norms(model.X - pmp_pinv)]
-    return "oblique-identities", battery._worst(residuals), 1e-10
+    return ("oblique-identities", battery._worst(residuals), 1e-10), rejected
 
 
-@pytest.mark.parametrize("seed", [2, 4, 24])     # 0, 2 and 3 candidates rejected
-def test_the_oblique_rewind_keeps_the_draw_stream(seed):
+@pytest.mark.parametrize("seed", [2, 4, 24, 42])     # 0, 3, 1 and 1 candidates rejected
+def test_the_oblique_check_keeps_the_draw_stream(seed):
     """The stacked candidate test draws what the per-candidate test draws:
     the same report, and the generator left in the same state for the
     checks after it."""
     rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert battery.check_oblique_identities(rng) == _oblique_identities_per_candidate(reference)
+    assert battery.check_oblique_identities(rng) == _oblique_identities_per_candidate(reference)[0]
     assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_the_oblique_check_tests_each_candidate_once(monkeypatch):
+    """In run_battery(seed=42) the oblique check hands configuration_projectors
+    150 + k members, k its rejections (2): a rejection costs one fresh
+    candidate, not a re-test of every candidate after it."""
+    rng = np.random.default_rng(42)
+    for check in (battery.check_projector_algebra, battery.check_pdot_finite_difference,
+                  battery.check_skew_symmetry, battery.check_spectrum_law,
+                  battery.check_oracle_equivalence):
+        check(rng)
+    _, rejected = _oblique_identities_per_candidate(copy.deepcopy(rng))
+    members, original = [], battery.configuration_projectors
+    monkeypatch.setattr(battery, "configuration_projectors",
+                        lambda A: members.append(len(A)) or original(A))
+    battery.check_oblique_identities(rng)
+    assert rejected == 2 and sum(members) == 150 + rejected
 
 
 def test_the_pdot_check_evaluates_stacks(monkeypatch):

@@ -42,6 +42,17 @@ class TestGains:
         with pytest.raises(ValueError, match=message):
             RegulationGains(**{"Kp": np.eye(2), "Kd": np.eye(2), "sigma": 2.0, **gains})
 
+    @pytest.mark.parametrize("gains, message", [
+        (dict(Kp=[1.0, 1.0]), r"^Kp must be a square matrix, got shape \(2,\)$"),
+        (dict(Kp=np.ones((2, 3))), r"^Kp must be a square matrix, got shape \(2, 3\)$"),
+        (dict(Kp=np.ones((2, 2, 2))), r"^Kp must be a square matrix, got shape \(2, 2, 2\)$"),
+        (dict(Kd=np.zeros((0, 0))), r"^Kd must be a square matrix, got shape \(0, 0\)$"),
+    ], ids=["vector-kp", "2x3-kp", "3d-kp", "empty-kd"])
+    def test_gains_must_be_square_matrices(self, gains, message):
+        # checked first: numpy's own errors would name neither gain nor shape
+        with pytest.raises(ValueError, match=message):
+            RegulationGains(**{"Kp": np.eye(2), "Kd": np.eye(2), "sigma": 2.0, **gains})
+
 
 class TestVelocityDirection:
     def test_unit_above_threshold(self):
