@@ -13,7 +13,10 @@ stack's A, Adot and plant through its own jacobian and plant; so does
 self_test's one stack of a system's sampled states.  Each member has the
 bits it would have alone.  The oblique check draws each candidate whole,
 its M and mu too, tests the candidates once on stacks, keeps those that
-pass and draws fresh ones for those that fail.  Every derivative
+pass and draws fresh ones for those that fail.  The oracle check solves
+each catalog system's stack of states in multiplier form with one stacked
+SVD (forces.kkt_oracle), cut at its own tolerance, not at RANK_TOL, so the
+reference shares no rank decision with the route it checks.  Every derivative
 check takes _central_difference: of P along a path (the pdot checks), of
 Mbar along q' (the skew check) and of M and A along q' (self_test).  The
 pdot check's reference is the Richardson extrapolation (4 D(h/2) - D(h)) / 3

@@ -8,11 +8,16 @@ with e = q - q*, eta the unit vector along q' (tapered below the speed
 EPS_V; the first nonzero column of P, normalized, at a stalled rest point),
 and R = B Gamma the oblique projector of the state's ConstrainedModel.
 The same inner vector premultiplied by Gamma gives the actuator forces
-directly.  With sigma > 1 and Kp = k I the only rest point of the closed
-loop is e = 0.  A general Kp can add stable rest points with e != 0, at the
-local minima of e^T Kp e on the constraint manifold: the pendulum hanging at
-(0, -1) toward (sin 1, -cos 1) with Kp = [[1, -1.83], [-1.83, 10]] has one
-at theta = -0.448.
+directly.  With sigma > 1 the closed loop can rest with e != 0 only where
+P Kp e = 0, at a critical point of e^T Kp e on the constraint manifold, and
+a local minimum of it there is a stable rest point.  So with Kp = k I, e = 0
+is the only rest point only where |e|^2 has no other critical point on the
+manifold.  The crank has one: slider_crank(1.2, 0.8) from rest at
+(1, 0, 2, 0), with Kp = Kd = 10 I, toward (cos 60deg, sin 60deg, 0, 0) on the
+other assembly mode, rests at theta = 84.0 deg, |e| = 0.465, the least |e|
+along the curve it started on.  A general Kp can add such points on any
+system: the pendulum hanging at (0, -1) toward (sin 1, -cos 1) with
+Kp = [[1, -1.83], [-1.83, 10]] has one at theta = -0.448.
 At rank(A) = n (P = 0: fully constrained) Gamma = 0 and the law applies no force.
 """
 

@@ -14,6 +14,8 @@ constraint-reaction space.  The constraint force follows without Lagrange
 multipliers as f_c = -S (f + h - M Omega q').  S, and the actuation maps
 Gamma = pinv(P B) and R = B Gamma, live on the ConstrainedModel of the state.
 For a stack of states, forces and velocities are columns, shape (..., n, 1).
+kkt_oracle is the independent reference: it solves the multiplier form that
+the model removes, by an SVD with its own cutoff, and reads no projector.
 """
 
 from __future__ import annotations
@@ -86,9 +88,12 @@ def kkt_oracle(plant: PlantMatrices, jac, f, qdot):
 
     Returns (q'', lam), columns for a stack like f and q'.  At
     rank-deficient A the minimum-norm solution keeps q'' unique while lam is
-    the minimum-norm multiplier.  K and the right-hand side are built on the
-    stack; lstsq has no stacked form, so it solves member by member, and one
-    state is the stack of one.
+    the minimum-norm multiplier.  The solve is the SVD one (Golub & Van Loan,
+    Matrix Computations, 5.5): x = V diag(s_inv) U^T rhs, keeping the
+    singular values s > (n + m) eps s_max, the cutoff of lstsq at
+    rcond=None.  The cutoff is the solve's own, not the kernel's RANK_TOL,
+    so the oracle shares nothing with the projector route.  One stacked SVD
+    of K per call; one state is the stack of one.
     """
     f = np.asarray(f, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
@@ -100,6 +105,8 @@ def kkt_oracle(plant: PlantMatrices, jac, f, qdot):
     K[..., n:, :n] = A
     axis = -1 if qdot.ndim == 1 else -2     # a 1-D vector, or a stack's columns
     rhs = np.concatenate([f + plant.f_g - plant.C @ qdot, -Adot @ qdot], axis=axis)
-    sol = np.array([np.linalg.lstsq(K_i, rhs_i, rcond=None)[0] for K_i, rhs_i
-                    in zip(K.reshape(-1, n + m, n + m), rhs.reshape(-1, n + m, 1))])
+    U, s, Vt = np.linalg.svd(K.reshape(-1, n + m, n + m))
+    keep = s > (n + m) * np.finfo(float).eps * s[:, :1]
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)[..., None]
+    sol = Vt.swapaxes(-1, -2) @ ((U.swapaxes(-1, -2) @ rhs.reshape(-1, n + m, 1)) * s_inv)
     return tuple(np.split(sol.reshape(rhs.shape), [n], axis=axis))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import projdyn
-from projdyn import (ConstrainedModel, PlantMatrices, ProjectorBundle, assemble, battery,
+from projdyn import (ConstrainedModel, PlantMatrices, ProjectorBundle, assemble, battery, forces,
                      double_pendulum, pendulum, pseudo_inverse, systems)
 from projdyn.kernel import configuration_projectors, with_adot
 from projdyn.battery import run_battery, self_test
@@ -33,12 +33,25 @@ def test_a_wrong_sign_in_r_fails_the_oblique_check_alone(monkeypatch):
     assert [c["name"] for c in report["checks"] if not c["passed"]] == ["oblique-identities"]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])     # oracle residuals 32.4, 31.0 and 31.9
+def test_a_wrong_sign_in_the_constraint_force_fails_the_oracle_check_alone(monkeypatch, seed):
+    """A reaction of the wrong sign leaves the acceleration as it is, and
+    only the oracle check compares f_c with a reference (-A^T lam): with
+    that fault every other check of a run passes."""
+    right = forces.constraint_force
+    monkeypatch.setattr(forces, "constraint_force",
+                        lambda model, f, qdot: -right(model, f, qdot))
+    report = run_battery(seed=seed)
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == ["kkt-oracle-equivalence"]
+
+
 def test_linalg_cost_of_a_run(monkeypatch):
     """One run at seed 0 stacks each operator by the shape it reads: one QR
     per n of random masses in each of the spectrum law's and the oblique
-    check's (14 in all, against 250 masses drawn), 193 SVDs, 22 solves and
-    24 eigvalsh, every SVD, QR and solve on a stack, and one lstsq per
-    catalog state of the oracle check (5 systems x 60)."""
+    check's (14 in all, against 250 masses drawn), 198 SVDs, 22 solves and
+    24 eigvalsh, every SVD, QR and solve on a stack.  The oracle check
+    solves its 300 catalog states with one SVD per system (5 of the 198),
+    and no lstsq."""
     calls = {"qr": [], "svd": [], "solve": [], "eigvalsh": [], "lstsq": []}
     for name, seen in calls.items():
         original = getattr(np.linalg, name)
@@ -49,7 +62,7 @@ def test_linalg_cost_of_a_run(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     run_battery(seed=0)
     assert {name: len(shapes) for name, shapes in calls.items()} == {
-        "qr": 14, "svd": 193, "solve": 22, "eigvalsh": 24, "lstsq": 300}
+        "qr": 14, "svd": 198, "solve": 22, "eigvalsh": 24, "lstsq": 0}
     assert sorted(shape[-1] for shape in calls["qr"]) == sorted([*range(2, 9)] * 2)
     assert all(len(shape) == 3 for name in ("qr", "svd", "solve") for shape in calls[name])
 

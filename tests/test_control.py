@@ -230,6 +230,25 @@ class TestLyapunov:
         assert trace.t[-1] == pytest.approx(2.0)
         assert np.diff(trace.lyapunov).max() <= 0.0
 
+    def test_crank_rests_short_of_a_target_on_the_other_assembly_mode(self):
+        """Kp = k I does not make e = 0 the only rest point.  The crank starts
+        on curve 1 (x2 = 2 cos theta, the rod pointing outward) and its target
+        at theta = 60 deg is on curve 2 (x2 = 0).  Along curve 1, |e|^2 =
+        2 - 2 cos(theta - 60 deg) + 4 cos^2 theta has a local minimum at
+        theta = 84.1 deg, |e| = 0.4654, where P e = 0: the run settles there,
+        with V non-increasing, and never leaves curve 1."""
+        q_star = np.array([np.cos(np.pi / 3), np.sin(np.pi / 3), 0.0, 0.0])
+        gains = RegulationGains(Kp=10 * np.eye(4), Kd=10 * np.eye(4), sigma=1.5)
+        trace = run(Scenario(system=slider_crank(1.2, 0.8), q0=np.array([1.0, 0.0, 2.0, 0.0]),
+                             qdot0=np.zeros(4), horizon=30.0, dt=1e-2,
+                             controller=SetpointRegulator(q_star, gains)))
+        assert np.diff(trace.lyapunov).max() <= 0.0
+        np.testing.assert_allclose(trace.q[:, 2], 2 * trace.q[:, 0], atol=1e-9)
+        assert trace.q[:, 2].min() > 0.2
+        q = trace.q[-1]
+        assert np.degrees(np.arctan2(q[1], q[0])) == pytest.approx(84.0, abs=0.05)
+        assert np.linalg.norm(q - q_star) == pytest.approx(0.4654, abs=1e-4)
+
 
 def test_the_regulator_calls_control_force_by_its_module_name(monkeypatch):
     """perfbench's tracer counts the law's evaluations by replacing
