@@ -23,7 +23,9 @@ At rank(A) = n (P = 0: fully constrained) Gamma = 0 and the law applies no force
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -36,7 +38,7 @@ EPS_V = 0.3   # speed below which eta tapers linearly to zero
 @dataclass(frozen=True)
 class RegulationGains:
     """Gains of the regulation law; Kp, Kd square, finite, symmetric
-    positive definite, sigma finite and > 1."""
+    positive definite, sigma a real number (not a bool), finite and > 1."""
 
     Kp: np.ndarray
     Kd: np.ndarray
@@ -55,7 +57,9 @@ class RegulationGains:
                 raise ValueError(f"{name} must be symmetric")
             if np.linalg.eigvalsh(K)[0] <= 0.0:
                 raise ValueError(f"{name} must be positive definite")
-        if not np.isfinite(self.sigma):
+        if not isinstance(self.sigma, Real) or isinstance(self.sigma, bool):
+            raise ValueError(f"sigma must be a real number, got {self.sigma!r}")
+        if not math.isfinite(self.sigma):
             raise ValueError(f"sigma must be finite, got {self.sigma!r}")
         if self.sigma <= 1.0:
             raise ValueError("sigma must exceed 1")

@@ -45,6 +45,33 @@ def test_a_wrong_sign_in_the_constraint_force_fails_the_oracle_check_alone(monke
     assert [c["name"] for c in report["checks"] if not c["passed"]] == ["kkt-oracle-equivalence"]
 
 
+@pytest.mark.parametrize("seed", range(5))     # spectrum-law residuals 4.9e-6 to 5.0e-6
+def test_a_scaled_spectrum_fails_the_spectrum_law_check_alone(monkeypatch, seed):
+    """Eigenvalues of Mbar 1e-6 too large keep their order and every
+    condition number, and only the spectrum law compares them with mu and
+    the eigenvalues of P M P: with that fault every other check passes."""
+    monkeypatch.setattr(ConstrainedModel, "spectrum",
+                        property(lambda model: np.linalg.eigvalsh(model.Mbar) * (1 + 1e-6)))
+    report = run_battery(seed=seed)
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == ["mbar-spectrum-law"]
+
+
+@pytest.mark.parametrize("seed", range(5))     # route residuals 4.0 to 5.0
+def test_a_skew_error_in_cbar_fails_the_acceleration_route_check_alone(monkeypatch, seed):
+    """Cbar + Omega is wrong by a skew-symmetric term, which leaves
+    Mbar' - 2 Cbar skew, so the skew-symmetry check cannot see it; yet it
+    changes the acceleration of the route that reads Cbar, and the
+    acceleration route check compares that route with the one that does
+    not.  That is why the battery keeps both checks: with this fault every
+    other check passes, and with cbar-sign the skew check fails."""
+    right = ConstrainedModel.Cbar.fn
+    monkeypatch.setattr(ConstrainedModel, "Cbar",
+                        property(lambda model: right(model) + model.proj.Omega))
+    report = run_battery(seed=seed)
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [
+        "acceleration-route-agreement"]
+
+
 def test_linalg_cost_of_a_run(monkeypatch):
     """One run at seed 0 stacks each operator by the shape it reads: one QR
     per n of random masses in each of the spectrum law's and the oblique

@@ -36,9 +36,15 @@ class TestGains:
         (dict(Kd=np.full((2, 2), np.nan)), "^Kd must be finite$"),
         (dict(sigma=float("nan")), "^sigma must be finite, got nan$"),
         (dict(sigma=float("inf")), "^sigma must be finite, got inf$"),
-    ], ids=["infinite-kp", "nan-kd", "nan-sigma", "infinite-sigma"])
+        (dict(sigma="2"), "^sigma must be a real number, got '2'$"),
+        (dict(sigma=None), "^sigma must be a real number, got None$"),
+        (dict(sigma=[2.0]), r"^sigma must be a real number, got \[2\.0\]$"),
+        (dict(sigma=True), "^sigma must be a real number, got True$"),
+    ], ids=["infinite-kp", "nan-kd", "nan-sigma", "infinite-sigma", "string-sigma",
+            "none-sigma", "list-sigma", "bool-sigma"])
     def test_gains_must_be_finite(self, gains, message):
-        # checked before symmetry and definiteness, which NaN and inf defeat
+        # checked before symmetry and definiteness, which NaN and inf defeat;
+        # sigma is read as a real number first, or numpy's TypeError names no gain
         with pytest.raises(ValueError, match=message):
             RegulationGains(**{"Kp": np.eye(2), "Kd": np.eye(2), "sigma": 2.0, **gains})
 
