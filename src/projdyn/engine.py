@@ -173,8 +173,10 @@ class SimulationTrace:
                 fh.write(json.dumps(dict(zip(TRACE_KEYS, row))) + "\n")
 
 
-def project_to_constraints(q_raw, system: MechanicalSystem, tol=1e-10,
-                           max_iter=20) -> np.ndarray:
+RETRACT_TOL, RETRACT_MAX_ITER = 1e-10, 20   # project_to_constraints' |Phi| and step cap
+
+
+def project_to_constraints(q_raw, system: MechanicalSystem) -> np.ndarray:
     """Retract a configuration onto the manifold Phi(q) = 0 of the system's
     rows (of some rows: pass system.with_active(rows)).
 
@@ -184,16 +186,16 @@ def project_to_constraints(q_raw, system: MechanicalSystem, tol=1e-10,
     if system.residual is None:
         raise ValueError(f"system {system.name!r} provides no position residual")
     q = np.asarray(q_raw, dtype=float).copy()
-    for _ in range(max_iter):
+    for _ in range(RETRACT_MAX_ITER):
         phi = np.asarray(system.residual(q), dtype=float)
-        if np.linalg.norm(phi) <= tol:
+        if np.linalg.norm(phi) <= RETRACT_TOL:
             return q
         Jp, r = pseudo_inverse(system.constraint(q))
         if r == 0:
             break
         q = q - _mm(Jp, phi)
     phi = np.asarray(system.residual(q), dtype=float)
-    if np.linalg.norm(phi) <= tol:
+    if np.linalg.norm(phi) <= RETRACT_TOL:
         return q
     raise InconsistentStateError(
         f"retraction stalled with |Phi| = {np.linalg.norm(phi):.3e}")

@@ -7,9 +7,11 @@ P onto null(A), its complement Q = I - P, and the rate operators
     Lambda = -pinv(A) Adot,    Pdot = Lambda P + P Lambda^T,
     Omega  = Lambda - Lambda^T  (skew-symmetric).
 
-All operators keep the fixed dimension n regardless of how many constraint
-rows are active or independent, which is what makes rank drops and topology
-switches unremarkable here.
+One full SVD of A gives pinv(A), its rank and P = V0^T V0 from the right-
+singular vectors past the rank: A P is round-off of order eps |A| near a
+rank drop too, and P is exactly 0 at rank n.  All operators keep the fixed
+dimension n however many constraint rows are active or independent, which
+is what makes rank drops and topology switches unremarkable here.
 
 Every function takes one m x n matrix or a stack of them, shape (..., m, n),
 through the same code: a single matrix is the stack of one, with the same
@@ -130,18 +132,6 @@ class ProjectorBundle:
         return _mm(self.Lambda, self.P) + _mm(self.P, self.Lambda.swapaxes(-1, -2))
 
 
-def _per_member(x):
-    """A scalar as it is; an array of one value per member of a stack with two
-    trailing axes, so that it scales each member's matrices."""
-    return x[..., None, None] if isinstance(x, np.ndarray) else x
-
-
-def _every(x) -> bool:
-    """A bool as it is; for a stack's bool array, whether every member holds.
-    (np.all would cost more than the rest of a one-state call.)"""
-    return x.all() if isinstance(x, np.ndarray) else x
-
-
 @lru_cache(maxsize=64)
 def _identity(n: int) -> np.ndarray:   # built once per n, read-only
     eye = np.eye(n)
@@ -162,42 +152,47 @@ def pseudo_inverse(A):
 
     Returns (A_pinv, r) where r counts the singular values above
     RANK_TOL * sigma_max.  This is the epsilon -> 0 limit of the Tikhonov
-    regularized inverse, realized the numerically standard way.  The SVD is
-    not sliced at r: A_pinv = V W^T with W = U / s on the kept singular
-    values and 0 on the cut ones, so every member of a stack has one shape
-    (Golub & Van Loan, Matrix Computations, 2.5).
+    regularized inverse, realized the numerically standard way.  The full
+    SVD is not sliced at r: A_pinv = V W^T with W = U / s on the kept
+    singular values and 0 on the cut ones, so every member of a stack has
+    one shape (Golub & Van Loan, Matrix Computations, 2.5); Vt past r gives P.
     """
-    return _pinv(_checked(A))
+    return _pinv(_checked(A))[:2]
 
 
 def _pinv(A):
     """pseudo_inverse of a float array (..., m, n) that its caller has
-    checked finite."""
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    checked finite, and the full SVD's Vt, n x n."""
+    U, s, Vt = np.linalg.svd(A)
+    U = U[..., :s.shape[-1]]   # the columns that meet a singular value
     # s[..., :1] is sigma_max, empty where a matrix has no rows or no columns
     keep = s > RANK_TOL * s[..., :1]
     # U / s, not U * (1 / s): the product rounds differently
     W = np.divide(U, s[..., None, :], out=np.zeros(U.shape), where=keep[..., None, :])
     r = np.count_nonzero(keep, axis=-1) if keep.ndim > 1 else int(np.count_nonzero(keep))
-    return _mm(Vt.swapaxes(-1, -2), W.swapaxes(-1, -2)), r
+    return _mm(Vt[..., :U.shape[-1], :].swapaxes(-1, -2), W.swapaxes(-1, -2)), r, Vt
+
+
+@lru_cache(maxsize=64)
+def _null_rows(n: int) -> np.ndarray:   # built once per n
+    """Row r scales the first r rows of an n x n Vt by 0 and the rest by 1."""
+    return 1.0 - np.tri(n + 1, n, -1)[..., None]
 
 
 def _configuration(A):
     """pinv(A), its rank, P and Q of a checked float array A, from one SVD.
 
-    P = I - pinv(A) A is symmetrized explicitly so that downstream identities
-    (P^2 = P, P Lambda = 0, ...) hold to round-off rather than to SVD backward
-    error in the asymmetric part.  This rank is the one answer to "is there an
-    admissible direction?": at rank n, P is exactly 0 and Q = I (Golub & Van
-    Loan, Matrix Computations, 2.5), not the round-off I - pinv(A) A leaves.
+    P = V0^T V0, where V0 is Vt with its first rank(A) rows scaled by 0
+    (Golub & Van Loan, Matrix Computations, 2.5).  It is symmetric bit for
+    bit: numpy takes an array times its own transpose to BLAS syrk, which
+    mirrors one triangle.  This rank is the one answer to "is there an
+    admissible direction?": at rank n every row is scaled by 0, so P is
+    exactly +0.0 and Q = I, with no special case.
     """
-    Apinv, r = _pinv(A)
-    eye = _identity(n := Apinv.shape[-2])
-    P = eye - _mm(Apinv, A)
-    P = 0.5 * (P + P.swapaxes(-1, -2))
-    if not _every(r < n):   # where, not a product: the zeros are +0.0
-        P = np.where(_per_member(r < n), P, 0.0)
-    return Apinv, r, P, eye - P
+    Apinv, r, Vt = _pinv(A)
+    V0 = Vt * _null_rows(n := Vt.shape[-1])[r]
+    P = _mm(V0.swapaxes(-1, -2), V0)
+    return Apinv, r, P, _identity(n) - P
 
 
 def configuration_projectors(A) -> ProjectorBundle:

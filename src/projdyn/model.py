@@ -20,8 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError
-from .kernel import (ProjectorBundle, _every, _identity, _lazy, _mm, _per_member,
-                     pseudo_inverse)
+from .kernel import ProjectorBundle, _identity, _lazy, _mm, pseudo_inverse
+
+
+def _per_member(x):
+    """A scalar as it is; an array of one value per member of a stack with two
+    trailing axes, so that it scales each member's matrices."""
+    return x[..., None, None] if isinstance(x, np.ndarray) else x
 
 
 @dataclass(frozen=True)
@@ -129,15 +134,12 @@ class ConstrainedModel:
     @_lazy
     def Gamma(self) -> np.ndarray:
         """Gamma = pinv(P B): u = Gamma f_par is the smallest u with
-        P B u = f_par.  Raises AdmissibilityError unless admissible (at every
-        member of a stack), which B = I always is."""
-        if not (self.plant.identity_input or _every(self.admissible)):
+        P B u = f_par.  Raises AdmissibilityError where rank(P B) < rank(P)
+        (at any member of a stack), which never holds for B = I."""
+        if not (self.plant.identity_input or np.all(self.admissible)):
             r, want = self._pb_pinv[1], self.proj.n - self.proj.rank
-            if _every(r <= want):
-                raise AdmissibilityError("range(P B) does not span null(A): "
-                                         f"rank(P B) = {r} < rank(P) = {want}")
-            raise AdmissibilityError(f"rank(P B) = {r} > rank(P) = {want}: round-off in P, "
-                                     "with A near a rank drop, exceeds the rank cutoff")
+            raise AdmissibilityError("range(P B) does not span null(A): "
+                                     f"rank(P B) = {r} < rank(P) = {want}")
         return self._pb_pinv[0]
 
     @_lazy

@@ -1,5 +1,7 @@
 """Setpoint regulation: law evaluation, Lyapunov accounting, closed loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -221,16 +223,22 @@ class TestLyapunov:
         assert e1 < 0.5 * e0
         assert trace.lyapunov[-1] < 0.2 * trace.lyapunov[0]
 
-    @pytest.mark.parametrize("short", [1e-6, 1e-7])
-    def test_fully_actuated_crank_leaves_its_fold(self, short):
-        # from rest 1e-6 and 1e-7 rad short of the fold (0, 1, 0, 0), where
-        # round-off in P once made rank(P B) exceed rank(P) and the run raise
+    @pytest.mark.parametrize("short, scale", [
+        pytest.param(1e-6, 1.0, id="1e-06"), pytest.param(1e-7, 1.0, id="1e-07"),
+        pytest.param(1e-6, 2.0, id="1e-06-2I"), pytest.param(1e-7, 2.0, id="1e-07-2I")])
+    def test_fully_actuated_crank_leaves_its_fold(self, short, scale):
+        # from rest 1e-6 and 1e-7 rad short of the fold (0, 1, 0, 0), with
+        # B = I or 2 I, where round-off in P = I - pinv(A) A once made
+        # rank(P B) exceed rank(P) and the run raise
         th = np.pi / 2 - short
         x1, y1 = np.cos(th), np.sin(th)   # placed as slider_crank's sample_state places it
         q0 = np.array([x1, y1, x1 + np.sqrt(1.0 - y1 ** 2), 0.0])
         q_star = np.array([np.cos(1.2), np.sin(1.2), 2 * np.cos(1.2), 0.0])
         gains = RegulationGains(Kp=10 * np.eye(4), Kd=10 * np.eye(4), sigma=1.5)
-        trace = run(Scenario(system=slider_crank(), q0=q0, qdot0=np.zeros(4),
+        crank = slider_crank()
+        plant = dataclasses.replace(crank.plant(q0, np.zeros(4)), B=scale * np.eye(4))
+        system = dataclasses.replace(crank, plant_at=lambda q, qdot: plant)
+        trace = run(Scenario(system=system, q0=q0, qdot0=np.zeros(4),
                              horizon=2.0, dt=5e-3,
                              controller=SetpointRegulator(q_star, gains)))
         assert trace.t[-1] == pytest.approx(2.0)

@@ -37,14 +37,16 @@ class TestProjectToConstraints:
         with pytest.raises(ValueError, match="provides no position residual"):
             project_to_constraints(np.zeros(2), switching_particle())
 
-    def test_last_step_is_tested_after_the_loop(self):
+    def test_last_step_is_tested_after_the_loop(self, monkeypatch):
         # |Phi| is 1e-3, then 9.990e-07, then 2.5e-13: the second step lands
         # on the circle and only the test after the loop sees it
-        q = project_to_constraints(np.array([0.0, -1.001]), pendulum(), max_iter=2)
+        monkeypatch.setattr(engine, "RETRACT_MAX_ITER", 2)
+        q = project_to_constraints(np.array([0.0, -1.001]), pendulum())
         np.testing.assert_allclose(q, [0.0, -1.0], atol=1e-10)
+        monkeypatch.setattr(engine, "RETRACT_MAX_ITER", 1)
         with pytest.raises(InconsistentStateError,
                            match=r"^retraction stalled with \|Phi\| = 9\.990e-07$"):
-            project_to_constraints(np.array([0.0, -1.001]), pendulum(), max_iter=1)
+            project_to_constraints(np.array([0.0, -1.001]), pendulum())
 
 
 class TestIntegration:

@@ -59,22 +59,19 @@ class TestAdmissibility:
             model.Gamma
 
     @pytest.mark.parametrize("short", [1e-6, 1e-7])
-    def test_round_off_above_rank_p_is_not_called_a_deficit(self, short):
-        # 1e-6 and 1e-7 rad short of the crank's fold, round-off in P lifts
-        # rank(P B) of B = 2 I above rank(P); B = I reads the kernel's rank
+    def test_a_scaled_identity_spans_null_a_near_the_fold(self, short):
+        # 1e-6 and 1e-7 rad short of the crank's fold, B = 2 I spans null(A)
+        # as B = I does: P = V0^T V0 carries no round-off for rank(P B) to
+        # read above rank(P), as I - pinv(A) A did
         th = np.pi / 2 - short
         x1, y1 = np.cos(th), np.sin(th)   # placed as slider_crank's sample_state places it
         q, qd = np.array([x1, y1, x1 + np.sqrt(1.0 - y1 ** 2), 0.0]), np.zeros(4)
         crank = slider_crank()
         proj = build_projectors(crank.jacobian(q, qd))
-        plant = crank.plant(q, qd)
-        assert assemble(plant, proj, 1.0).admissible
-        model = assemble(dataclasses.replace(plant, B=2 * np.eye(4)), proj, 1.0)
-        assert not model.admissible
-        with pytest.raises(AdmissibilityError, match=r"^rank\(P B\) = [23] > rank\(P\) = 1: "
-                                                     r".*round-off in P") as err:
-            model.Gamma
-        assert "does not span" not in str(err.value)
+        model = assemble(dataclasses.replace(crank.plant(q, qd), B=2 * np.eye(4)), proj, 1.0)
+        assert model.admissible
+        assert model._pb_pinv[1] == proj.n - proj.rank == 1
+        np.testing.assert_allclose(model.Gamma, 0.5 * proj.P, rtol=0, atol=1e-12)
 
     def test_gamma_raises_when_inadmissible(self):
         model = pendulum_model(np.array([[0.0], [1.0]]))

@@ -10,7 +10,7 @@ import pytest
 from projdyn import (ConstraintJacobian, NonFiniteInputError, PlantMatrices, ProjectorBundle,
                      Scenario, SetpointRegulator, RegulationGains, acceleration, assemble,
                      build_projectors, constraint_force, kinetic_energy, lyapunov_value,
-                     optimal_mu, pendulum, pseudo_inverse, run)
+                     optimal_mu, pendulum, pseudo_inverse, run, slider_crank)
 from projdyn.battery import check_projector_algebra, pdot_fd_check
 from projdyn.forces import acceleration_nonminimal
 from projdyn.kernel import _lazy, _mm, _norm, configuration_projectors, with_adot
@@ -134,6 +134,20 @@ class TestBuildProjectors:
             assert proj.P[1].tobytes() == configuration_projectors(deficient).P.tobytes()
             assert abs(np.trace(proj.P[1]) - 1.0) < 1e-12
 
+    def test_a_p_is_round_off_of_a_near_the_fold(self):
+        """|A P v| <= 100 eps |A| |v| at slider-crank states 1e-1 to 1e-9 rad
+        short of the fold (0, 1, 0, 0), for every v: the null rows of the SVD
+        are orthogonal to A's rows to round-off, where I - pinv(A) A leaves
+        an error of order eps cond(A), up to 3e7 eps |A| there."""
+        crank = slider_crank()
+        th = np.pi / 2 - np.logspace(-9, -1, 81)
+        x1, y1 = np.cos(th), np.sin(th)   # placed as slider_crank's sample_state places it
+        A = np.array([crank.constraint(q) for q in
+                      np.stack([x1, y1, x1 + np.sqrt(1.0 - y1 ** 2), 0.0 * th], axis=-1)])
+        P = configuration_projectors(A).P
+        norm_ap, norm_a = (np.linalg.norm(X, 2, axis=(-2, -1)) for X in (A @ P, A))
+        assert (norm_ap <= 100 * np.finfo(float).eps * norm_a).all()
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             ConstraintJacobian(A=np.zeros((1, 2)), Adot=np.zeros((2, 2)))
@@ -228,8 +242,8 @@ class TestLazyAttribute:
 
 
 def sliced_pinv(A, rank_tol=1e-10):
-    """Reference: the pseudo-inverse from the SVD sliced at the rank."""
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    """Reference: the pseudo-inverse from the full SVD sliced at the rank."""
+    U, s, Vt = np.linalg.svd(A)
     r = int(np.count_nonzero(s > rank_tol * s[0]))
     if r == 0:
         return np.zeros(A.shape[::-1])
@@ -289,6 +303,7 @@ def assert_stack_has_the_bits_of_its_members(rng, n, m):
         rank, alone = outputs(A[i], Adot[i], M[i], C[i], f_g[i], mu[i], f[i], qdot[i])
         assert type(rank) is int and rank == ranks[i]
         assert alone[0].tobytes() == sliced_pinv(A[i]).tobytes(), (n, m, i)
+        assert alone[1].tobytes() == alone[1].T.tobytes(), (n, m, i)   # P, zeros' signs too
         for k, (x, y) in enumerate(zip(alone, stacked)):
             assert x.tobytes() == y[i].tobytes(), (n, m, i, k)
 
@@ -297,10 +312,10 @@ def test_a_stack_has_the_bits_of_its_members():
     """Kernel, model, force and energy functions take (..., m, n) stacks, with
     vectors as (..., n, 1) columns: each member of a stacked call is byte for
     byte the call on that member alone, for n from 1 to 8, every rank down
-    to 0 and zeroed rows; and one matrix keeps the bits of the SVD sliced at
-    its rank.  build_projectors has the bits of configuration_projectors plus
-    with_adot, for one matrix, for stacks and for matrices without rows or
-    columns."""
+    to 0 and zeroed rows; one matrix keeps the bits of the full SVD sliced
+    at its rank, and its P is symmetric bit for bit.  build_projectors has
+    the bits of configuration_projectors plus with_adot, for one matrix, for
+    stacks and for matrices without rows or columns."""
     rng = np.random.default_rng(21)
     for n in range(2, 9):
         for m in sorted({1, n - 1, n, n + 1}):
